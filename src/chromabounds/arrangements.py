@@ -190,9 +190,6 @@ class IntersectionPoset:
     flats: tuple[Flat, ...]
     mobius: tuple[int, ...]
 
-    def mobius_of(self, flat: Flat) -> int:
-        return self.mobius[self.flats.index(flat)]
-
 
 def intersection_poset(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> IntersectionPoset:
     """All distinct nonempty intersections, with Moebius values.

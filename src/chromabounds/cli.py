@@ -11,29 +11,14 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from . import bounds as bnd
 from . import nbc as nbcmod
-from .arrangements import (
-    Arrangement,
-    Hyperplane,
-    boolean_char_poly,
-    char_poly,
-    char_poly_whitney,
-    decone,
-    delete,
-    essentialize,
-    general_position_char_poly,
-    graphic_arrangement,
-    is_boolean,
-    is_central,
-    is_general_position,
-    rank,
-    restrict,
-)
+from .arrangements import DEFAULT_SUBSET_GUARD, Arrangement, Hyperplane, char_poly, decone, graphic_arrangement
+from .checks import ARRANGEMENT_CHECKS, GRAPH_CHECKS, LINEAR_CENTRAL_CHECKS, Case, Check, run_checks
 from .corpus import (
     linear_central_corpus,
     named_graphs,
@@ -43,20 +28,10 @@ from .corpus import (
 )
 from .errors import InputError, InvariantError, ResourceLimitError
 from .exactmath import IntPolynomial
-from .graphs import (
-    SimpleGraph,
-    chromatic_poly,
-    chromatic_poly_interpolated,
-    contract_edge,
-    delete_edge,
-    is_forest,
-    rank_info,
-)
+from .graphs import DEFAULT_COLORING_CAP, SimpleGraph, chromatic_poly, rank_info
 
 DEFAULT_Q_MIN = -3
 DEFAULT_Q_MAX = 3
-DEFAULT_SUBSET_CAP = 20
-DEFAULT_COLORING_CAP = 10**8
 
 
 @dataclass(frozen=True)
@@ -65,7 +40,7 @@ class RunConfig:
     inputs: tuple[str, ...]
     q_min: int = DEFAULT_Q_MIN
     q_max: int = DEFAULT_Q_MAX
-    cap_subsets: int = DEFAULT_SUBSET_CAP
+    cap_subsets: int = DEFAULT_SUBSET_GUARD
     cap_colorings: int = DEFAULT_COLORING_CAP
     seed: int | None = None
     output_format: str = "text"
@@ -126,7 +101,10 @@ def _parse_dimacs(lines: list[tuple[int, str]], source: str) -> SimpleGraph:
             parts = line.split()
             if len(parts) < 3 or parts[1] != "edge":
                 raise InputError(f"{source}:{lineno}: malformed problem line '{line}'")
-            n = int(parts[2])
+            try:
+                n = int(parts[2])
+            except ValueError:
+                raise InputError(f"{source}:{lineno}: vertex count '{parts[2]}' is not an integer")
         elif tag == "e":
             edge_lines.append((lineno, " ".join(line.split()[1:])))
         else:
@@ -242,12 +220,6 @@ def _record_json(rec: bnd.BoundsRecord) -> dict:
     }
 
 
-def _instance_poly(obj: SimpleGraph | Arrangement, cap_subsets: int) -> tuple[IntPolynomial, int]:
-    if isinstance(obj, SimpleGraph):
-        return chromatic_poly(obj), obj.m
-    return char_poly(obj, guard=cap_subsets), obj.m
-
-
 def build_chromatic_report(g: SimpleGraph) -> dict:
     p = chromatic_poly(g)
     info = rank_info(g)
@@ -264,37 +236,31 @@ def build_chromatic_report(g: SimpleGraph) -> dict:
 
 
 def build_bounds_report(obj: SimpleGraph | Arrangement, config: RunConfig) -> dict:
-    p, m = _instance_poly(obj, config.cap_subsets)
-    s = bnd.coeff_sequence(p, m)
-    report = bnd.verify_bounds(s, config.q_min, config.q_max)
+    case = Case(config.inputs[0], obj, config.q_min, config.q_max, cap_subsets=config.cap_subsets)
     return {
-        "polynomial": str(p),
-        "sequence": _seq_json(s),
-        "records": [_record_json(rec) for rec in report.records],
-        "all_ok": report.all_ok,
-        "all_tight": report.all_tight,
-        "violations": [_record_json(rec) for rec in report.violations],
+        "polynomial": str(case.poly),
+        "sequence": _seq_json(case.seq),
+        "records": [_record_json(rec) for rec in case.bounds.records],
+        "all_ok": case.bounds.all_ok,
+        "all_tight": case.bounds.all_tight,
+        "violations": [_record_json(rec) for rec in case.bounds.violations],
     }
 
 
 def build_nbc_report(
     obj: SimpleGraph | Arrangement, order: tuple[int, ...] | None, config: RunConfig
 ) -> dict:
-    arr = graphic_arrangement(obj) if isinstance(obj, SimpleGraph) else obj
-    p, m = _instance_poly(obj, config.cap_subsets)
-    s = bnd.coeff_sequence(p, m)
+    case = Case(config.inputs[0], obj, config.q_min, config.q_max, cap_subsets=config.cap_subsets)
     rows = []
-    all_match = True
-    for k in range(s.r + 1):
-        count = nbcmod.nbc_coefficient(arr, order=order, k=k, guard=config.cap_subsets)
-        match = count == s.a[k]
-        all_match = all_match and match
-        rows.append({"k": k, "nbc_count": str(count), "abs_coefficient": str(s.a[k]), "match": match})
+    for k in range(case.seq.r + 1):
+        count = nbcmod.nbc_coefficient(case.arrangement, order=order, k=k, guard=config.cap_subsets)
+        rows.append({"k": k, "nbc_count": str(count), "abs_coefficient": str(case.seq.a[k]),
+                     "match": count == case.seq.a[k]})
     return {
-        "polynomial": str(p),
-        "order": list(order) if order is not None else list(range(arr.m)),
+        "polynomial": str(case.poly),
+        "order": list(order) if order is not None else list(range(case.m)),
         "rows": rows,
-        "all_match": all_match,
+        "all_match": all(row["match"] for row in rows),
     }
 
 
@@ -320,142 +286,34 @@ def build_decone_report(obj: SimpleGraph | Arrangement, k0: int, config: RunConf
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _VerifyState:
-    checks: int = 0
-    violations: list[dict] = field(default_factory=list)
-
-    def check(self, ok: bool, name: str, instance: str, detail: str = "") -> None:
-        self.checks += 1
-        if not ok:
-            self.violations.append({"check": name, "instance": instance, "detail": detail})
-
-
-def _verify_graph(label: str, g: SimpleGraph, config: RunConfig, rng: random.Random, state: _VerifyState) -> dict:
-    memo: dict = {}
-    p = chromatic_poly(g, memo=memo)
-    info = rank_info(g)
-    state.check(
-        p == chromatic_poly_interpolated(g, cap=config.cap_colorings),
-        "coloring-oracle", label,
-    )
-    s = bnd.coeff_sequence(p, g.m)  # raises on any sign-pattern defect
-    state.check(s.r == info.rank, "rank-vs-degree", label)
-
-    forest = is_forest(g)
-    # m > n rules out a forest outright; otherwise compare to the product form.
-    matches_forest_formula = g.m <= g.n and p == boolean_char_poly(g.n, g.m)
-    state.check(forest == matches_forest_formula, "forest-formula", label)
-
-    for e in g.sorted_edges():
-        lhs = p
-        rhs = chromatic_poly(delete_edge(g, e), memo=memo) - chromatic_poly(contract_edge(g, e))
-        state.check(lhs == rhs, "deletion-contraction", label, f"edge {e}")
-
-    arr = graphic_arrangement(g)
-    if arr.m <= config.cap_subsets:
-        state.check(char_poly(arr, guard=config.cap_subsets) == p, "graphic-char-poly", label)
-    if arr.m <= 10:
-        state.check(char_poly_whitney(arr) == p, "whitney-agreement", label)
-    if arr.m <= 12:
-        for order in [None] + [random_order(rng, arr.m) for _ in range(2)]:
-            for k in range(s.r + 1):
-                count = nbcmod.nbc_coefficient(arr, order=order, k=k, guard=config.cap_subsets)
-                state.check(count == s.a[k], "nbc-coefficient", label, f"k={k} order={order}")
-
-    report = bnd.verify_bounds(s, config.q_min, config.q_max)
-    state.check(report.all_ok, "two-sided-bounds", label)
-    state.check(report.all_tight == forest, "bounds-tight-iff-forest", label)
-    lower = bnd.check_coefficient_lower_bounds(s)
-    state.check(lower.all_ok, "coefficient-lower-bounds", label)
-    return {"instance": label, "n": g.n, "m": g.m, "rank": info.rank,
-            "logconcave": bnd.is_logconcave(s)}
-
-
-def _verify_arrangement(label: str, arr: Arrangement, config: RunConfig, rng: random.Random, state: _VerifyState) -> dict:
-    p = char_poly(arr, guard=config.cap_subsets)
-    r = rank(arr)
-    s = bnd.coeff_sequence(p, arr.m)
-    state.check(s.r == r, "rank-vs-degree", label)
-    state.check(char_poly_whitney(arr, guard=config.cap_subsets) == p, "whitney-agreement", label)
-
-    for h in range(arr.m):
-        lhs = p
-        rhs = char_poly(delete(arr, h), guard=config.cap_subsets) - char_poly(
-            restrict(arr, h), guard=config.cap_subsets
-        )
-        state.check(lhs == rhs, "deletion-restriction", label, f"hyperplane {h}")
-
-    boolean = is_boolean(arr)
-    if boolean:
-        state.check(p == boolean_char_poly(arr.dim, arr.m), "boolean-formula", label)
-    gp = is_general_position(arr, guard=config.cap_subsets)
-    shape = p == general_position_char_poly(arr.dim, arr.m, r)
-    state.check(gp == shape, "general-position-iff-shape", label)
-    if is_central(arr):
-        state.check(gp == boolean, "central-gp-iff-boolean", label)
-
-    ess = essentialize(arr)
-    state.check(ess.m == arr.m, "essentialize-count", label)
-    state.check(
-        char_poly(ess, guard=config.cap_subsets).shift(arr.dim - r) == p,
-        "essentialize-coefficients", label,
-    )
-
-    for order in [None] + [random_order(rng, arr.m) for _ in range(2)]:
-        for k in range(r + 1):
-            count = nbcmod.nbc_coefficient(arr, order=order, k=k, guard=config.cap_subsets)
-            state.check(count == s.a[k], "nbc-coefficient", label, f"k={k} order={order}")
-
-    report = bnd.verify_bounds(s, config.q_min, config.q_max)
-    state.check(report.all_ok, "two-sided-bounds", label)
-    state.check(report.all_tight == (arr.m == r), "bounds-tight-iff-boolean", label)
-    lower = bnd.check_coefficient_lower_bounds(s)
-    state.check(lower.all_ok, "coefficient-lower-bounds", label)
-    return {"instance": label, "dim": arr.dim, "m": arr.m, "rank": r,
-            "logconcave": bnd.is_logconcave(s)}
-
-
-def _verify_linear_central(label: str, arr: Arrangement, config: RunConfig, state: _VerifyState) -> None:
-    p = char_poly(arr, guard=config.cap_subsets)
-    for k0 in range(arr.m):
-        deconed = decone(arr, k0)
-        state.check(
-            char_poly(deconed, guard=config.cap_subsets) == bnd.divided_difference(p),
-            "decone-divided-difference", label, f"k0={k0}",
-        )
-    ess = essentialize(arr)
-    pe = char_poly(ess, guard=config.cap_subsets)
-    s = bnd.coeff_sequence(pe, arr.m)
-    for j in range(s.r + 1):
-        state.check(
-            bnd.divided_difference_iter(pe, j) == bnd.divided_difference_formula(s, j),
-            "divided-difference-formula", label, f"j={j}",
-        )
-
-
 def build_verify_report(config: RunConfig, num_graphs: int, max_vertices: int,
                         num_arrangements: int, max_dim: int, max_hyperplanes: int) -> tuple[dict, list[dict]]:
     rng = random.Random(config.seed if config.seed is not None else 0)
-    state = _VerifyState()
-    graph_results = []
-    for name, g in named_graphs():
-        graph_results.append(_verify_graph(f"named:{name}", g, config, rng, state))
-    for i, g in enumerate(random_graphs(rng, num_graphs, max_vertices)):
-        graph_results.append(_verify_graph(f"graph[{i}]", g, config, rng, state))
-    arrangement_results = []
-    for i, arr in enumerate(random_arrangements(rng, num_arrangements, max_dim, max_hyperplanes)):
-        arrangement_results.append(_verify_arrangement(f"arrangement[{i}]", arr, config, rng, state))
+    outcomes: list[tuple[str, str, bool, str]] = []
+
+    def verify(table: tuple[Check, ...], label: str, obj: SimpleGraph | Arrangement) -> dict:
+        case = Case(label, obj, config.q_min, config.q_max,
+                    orders=lambda m: [None] + [random_order(rng, m) for _ in range(2)],
+                    cap_subsets=config.cap_subsets, cap_colorings=config.cap_colorings)
+        outcomes.extend((name, label, ok, detail) for name, ok, detail in run_checks(table, case))
+        return case.row
+
+    graph_results = [verify(GRAPH_CHECKS, f"named:{name}", g) for name, g in named_graphs()]
+    graph_results += [verify(GRAPH_CHECKS, f"graph[{i}]", g)
+                      for i, g in enumerate(random_graphs(rng, num_graphs, max_vertices))]
+    arrangements = random_arrangements(rng, num_arrangements, max_dim, max_hyperplanes)
+    arrangement_results = [verify(ARRANGEMENT_CHECKS, f"arrangement[{i}]", a) for i, a in enumerate(arrangements)]
     for i, arr in enumerate(linear_central_corpus(rng)):
-        _verify_linear_central(f"linear[{i}]", arr, config, state)
+        verify(LINEAR_CENTRAL_CHECKS, f"linear[{i}]", arr)
+    violations = [{"check": name, "instance": label, "detail": detail} for name, label, ok, detail in outcomes if not ok]
     results = {
         "graphs": graph_results,
         "arrangements": arrangement_results,
         "instances": len(graph_results) + len(arrangement_results),
-        "checks": state.checks,
-        "violation_count": len(state.violations),
+        "checks": len(outcomes),
+        "violation_count": len(violations),
     }
-    return results, state.violations
+    return results, violations
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +385,7 @@ def _parse_order_flag(raw: str | None, m: int) -> tuple[int, ...] | None:
         order = tuple(int(tok) for tok in raw.split(","))
     except ValueError:
         raise InputError(f"--order '{raw}' is not a comma-separated integer list")
-    if sorted(order) != list(range(m)):
-        raise InputError(f"--order must be a permutation of 0..{m - 1}")
-    return order
+    return nbcmod._validate_order(order, m)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -544,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q-min", type=int, default=DEFAULT_Q_MIN)
         p.add_argument("--q-max", type=int, default=DEFAULT_Q_MAX)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--cap-subsets", type=int, default=DEFAULT_SUBSET_CAP)
+        p.add_argument("--cap-subsets", type=int, default=DEFAULT_SUBSET_GUARD)
         p.add_argument("--cap-colorings", type=int, default=DEFAULT_COLORING_CAP)
 
     p = sub.add_parser("chromatic", help="chromatic polynomial of a graph file")
@@ -604,8 +460,7 @@ def run(argv: list[str] | None = None) -> int:
         failed = not results["all_ok"]
     elif args.command == "nbc":
         obj = parse_input_file(args.file)
-        m = obj.m
-        order = _parse_order_flag(args.order, m)
+        order = _parse_order_flag(args.order, obj.m)
         results = build_nbc_report(obj, order, config)
         violations = [row for row in results["rows"] if not row["match"]]
         printer = _print_text_nbc
@@ -616,6 +471,9 @@ def run(argv: list[str] | None = None) -> int:
         printer = _print_text_decone
         failed = not results["ok"]
     elif args.command == "verify":
+        for flag, value in (("--max-n", args.max_n), ("--max-dim", args.max_dim), ("--max-m", args.max_m)):
+            if value < 1:
+                raise InputError(f"{flag} must be at least 1, got {value}")
         results, violations = build_verify_report(
             config,
             num_graphs=args.graphs,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import InvariantError
 
@@ -129,9 +128,6 @@ class IntPolynomial:
             return self
         return IntPolynomial((0,) * k + self.coeffs)
 
-    def scale(self, c: int) -> "IntPolynomial":
-        return IntPolynomial(tuple(c * a for a in self.coeffs))
-
     def divide_by_t_minus_1(self) -> "IntPolynomial":
         """Exact quotient by (t - 1); the input must be divisible.
 
@@ -171,7 +167,3 @@ class IntPolynomial:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
-
-
-def poly_from_ascending(coeffs: Iterable[int]) -> IntPolynomial:
-    return IntPolynomial(tuple(coeffs))

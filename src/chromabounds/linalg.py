@@ -48,10 +48,6 @@ def rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[tuple[Row, ...], tup
     return tuple(tuple(row) for row in mat[:pr]), tuple(pivots)
 
 
-def rank_of(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    return len(rref(rows)[1])
-
-
 def reduce_row(row: Sequence[Fraction | int], rref_rows: Sequence[Row], pivots: Sequence[int]) -> Row:
     """Residual of a row after elimination against RREF rows.
 

@@ -12,8 +12,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
-from .arrangements import DEFAULT_SUBSET_GUARD, Arrangement, flat_of, is_central
-from .errors import InputError, ResourceLimitError
+from .arrangements import DEFAULT_SUBSET_GUARD, Arrangement, _check_guard, flat_of, is_central
+from .errors import InputError
 
 GroundOrder = tuple[int, ...]
 
@@ -38,10 +38,7 @@ def is_dependent(arr: Arrangement, subset: Sequence[int]) -> bool:
 
 def circuits(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> tuple[frozenset[int], ...]:
     """All minimal dependent subsets, by size-ascending sweep with pruning."""
-    if arr.m > guard:
-        raise ResourceLimitError(
-            f"arrangement has {arr.m} hyperplanes; circuit enumeration guard is {guard}"
-        )
+    _check_guard(arr, guard)
     return _circuits_cached(arr)
 
 

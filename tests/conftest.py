@@ -9,10 +9,11 @@ import random
 
 import pytest
 
-from chromabounds import char_poly, chromatic_poly, coeff_sequence
+from chromabounds.checks import Case
 from chromabounds.corpus import named_graphs, random_arrangements, random_graphs
 
 CORPUS_SEED = 1729
+Q_MIN, Q_MAX = -5, 5  # bound-grid window of the cases
 
 
 @pytest.fixture(scope="session")
@@ -35,18 +36,20 @@ def chromatic_memo():
 
 
 @pytest.fixture(scope="session")
-def graph_sequences(graph_corpus, chromatic_memo):
-    out = []
-    for label, g in graph_corpus:
-        p = chromatic_poly(g, memo=chromatic_memo)
-        out.append((label, g, p, coeff_sequence(p, g.m)))
-    return out
+def graph_cases(graph_corpus, chromatic_memo):
+    return [Case(label, g, Q_MIN, Q_MAX, memo=chromatic_memo) for label, g in graph_corpus]
 
 
 @pytest.fixture(scope="session")
-def arrangement_sequences(arrangement_corpus):
-    out = []
-    for label, arr in arrangement_corpus:
-        p = char_poly(arr)
-        out.append((label, arr, p, coeff_sequence(p, arr.m)))
-    return out
+def arrangement_cases(arrangement_corpus):
+    return [Case(label, arr, Q_MIN, Q_MAX) for label, arr in arrangement_corpus]
+
+
+@pytest.fixture(scope="session")
+def graph_sequences(graph_cases):
+    return [(case.label, case.obj, case.poly, case.seq) for case in graph_cases]
+
+
+@pytest.fixture(scope="session")
+def arrangement_sequences(arrangement_cases):
+    return [(case.label, case.obj, case.poly, case.seq) for case in arrangement_cases]

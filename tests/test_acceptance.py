@@ -3,41 +3,29 @@
 Run with `pytest tests/test_acceptance.py -v -s`. The corpus matches the
 conftest fixtures: named graph families plus 200 seeded random graphs
 (n <= 6) and 50 seeded random rational arrangements (dim <= 4, m <= 7).
+Criteria 1-3 and 5-9 select, by name, entries of the check tables in
+`chromabounds.checks` that `verify` runs, so each identity is written once.
 """
 
 import json
 import random
 import time
+from collections import Counter
 from contextlib import contextmanager
+from copy import copy
 
 from chromabounds import (
     binom,
-    boolean_char_poly,
-    char_poly,
-    char_poly_whitney,
     check_coefficient_lower_bounds,
     chromatic_poly,
-    chromatic_poly_interpolated,
     coeff_sequence,
     complete,
-    contract_edge,
-    decone,
-    delete,
-    delete_edge,
-    divided_difference,
-    divided_difference_formula,
-    divided_difference_iter,
-    essentialize,
-    general_position_char_poly,
-    graphic_arrangement,
     is_boolean,
     is_forest,
     is_general_position,
-    nbc_coefficient,
-    rank,
-    restrict,
     verify_bounds,
 )
+from chromabounds.checks import ARRANGEMENT_CHECKS, GRAPH_CHECKS, LINEAR_CENTRAL_CHECKS, Case, run_checks
 from chromabounds.cli import main
 from chromabounds.corpus import linear_central_corpus, random_order
 
@@ -55,43 +43,42 @@ def criterion(num, description):
     print(f"PASS criterion {num}: {description}")
 
 
-def test_criterion_01_coloring_oracle(graph_corpus, chromatic_memo):
+def assert_checks(table, cases, *names):
+    """Run the named entries of a check table on every case; each must hold and run at least once."""
+    selected = [check for check in table if check.name in names]
+    ran = set()
+    for case in cases:
+        for name, ok, detail in run_checks(selected, case):
+            assert ok, (name, case.label, detail)
+            ran.add(name)
+    assert ran == set(names), f"never evaluated: {set(names) - ran}"
+
+
+def test_criterion_01_coloring_oracle(graph_cases):
     with criterion(1, "deletion-contraction equals the brute-force coloring oracle"):
         start = time.monotonic()
-        for label, g in graph_corpus:
-            direct = chromatic_poly(g, memo=chromatic_memo)
-            interpolated = chromatic_poly_interpolated(g)
-            assert direct == interpolated, label
+        assert_checks(GRAPH_CHECKS, graph_cases, "coloring-oracle")
         elapsed = time.monotonic() - start
         assert elapsed < ORACLE_TIME_LIMIT, f"oracle sweep took {elapsed:.1f}s"
 
 
-def test_criterion_02_nbc_counts(graph_sequences, arrangement_sequences):
+def test_criterion_02_nbc_counts(graph_cases, arrangement_cases):
     with criterion(2, "NBC counts equal |a_k| under 3 random orders per instance"):
         rng = random.Random(271828)
         start = time.monotonic()
-        for label, g, _, s in graph_sequences:
-            if g.m > 12:
-                continue
-            arr = graphic_arrangement(g)
-            for _ in range(3):
-                order = random_order(rng, arr.m)
-                for k in range(s.r + 1):
-                    assert nbc_coefficient(arr, order, k) == s.a[k], (label, order, k)
-        for label, arr, _, s in arrangement_sequences:
-            for _ in range(3):
-                order = random_order(rng, arr.m)
-                for k in range(s.r + 1):
-                    assert nbc_coefficient(arr, order, k) == s.a[k], (label, order, k)
+        for table, cases in ((GRAPH_CHECKS, graph_cases), (ARRANGEMENT_CHECKS, arrangement_cases)):
+            drawn = [copy(case) for case in cases]
+            for case in drawn:
+                case.orders = lambda m: [random_order(rng, m) for _ in range(3)]
+            assert_checks(table, drawn, "nbc-coefficient")
         elapsed = time.monotonic() - start
         assert elapsed < NBC_TIME_LIMIT, f"NBC sweep took {elapsed:.1f}s"
 
 
-def test_criterion_03_two_sided_bounds(graph_sequences, arrangement_sequences):
+def test_criterion_03_two_sided_bounds(graph_cases, arrangement_cases):
     with criterion(3, "partial binomial sums stay inside the two-sided bounds, q in [-5, 5]"):
-        for label, _, _, s in graph_sequences + arrangement_sequences:
-            report = verify_bounds(s, -5, 5)
-            assert report.all_ok, (label, report.violations)
+        assert_checks(GRAPH_CHECKS, graph_cases, "two-sided-bounds")
+        assert_checks(ARRANGEMENT_CHECKS, arrangement_cases, "two-sided-bounds")
 
 
 def test_criterion_04_sharpness(graph_sequences):
@@ -110,72 +97,45 @@ def test_criterion_04_sharpness(graph_sequences):
         assert not verify_bounds(triangle, -5, 5).all_tight
 
 
-def test_criterion_05_structural_formulas(arrangement_sequences):
+def test_criterion_05_structural_formulas(arrangement_cases):
     with criterion(5, "boolean and general-position polynomials match the closed forms"):
-        booleans = 0
-        generals = {True: 0, False: 0}
-        for label, arr, p, _ in arrangement_sequences:
-            r = rank(arr)
-            if is_boolean(arr):
-                booleans += 1
-                assert p == boolean_char_poly(arr.dim, arr.m), label
-            gp = is_general_position(arr)
-            generals[gp] += 1
-            assert gp == (p == general_position_char_poly(arr.dim, arr.m, r)), label
+        assert_checks(ARRANGEMENT_CHECKS, arrangement_cases, "boolean-formula", "general-position-iff-shape")
+        booleans = sum(is_boolean(case.obj) for case in arrangement_cases)
+        generals = Counter(is_general_position(case.obj) for case in arrangement_cases)
         assert booleans >= 1
         assert generals[True] >= 1 and generals[False] >= 1
         assert sum(generals.values()) >= 20
 
 
-def test_criterion_06_recurrence_identities(
-    graph_sequences, arrangement_sequences, chromatic_memo
-):
+def test_criterion_06_recurrence_identities(graph_cases, arrangement_cases):
     with criterion(6, "deletion-contraction / deletion-restriction hold edge- and hyperplane-wise"):
-        for label, g, p, _ in graph_sequences:
-            for e in g.sorted_edges():
-                deleted = chromatic_poly(delete_edge(g, e), memo=chromatic_memo)
-                contracted = chromatic_poly(contract_edge(g, e), memo=chromatic_memo)
-                assert p == deleted - contracted, (label, e)
-        for label, arr, p, _ in arrangement_sequences:
-            for h in range(arr.m):
-                assert p == char_poly(delete(arr, h)) - char_poly(restrict(arr, h)), (label, h)
+        assert_checks(GRAPH_CHECKS, graph_cases, "deletion-contraction")
+        assert_checks(ARRANGEMENT_CHECKS, arrangement_cases, "deletion-restriction")
 
 
 def test_criterion_07_decone_divided_difference():
     with criterion(7, "deconing realizes the divided difference; iterates match the closed form"):
         corpus = linear_central_corpus(random.Random(31415))
         assert len(corpus) >= 20
-        for i, arr in enumerate(corpus):
-            p = char_poly(arr)
-            for k0 in range(arr.m):
-                assert char_poly(decone(arr, k0)) == divided_difference(p), (i, k0)
-            essential = char_poly(essentialize(arr))
-            s = coeff_sequence(essential, arr.m)
-            for j in range(s.r + 1):
-                assert divided_difference_iter(essential, j) == divided_difference_formula(s, j)
+        cases = [Case(f"linear[{i}]", arr, -5, 5) for i, arr in enumerate(corpus)]
+        assert_checks(LINEAR_CENTRAL_CHECKS, cases, "decone-divided-difference", "divided-difference-formula")
 
 
-def test_criterion_08_coefficient_lower_bounds(graph_sequences, arrangement_sequences):
+def test_criterion_08_coefficient_lower_bounds(graph_cases, arrangement_cases):
     with criterion(8, "alternating weighted sums are nonnegative and a_2/a_3 floors hold"):
-        for label, _, _, s in graph_sequences + arrangement_sequences:
-            report = check_coefficient_lower_bounds(s)
-            assert report.alternating_ok, label
-            assert report.a2_ok is not False, label
-            assert report.a3_ok is not False, label
+        assert_checks(GRAPH_CHECKS, graph_cases, "coefficient-lower-bounds")
+        assert_checks(ARRANGEMENT_CHECKS, arrangement_cases, "coefficient-lower-bounds")
         k4 = coeff_sequence(chromatic_poly(complete(4)), 6)
         report = check_coefficient_lower_bounds(k4)
         assert k4.a[2] == 11 >= report.a2_floor == 9
         assert k4.a[3] == 6 >= report.a3_floor == 4
 
 
-def test_criterion_09_two_algorithm_agreement(arrangement_sequences, graph_corpus):
+def test_criterion_09_two_algorithm_agreement(arrangement_cases, graph_cases):
     with criterion(9, "Moebius-sum and signed-subset characteristic polynomials agree"):
-        for label, arr, p, _ in arrangement_sequences:
-            assert char_poly_whitney(arr) == p, label
-        for label, g in graph_corpus:
-            if g.m <= 10 and label.startswith("named:"):
-                arr = graphic_arrangement(g)
-                assert char_poly_whitney(arr) == char_poly(arr), label
+        assert_checks(ARRANGEMENT_CHECKS, arrangement_cases, "whitney-agreement")
+        named = [case for case in graph_cases if case.label.startswith("named:")]
+        assert_checks(GRAPH_CHECKS, named, "graphic-char-poly", "whitney-agreement")
 
 
 def test_criterion_10_deterministic_verify(capsys):

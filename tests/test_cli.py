@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from chromabounds import Arrangement, InputError, SimpleGraph
+from chromabounds import Arrangement, InputError, IntPolynomial, SimpleGraph, checks
 from chromabounds.cli import (
     main,
     parse_arrangement_text,
@@ -62,6 +62,10 @@ class TestParsing:
     def test_arrangement_wrong_arity(self):
         with pytest.raises(InputError, match="coordinates"):
             parse_arrangement_text("dim 3\n1 0 0\n")
+
+    def test_dimacs_non_integer_vertex_count(self, write, capsys):
+        assert main(["chromatic", write("bad.col", "p edge x 3\ne 1 2\n")]) == 2
+        assert "bad.col:1: vertex count 'x'" in capsys.readouterr().err
 
     def test_dispatch(self, write):
         assert isinstance(parse_input_file(write("g.txt", K3_TEXT)), SimpleGraph)
@@ -185,6 +189,25 @@ class TestVerifyCommand:
     def test_zero_sizes_pass(self, capsys):
         assert main(["verify", "--graphs", "0", "--arrangements", "0", "--seed", "1"]) == 0
         assert "0 violations" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--max-n", "--max-dim", "--max-m"])
+    def test_nonpositive_corpus_size_rejected(self, flag, capsys):
+        assert main(["verify", flag, "0"]) == 2
+        assert f"{flag} must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("oracle, check", [
+        ("chromatic_poly_interpolated", "coloring-oracle"),
+        ("char_poly_whitney", "whitney-agreement"),
+        ("nbc_coefficient", "nbc-coefficient"),
+        ("divided_difference_formula", "divided-difference-formula"),
+    ])
+    def test_reports_a_broken_oracle(self, monkeypatch, capsys, oracle, check):
+        wrong = -1 if oracle == "nbc_coefficient" else IntPolynomial((7,))
+        monkeypatch.setattr(checks, oracle, lambda *args, **kwargs: wrong)
+        assert main(["verify", "--graphs", "0", "--arrangements", "0", "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["results"]["violation_count"] == len(payload["violations"]) > 0
+        assert {v["check"] for v in payload["violations"]} == {check}
 
     def test_byte_identical_across_runs(self, capsys):
         assert main(VERIFY_ARGS) == 0
