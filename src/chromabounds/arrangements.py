@@ -1,8 +1,9 @@
 """Rational affine hyperplane arrangements and their characteristic polynomials.
 
 Hyperplanes are canonicalized (primitive integer normal, first nonzero
-entry positive) so equality and deduplication are structural. Flats are
-canonical RREF systems, so flat equality is also structural. The
+entry positive) so equality and deduplication are structural. A flat is
+identified by its closure, the bitmask of the hyperplanes containing it,
+so flat equality and containment are bit operations. The
 characteristic polynomial is computed from the intersection poset's
 Moebius values, with an independent signed-subset expansion
 (`char_poly_whitney`) as a cross-check.
@@ -19,7 +20,7 @@ from typing import Iterable, Sequence
 from .errors import InputError, ResourceLimitError
 from .exactmath import IntPolynomial, binom
 from .graphs import SimpleGraph
-from .linalg import Row, reduce_row, rref
+from .linalg import Row, echelon, residual
 
 DEFAULT_SUBSET_GUARD = 20
 
@@ -54,8 +55,10 @@ class Hyperplane:
     def is_linear(self) -> bool:
         return self.offset == 0
 
-    def augmented_row(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x) for x in self.normal) + (self.offset,)
+    def augmented_row(self) -> Row:
+        """Primitive integer row (normal | offset), scaled by the offset's denominator."""
+        d = self.offset.denominator
+        return tuple(d * x for x in self.normal) + (self.offset.numerator,)
 
 
 @dataclass(frozen=True)
@@ -85,67 +88,53 @@ class Arrangement:
 
 @dataclass(frozen=True)
 class Flat:
-    """Nonempty intersection of hyperplanes: canonical RREF system plus dimension.
+    """Nonempty intersection of hyperplanes, identified by its closure.
 
-    The empty row tuple is the ambient space. Pivot columns never include
-    the offset column (that would be an inconsistent, i.e. empty, system).
+    Bit i of `mask` is set when hyperplane i contains the flat; the ambient
+    space has mask 0. One flat contains another exactly when its mask is a
+    subset of the other's.
     """
 
     dim: int
-    rows: tuple[Row, ...] = ()
-
-    def ambient_dim(self) -> int:
-        return self.dim + len(self.rows)
+    mask: int
 
 
-def ambient_flat(n: int) -> Flat:
-    return Flat(dim=n, rows=())
+def _meets_nowhere(row: Row) -> bool:
+    """A residual leading in the offset column: the equation 0 = c with c != 0."""
+    return not any(row[:-1])
 
 
-def _flat_from_rows(n: int, rows: Iterable[Sequence[Fraction | int]]) -> Flat | None:
-    """RREF an augmented system; None when inconsistent (empty intersection)."""
-    reduced, pivots = rref(list(rows))
-    if pivots and pivots[-1] == n:
-        return None
-    return Flat(dim=n - len(reduced), rows=reduced)
-
-
-def intersect_flat(flat: Flat, h: Hyperplane) -> Flat | None:
-    n = flat.ambient_dim()
-    return _flat_from_rows(n, list(flat.rows) + [h.augmented_row()])
-
-
-def flat_contains(outer: Flat, inner: Flat) -> bool:
-    """True when outer >= inner as point sets (inner's system implies outer's)."""
-    if outer.dim < inner.dim:
-        return False
-    pivots = tuple(next(i for i, x in enumerate(row) if x == 1) for row in inner.rows)
-    for row in outer.rows:
-        if any(x != 0 for x in reduce_row(row, inner.rows, pivots)):
-            return False
-    return True
+def _rank(arr: Arrangement, indices: Iterable[int]) -> int | None:
+    """Rank of the chosen hyperplanes; None when they have no common point."""
+    basis = echelon(arr.hyperplanes[i].augmented_row() for i in indices)
+    return None if any(_meets_nowhere(b) for b in basis) else len(basis)
 
 
 def rank(arr: Arrangement) -> int:
     """Dimension of the span of the normal vectors (exact elimination)."""
-    return len(rref([h.normal for h in arr.hyperplanes])[1])
+    return len(echelon(h.normal for h in arr.hyperplanes))
 
 
 def flat_of(arr: Arrangement, subset: Iterable[int]) -> Flat | None:
-    """Intersection of the chosen hyperplanes; None when empty.
+    """Intersection of the chosen hyperplanes, as its closure; None when empty.
 
     The empty subset yields the ambient space.
     """
     indices = sorted(set(subset))
     if indices and not (0 <= indices[0] and indices[-1] < arr.m):
         raise InputError(f"hyperplane indices {indices} out of range for m={arr.m}")
-    return _flat_from_rows(
-        arr.dim, [arr.hyperplanes[i].augmented_row() for i in indices]
-    )
+    basis = echelon(arr.hyperplanes[i].augmented_row() for i in indices)
+    if any(_meets_nowhere(b) for b in basis):
+        return None
+    mask = 0
+    for j, h in enumerate(arr.hyperplanes):
+        if not any(residual(h.augmented_row(), basis)):
+            mask |= 1 << j
+    return Flat(arr.dim - len(basis), mask)
 
 
 def is_central(arr: Arrangement) -> bool:
-    return flat_of(arr, range(arr.m)) is not None
+    return _rank(arr, range(arr.m)) is not None
 
 
 def is_boolean(arr: Arrangement) -> bool:
@@ -169,11 +158,7 @@ def is_general_position(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> 
     r = rank(arr)
     for size in range(1, arr.m + 1):
         for subset in combinations(range(arr.m), size):
-            flat = flat_of(arr, subset)
-            if size <= r:
-                if flat is None or arr.dim - flat.dim != size:
-                    return False
-            elif flat is not None:
+            if _rank(arr, subset) != (size if size <= r else None):
                 return False
     return True
 
@@ -182,8 +167,8 @@ def is_general_position(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> 
 class IntersectionPoset:
     """Flats ordered by reverse inclusion with their Moebius values.
 
-    Flats are sorted by decreasing dimension (ambient space first) with a
-    deterministic tiebreak, and `mobius[i]` belongs to `flats[i]`.
+    Flats are sorted by decreasing dimension (ambient space first), then by
+    closure mask, and `mobius[i]` belongs to `flats[i]`.
     """
 
     ambient_dim: int
@@ -194,32 +179,44 @@ class IntersectionPoset:
 def intersection_poset(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> IntersectionPoset:
     """All distinct nonempty intersections, with Moebius values.
 
-    Built by incremental closure: sweep the hyperplanes in order and
-    intersect each with every flat found so far. A single ordered sweep
-    reaches every subset intersection.
+    Built rank by rank. A flat keeps, for each hyperplane outside its
+    closure, that hyperplane's residual against the flat's system. Meeting
+    hyperplane i gives the flat whose closure adds every hyperplane whose
+    residual vanishes against i's; a new flat then keeps the residuals of
+    the rest against i's. Every hyperplane in that closure meets the flat
+    in the same place, so each flat meets only the hyperplanes outside the
+    closures it has already produced.
     """
     _check_guard(arr, guard)
-    flats: list[Flat] = [ambient_flat(arr.dim)]
-    seen = {flats[0]}
-    for h in arr.hyperplanes:
-        for flat in list(flats):
-            g = intersect_flat(flat, h)
-            if g is not None and g not in seen:
-                seen.add(g)
-                flats.append(g)
-    flats.sort(key=lambda f: (-f.dim, f.rows))
+    flats = [Flat(arr.dim, 0)]
+    layer = {0: {j: h.augmented_row() for j, h in enumerate(arr.hyperplanes)}}
+    for dim in range(arr.dim - 1, -1, -1):
+        found: dict[int, dict[int, Row]] = {}
+        for mask, residuals in layer.items():
+            produced = 0
+            for i, row in residuals.items():
+                if produced >> i & 1 or _meets_nowhere(row):
+                    continue
+                # Residuals are primitive, so one vanishes against `row` exactly when it is +-row.
+                neg = tuple(-x for x in row)
+                closure = mask
+                for j, other in residuals.items():
+                    if other == row or other == neg:
+                        closure |= 1 << j
+                produced |= closure
+                if closure not in found:
+                    found[closure] = {
+                        j: residual(other, (row,)) for j, other in residuals.items() if not closure >> j & 1
+                    }
+        flats.extend(Flat(dim, closure) for closure in sorted(found))
+        layer = found
 
-    # mu(V) = 1; top-down, mu(X) = -sum of mu over flats strictly containing X.
-    mobius: list[int] = []
-    for i, flat in enumerate(flats):
-        if not flat.rows:
-            mobius.append(1)
-            continue
-        acc = 0
-        for j in range(i):
-            if flats[j].dim > flat.dim and flat_contains(flats[j], flat):
-                acc += mobius[j]
-        mobius.append(-acc)
+    # mu(V) = 1; top-down, mu(X) = -sum of mu over flats strictly containing X,
+    # the flats whose closure is a proper subset of X's.
+    mobius = [1]
+    for x in range(1, len(flats)):
+        mask = flats[x].mask
+        mobius.append(-sum(mu for y, mu in zip(flats, mobius) if y.mask & mask == y.mask))
     return IntersectionPoset(arr.dim, tuple(flats), tuple(mobius))
 
 
@@ -243,9 +240,9 @@ def char_poly_whitney(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> In
     for size in range(1, arr.m + 1):
         sign = -1 if size % 2 else 1
         for subset in combinations(range(arr.m), size):
-            flat = flat_of(arr, subset)
-            if flat is not None:
-                coeffs[flat.dim] += sign
+            r = _rank(arr, subset)
+            if r is not None:
+                coeffs[arr.dim - r] += sign
     return IntPolynomial(tuple(coeffs))
 
 
@@ -325,15 +322,14 @@ def essentialize(arr: Arrangement) -> Arrangement:
 
     Every hyperplane is invariant under translation along the orthogonal
     complement of that span, so cutting with the span preserves the
-    intersection poset up to a uniform dimension shift.
+    intersection poset up to a uniform dimension shift. Any basis of the
+    span does; this one is the integer echelon basis of the normals.
     """
-    basis, _ = rref([h.normal for h in arr.hyperplanes])
+    basis = echelon(h.normal for h in arr.hyperplanes)
     r = len(basis)
     hyps = []
     for h in arr.hyperplanes:
-        new_normal = tuple(
-            sum(Fraction(b) * g[i] for i, b in enumerate(h.normal)) for g in basis
-        )
+        new_normal = tuple(sum(b * g[i] for i, b in enumerate(h.normal)) for g in basis)
         hyps.append(Hyperplane.make(new_normal, h.offset))
     return Arrangement(r, tuple(hyps))
 

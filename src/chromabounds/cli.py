@@ -251,11 +251,9 @@ def build_nbc_report(
     obj: SimpleGraph | Arrangement, order: tuple[int, ...] | None, config: RunConfig
 ) -> dict:
     case = Case(config.inputs[0], obj, config.q_min, config.q_max, cap_subsets=config.cap_subsets)
-    rows = []
-    for k in range(case.seq.r + 1):
-        count = nbcmod.nbc_coefficient(case.arrangement, order=order, k=k, guard=config.cap_subsets)
-        rows.append({"k": k, "nbc_count": str(count), "abs_coefficient": str(case.seq.a[k]),
-                     "match": count == case.seq.a[k]})
+    counts = nbcmod.nbc_counts(case.arrangement, order=order, guard=config.cap_subsets)
+    rows = [{"k": k, "nbc_count": str(counts[k]), "abs_coefficient": str(case.seq.a[k]),
+             "match": counts[k] == case.seq.a[k]} for k in range(case.seq.r + 1)]
     return {
         "polynomial": str(case.poly),
         "order": list(order) if order is not None else list(range(case.m)),
@@ -471,9 +469,11 @@ def run(argv: list[str] | None = None) -> int:
         printer = _print_text_decone
         failed = not results["ok"]
     elif args.command == "verify":
-        for flag, value in (("--max-n", args.max_n), ("--max-dim", args.max_dim), ("--max-m", args.max_m)):
-            if value < 1:
-                raise InputError(f"{flag} must be at least 1, got {value}")
+        for flag, value, least in (("--max-n", args.max_n, 1), ("--max-dim", args.max_dim, 1),
+                                   ("--max-m", args.max_m, 1), ("--graphs", args.graphs, 0),
+                                   ("--arrangements", args.arrangements, 0)):
+            if value < least:
+                raise InputError(f"{flag} must be at least {least}, got {value}")
         results, violations = build_verify_report(
             config,
             num_graphs=args.graphs,

@@ -1,61 +1,48 @@
-"""Exact rational row reduction used by the arrangement machinery.
+"""Exact integer (fraction-free) elimination used by the arrangement machinery.
 
-A single reduced-row-echelon routine over Fraction serves every caller:
-rank of normal matrices, consistency of affine systems, and the canonical
-flat representation (RREF of a consistent system is unique, so flats with
-equal RREF rows are equal as point sets).
+Rows are integer tuples. An echelon basis is built in insertion order: each
+row is the residual of an input row against the rows before it, so it
+vanishes at their leading columns. One primitive, the residual of a row
+against such a basis, answers every question the callers ask:
+
+- span membership: the residual is zero;
+- rank: the number of nonzero residuals met while building the basis;
+- consistency of an augmented system (offset in the last column): no
+  residual leads in the offset column, i.e. reads 0 = c with c != 0.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
+from math import gcd
+from typing import Iterable, Sequence
 
-Row = tuple[Fraction, ...]
-
-
-def rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[tuple[Row, ...], tuple[int, ...]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
-        return (), ()
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    pr = 0
-    for pc in range(ncols):
-        pivot_row = None
-        for r in range(pr, len(mat)):
-            if mat[r][pc] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        mat[pr], mat[pivot_row] = mat[pivot_row], mat[pr]
-        inv = 1 / mat[pr][pc]
-        mat[pr] = [x * inv for x in mat[pr]]
-        for r in range(len(mat)):
-            if r == pr:
-                continue
-            f = mat[r][pc]
-            if f == 0:
-                continue
-            prow = mat[pr]
-            mat[r] = [x - f * y for x, y in zip(mat[r], prow)]
-        pivots.append(pc)
-        pr += 1
-        if pr == len(mat):
-            break
-    return tuple(tuple(row) for row in mat[:pr]), tuple(pivots)
+Row = tuple[int, ...]
 
 
-def reduce_row(row: Sequence[Fraction | int], rref_rows: Sequence[Row], pivots: Sequence[int]) -> Row:
-    """Residual of a row after elimination against RREF rows.
+def residual(row: Sequence[int], basis: Iterable[Row]) -> Row:
+    """Primitive residual of `row` after eliminating the leading column of each basis row.
 
-    A zero residual means the row lies in the span of the given rows.
+    Each basis row must vanish at the leading columns of the rows before it;
+    the residual then vanishes at all of them, and is zero exactly when the
+    row lies in the span of the basis.
     """
-    out = [Fraction(x) for x in row]
-    for rrow, pc in zip(rref_rows, pivots):
-        f = out[pc]
-        if f != 0:
-            out = [x - f * y for x, y in zip(out, rrow)]
-    return tuple(out)
+    out = row
+    for b in basis:
+        for lead, p in enumerate(b):
+            if p:
+                break
+        f = out[lead]
+        if f:
+            out = [p * x - f * y for x, y in zip(out, b)]
+    g = gcd(*out)
+    return tuple([x // g for x in out]) if g > 1 else tuple(out)
+
+
+def echelon(rows: Iterable[Sequence[int]]) -> list[Row]:
+    """Echelon basis of the row span, one primitive nonzero residual per independent row."""
+    basis: list[Row] = []
+    for row in rows:
+        r = residual(row, basis)
+        if any(r):
+            basis.append(r)
+    return basis

@@ -8,11 +8,10 @@ hyperplane indices listed from smallest to largest.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
-from .arrangements import DEFAULT_SUBSET_GUARD, Arrangement, _check_guard, flat_of, is_central
+from .arrangements import DEFAULT_SUBSET_GUARD, Arrangement, _check_guard, _rank, is_central
 from .errors import InputError
 
 GroundOrder = tuple[int, ...]
@@ -32,18 +31,13 @@ def _validate_order(order: Sequence[int], m: int) -> GroundOrder:
 def is_dependent(arr: Arrangement, subset: Sequence[int]) -> bool:
     """Central but not boolean: nonempty intersection of rank below |subset|."""
     indices = sorted(set(subset))
-    flat = flat_of(arr, indices)
-    return flat is not None and arr.dim - flat.dim < len(indices)
+    r = _rank(arr, indices)
+    return r is not None and r < len(indices)
 
 
 def circuits(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> tuple[frozenset[int], ...]:
     """All minimal dependent subsets, by size-ascending sweep with pruning."""
     _check_guard(arr, guard)
-    return _circuits_cached(arr)
-
-
-@lru_cache(maxsize=4096)
-def _circuits_cached(arr: Arrangement) -> tuple[frozenset[int], ...]:
     found: list[frozenset[int]] = []
     found_masks: list[int] = []
     for size in range(1, arr.m + 1):
@@ -76,34 +70,30 @@ def broken_circuits(
     return tuple(out)
 
 
-def nbc_coefficient(
+def nbc_counts(
     arr: Arrangement,
     order: Sequence[int] | None = None,
-    k: int = 0,
     guard: int = DEFAULT_SUBSET_GUARD,
-) -> int:
-    """Number of k-subsets with nonempty intersection and no broken circuit.
+) -> tuple[int, ...]:
+    """Entry k, for k = 0..m: the k-subsets with nonempty intersection and no broken circuit.
 
     Matches the absolute coefficient of t^(n-k) in the characteristic
-    polynomial for 0 <= k <= rank, and is 0 above the rank.
+    polynomial for 0 <= k <= rank, and is 0 above the rank. Such subsets
+    are closed under taking subsets, so one depth-first sweep that grows
+    each by larger indices only reaches every one of them once.
     """
-    if k < 0:
-        raise InputError("k must be nonnegative")
-    if k > arr.m:
-        return 0
-    broken = broken_circuits(arr, order=order, guard=guard)
-    broken_masks = sorted(
-        (sum(1 << i for i in b) for b in broken), key=int.bit_count
-    )
+    broken_masks = [sum(1 << i for i in b) for b in broken_circuits(arr, order=order, guard=guard)]
     # A central whole arrangement makes every subset central.
     all_central = is_central(arr)
-    count = 0
-    for subset in combinations(range(arr.m), k):
-        mask = 0
-        for i in subset:
-            mask |= 1 << i
-        if any(bm & mask == bm for bm in broken_masks):
-            continue
-        if all_central or flat_of(arr, subset) is not None:
-            count += 1
-    return count
+    counts = [0] * (arr.m + 1)
+    stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    while stack:
+        subset, mask = stack.pop()
+        counts[len(subset)] += 1
+        for i in range(subset[-1] + 1 if subset else 0, arr.m):
+            grown, grown_mask = subset + (i,), mask | 1 << i
+            if any(bm & grown_mask == bm for bm in broken_masks):
+                continue
+            if all_central or _rank(arr, grown) is not None:
+                stack.append((grown, grown_mask))
+    return tuple(counts)

@@ -5,6 +5,7 @@ import pytest
 
 from chromabounds import (
     Arrangement,
+    Flat,
     Hyperplane,
     InputError,
     IntPolynomial,
@@ -89,7 +90,7 @@ class TestRank:
 class TestFlatOf:
     def test_empty_subset_is_ambient(self):
         flat = flat_of(K3_ARR, ())
-        assert flat is not None and flat.dim == 3 and flat.rows == ()
+        assert flat is not None and flat.dim == 3 and flat.mask == 0
 
     def test_parallel_lines_miss(self):
         assert flat_of(PARALLEL_LINES, (0, 1)) is None
@@ -97,6 +98,10 @@ class TestFlatOf:
     def test_k3_common_line(self):
         flat = flat_of(K3_ARR, (0, 1, 2))
         assert flat is not None and flat.dim == 1
+
+    def test_returns_the_closure(self):
+        # the line x1 = x2 = x3 lies on all three hyperplanes of K3
+        assert flat_of(K3_ARR, (0, 1)) == flat_of(K3_ARR, (0, 1, 2)) == Flat(1, 0b111)
 
 
 class TestIntersectionPoset:
@@ -122,23 +127,54 @@ class TestIntersectionPoset:
             intersection_poset(coordinate_arrangement(5), guard=4)
 
     def test_mobius_defining_recursion(self, arrangement_corpus):
-        from chromabounds.arrangements import flat_contains
-
         samples = [K3_ARR, GENERIC_LINES, PARALLEL_LINES] + [
             arr for _, arr in arrangement_corpus[:10]
         ]
         for arr in samples:
             poset = intersection_poset(arr)
-            assert poset.mobius[0] == 1 and poset.flats[0].rows == ()
-            for flat in poset.flats:
-                if not flat.rows:
-                    continue
+            assert poset.mobius[0] == 1 and poset.flats[0] == Flat(arr.dim, 0)
+            for flat in poset.flats[1:]:
+                # other contains flat as point sets when cutting flat with
+                # other's hyperplanes leaves it whole (not the mask shortcut)
                 total = sum(
                     mu
                     for other, mu in zip(poset.flats, poset.mobius)
-                    if flat_contains(other, flat)
+                    if _point_set_contains(arr, other, flat)
                 )
                 assert total == 0
+
+    def test_flats_are_the_subset_intersections(self, arrangement_corpus):
+        rng = random.Random(2718)
+        samples = [arr for _, arr in arrangement_corpus]
+        samples += [_random_affine_with_parallels(rng) for _ in range(40)]
+        assert any(not is_central(arr) for arr in samples)
+        for arr in samples:
+            by_subset = {flat_of(arr, _bits(mask)) for mask in range(1 << arr.m)} - {None}
+            assert by_subset == set(intersection_poset(arr).flats)
+
+
+def _bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _point_set_contains(arr, outer, inner):
+    meet = flat_of(arr, _bits(outer.mask | inner.mask))
+    return meet is not None and meet.dim == inner.dim
+
+
+def _random_affine_with_parallels(rng):
+    """Up to 7 hyperplanes in dimension 1-3, some sharing a normal, with fractional offsets."""
+    dim = rng.randint(1, 3)
+    normals, wanted = [], rng.randint(1, 4)
+    while len(normals) < wanted:
+        normal = tuple(rng.randint(-2, 2) for _ in range(dim))
+        if any(normal):
+            normals.append(normal)
+    hyps = [
+        Hyperplane.make(rng.choice(normals), Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        for _ in range(rng.randint(1, 7))
+    ]
+    return Arrangement(dim, tuple(hyps))
 
 
 class TestCharPoly:

@@ -190,19 +190,28 @@ class TestVerifyCommand:
         assert main(["verify", "--graphs", "0", "--arrangements", "0", "--seed", "1"]) == 0
         assert "0 violations" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("flag", ["--max-n", "--max-dim", "--max-m"])
+    @pytest.mark.parametrize("flag", ["--max-n", "--max-dim", "--max-m", "--graphs", "--arrangements"])
     def test_nonpositive_corpus_size_rejected(self, flag, capsys):
-        assert main(["verify", flag, "0"]) == 2
-        assert f"{flag} must be at least 1" in capsys.readouterr().err
+        # corpus counts may be 0 (see test_zero_sizes_pass), size limits may not
+        least = 0 if flag in ("--graphs", "--arrangements") else 1
+        assert main(["verify", flag, str(least - 1)]) == 2
+        assert f"{flag} must be at least {least}" in capsys.readouterr().err
+
+    def test_small_subset_cap_skips_instead_of_failing(self, capsys):
+        # graphs with more than 8 edges exceed the cap: Whitney and NBC skip them, as graphic-char-poly does
+        args = ["verify", "--graphs", "3", "--arrangements", "2", "--seed", "5", "--cap-subsets", "8"]
+        assert main(args) == 0
+        assert "0 violations" in capsys.readouterr().out
 
     @pytest.mark.parametrize("oracle, check", [
         ("chromatic_poly_interpolated", "coloring-oracle"),
         ("char_poly_whitney", "whitney-agreement"),
-        ("nbc_coefficient", "nbc-coefficient"),
+        ("nbc_counts", "nbc-coefficient"),
         ("divided_difference_formula", "divided-difference-formula"),
     ])
     def test_reports_a_broken_oracle(self, monkeypatch, capsys, oracle, check):
-        wrong = -1 if oracle == "nbc_coefficient" else IntPolynomial((7,))
+        # one count per k for any m under the subset guard
+        wrong = (-1,) * 21 if oracle == "nbc_counts" else IntPolynomial((7,))
         monkeypatch.setattr(checks, oracle, lambda *args, **kwargs: wrong)
         assert main(["verify", "--graphs", "0", "--arrangements", "0", "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)

@@ -1,0 +1,40 @@
+"""Fraction-free elimination against sympy's exact rank, on small integer systems."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chromabounds.linalg import echelon, residual
+
+sympy = pytest.importorskip("sympy")
+
+
+@st.composite
+def augmented_systems(draw):
+    """Up to 5 rows over 1-4 unknowns plus an offset column, entries in [-3, 3]."""
+    cols = draw(st.integers(1, 4)) + 1
+    row = st.lists(st.integers(-3, 3), min_size=cols, max_size=cols)
+    return draw(st.lists(row, min_size=1, max_size=5)), draw(row)
+
+
+def _rank(rows):
+    return sympy.Matrix(rows).rank()
+
+
+@settings(max_examples=300, deadline=None)
+@given(augmented_systems())
+def test_rank_consistency_and_span_match_sympy(system):
+    rows, extra = system
+    basis = echelon(rows)
+    assert len(basis) == _rank(rows)
+    # consistent exactly when no residual reads 0 = c with c != 0
+    consistent = _rank([r[:-1] for r in rows]) == _rank(rows)
+    assert consistent == all(any(b[:-1]) for b in basis)
+    in_span = _rank(rows + [extra]) == _rank(rows)
+    assert in_span == (not any(residual(extra, basis)))
+
+
+def test_residuals_are_primitive_and_vanish_at_earlier_leads():
+    basis = echelon([(2, 4, 6, 8), (1, 3, 5, 7), (3, 7, 11, 15), (0, 0, 4, 2)])
+    assert basis == [(1, 2, 3, 4), (0, 1, 2, 3), (0, 0, 2, 1)]
+    assert residual((5, 0, 0, 1), basis) == (0, 0, 0, 1)

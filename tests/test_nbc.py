@@ -14,7 +14,7 @@ from chromabounds import (
     flat_of,
     graphic_arrangement,
     is_dependent,
-    nbc_coefficient,
+    nbc_counts,
     path,
     rank,
 )
@@ -93,34 +93,49 @@ class TestBrokenCircuits:
 
 class TestNbcCoefficient:
     def test_k3_counts(self):
-        assert nbc_coefficient(K3_ARR, (0, 1, 2), 2) == 2
+        assert nbc_counts(K3_ARR, (0, 1, 2))[2] == 2
+
+    def test_one_entry_per_k_up_to_m(self):
+        for arr in (K3_ARR, PARALLEL_LINES, Arrangement(2), coordinate_arrangement(4)):
+            assert len(nbc_counts(arr)) == arr.m + 1
 
     def test_k_zero_is_one(self):
         for arr in (K3_ARR, PARALLEL_LINES, Arrangement(2)):
-            assert nbc_coefficient(arr, None, 0) == 1
+            assert nbc_counts(arr, None)[0] == 1
 
     def test_boolean_gives_binomials(self):
         arr = coordinate_arrangement(4)
         for k in range(5):
-            assert nbc_coefficient(arr, None, k) == binom(4, k)
+            assert nbc_counts(arr, None)[k] == binom(4, k)
 
     def test_above_rank_is_zero(self):
-        assert nbc_coefficient(K3_ARR, None, 3) == 0
+        assert nbc_counts(K3_ARR, None)[3] == 0
 
     def test_matches_coefficients_under_random_orders(self, arrangement_sequences):
         rng = random.Random(99)
         for _, arr, _, s in arrangement_sequences[:15]:
             for order in (random_order(rng, arr.m) for _ in range(3)):
-                for k in range(s.r + 2):
+                counts = nbc_counts(arr, order)
+                for k in range(arr.m + 1):
                     expected = s.a[k] if k <= s.r else 0
-                    assert nbc_coefficient(arr, order, k) == expected
+                    assert counts[k] == expected
 
     def test_matches_chromatic_coefficients(self):
         for g in (complete(4), path(4), complete(3)):
             arr = graphic_arrangement(g)
             s = coeff_sequence(chromatic_poly(g), g.m)
             for k in range(s.r + 1):
-                assert nbc_coefficient(arr, None, k) == s.a[k]
+                assert nbc_counts(arr, None)[k] == s.a[k]
+
+    def test_matches_subset_sweep(self):
+        # the depth-first sweep against a direct sweep over all 2^m subsets
+        rng = random.Random(5)
+        for arr in (K3_ARR, K4_ARR, GENERIC_LINES, PARALLEL_LINES):
+            order = random_order(rng, arr.m)
+            expected = [0] * (arr.m + 1)
+            for s in chi_independent_subsets(arr, order):
+                expected[len(s)] += 1
+            assert nbc_counts(arr, order) == tuple(expected)
 
 
 def chi_independent_subsets(arr, order):
@@ -148,8 +163,9 @@ class TestStructure:
     def test_counts_at_least_rank_binomials(self, arrangement_sequences):
         for _, arr, _, s in arrangement_sequences[:15]:
             r = rank(arr)
+            counts = nbc_counts(arr, None)
             for k in range(r + 1):
-                assert nbc_coefficient(arr, None, k) >= binom(r, k)
+                assert counts[k] >= binom(r, k)
 
     def test_counts_equal_char_poly_of_subarrangement_free_instances(self):
         # order choice never changes the counts
@@ -158,5 +174,6 @@ class TestStructure:
         s = coeff_sequence(p, K4_ARR.m)
         for _ in range(3):
             order = random_order(rng, K4_ARR.m)
+            counts = nbc_counts(K4_ARR, order)
             for k in range(s.r + 1):
-                assert nbc_coefficient(K4_ARR, order, k) == s.a[k]
+                assert counts[k] == s.a[k]
