@@ -23,7 +23,7 @@ from .graphs import (
     DEFAULT_COLORING_CAP, SimpleGraph, chromatic_poly, chromatic_poly_interpolated, contract_edge,
     delete_edge, is_forest, rank_info,
 )
-from .nbc import nbc_counts
+from .nbc import circuits, nbc_counts
 
 @dataclass(eq=False)
 class Case:
@@ -91,8 +91,10 @@ def _deletion_restriction(c: Case) -> Iterator[tuple[bool, str]]:
 
 
 def _nbc_counts(c: Case) -> Iterator[tuple[bool, str]]:
-    for order in c.orders(c.m):
-        counts = nbc_counts(c.arrangement, order=order, guard=c.cap_subsets)
+    orders = c.orders(c.m)
+    found = circuits(c.arrangement, guard=c.cap_subsets)
+    for order in orders:
+        counts = nbc_counts(c.arrangement, order=order, guard=c.cap_subsets, found=found)
         for k in range(c.seq.r + 1):
             yield counts[k] == c.seq.a[k], f"k={k} order={order}"
 

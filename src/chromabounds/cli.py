@@ -1,14 +1,16 @@
 """Command-line front end: parse inputs, run computations, emit text or JSON.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 resource
-cap exceeded. JSON reports keep every potentially large integer as a
-decimal string so arbitrary precision survives serialization.
+cap exceeded; a reader closing stdout early is not a failure (exit 0).
+JSON reports keep every potentially large integer as a decimal string so
+arbitrary precision survives serialization.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from dataclasses import asdict, dataclass
@@ -508,6 +510,11 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"invariant violated (bug): {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader closed the pipe early (`| head`); that is not a failure.
+        # Point stdout at devnull so the interpreter's final flush is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

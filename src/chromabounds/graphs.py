@@ -4,12 +4,22 @@ Two independent routes to the chromatic polynomial live here: the
 deletion-contraction recurrence (`chromatic_poly`) and exact Lagrange
 interpolation through brute-force coloring counts
 (`chromatic_poly_interpolated`). They must agree coefficient-exact.
+
+`chromatic_poly` reduces a graph exactly before it branches: simplicial
+vertices are peeled off with a linear factor each, and what is left
+factors over its connected components. Each component is memoized under
+a canonical relabelling of its adjacency bitmasks and expanded with an
+explicit stack; `SimpleGraph` and `IntPolynomial` appear only at its
+boundary. `delete_edge` and `contract_edge` stay for the callers that
+check the recurrence itself.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator, Sequence
 
 from .errors import InputError, InvariantError, ResourceLimitError
 from .exactmath import IntPolynomial
@@ -134,30 +144,157 @@ def contract_edge(g: SimpleGraph, e: Edge) -> SimpleGraph:
     return SimpleGraph(g.n - 1, frozenset(new_edges))
 
 
-def _graph_key(g: SimpleGraph) -> tuple[int, tuple[Edge, ...]]:
-    return (g.n, tuple(g.sorted_edges()))
+# The deletion-contraction kernel works on adjacency bitmasks: a graph is a
+# tuple (or list) of neighbour masks on vertices 0..k-1 and a polynomial is a
+# list of ints, ascending by power of t. A reduced graph is a Term: the clique
+# sizes of the simplicial vertices peeled from it, each contributing a factor
+# (t - d), and the canonical keys of the components left over.
+Adjacency = tuple[int, ...]
+Term = tuple[list[int], list[Adjacency]]
 
 
-def _chromatic_poly(g: SimpleGraph, memo: dict) -> IntPolynomial:
-    if not g.edges:
-        return IntPolynomial.term(1, g.n)
-    key = _graph_key(g)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    e = min(g.edges)
-    result = _chromatic_poly(delete_edge(g, e), memo) - _chromatic_poly(contract_edge(g, e), memo)
-    memo[key] = result
-    return result
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _linear_power(d: int, e: int) -> list[int]:
+    """(t - d)^e; the coefficient of t^j is C(e, j) * (-d)^(e - j)."""
+    out = [0] * (e + 1)
+    c = out[e] = 1
+    for j in range(e, 0, -1):
+        c = c * j // (e - j + 1) * -d
+        out[j - 1] = c
+    return out
+
+
+def _evaluate(term: Term, memo: dict) -> list[int]:
+    """The polynomial of a reduced graph, once `memo` holds all of its components."""
+    sizes, comps = term
+    factors = [_linear_power(d, e) for d, e in Counter(sizes).items()]
+    factors += (memo[key] for key in comps)
+    out = list(factors.pop()) if factors else [1]
+    for f in factors:
+        out = _mul(out, f)
+    return out
+
+
+def _canonical(adj: Sequence[int], comp: int) -> Adjacency:
+    """Component `comp` relabelled by (degree, sorted neighbour degrees), ties by index."""
+    nbrs = {v: list(_bits(adj[v])) for v in _bits(comp)}
+    deg = {v: len(ns) for v, ns in nbrs.items()}
+    order = sorted(nbrs, key=lambda v: (deg[v], sorted(map(deg.__getitem__, nbrs[v])), v))
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    return tuple(sum(map(bit.__getitem__, nbrs[v])) for v in order)
+
+
+def _reduce(adj: list[int], live: int, todo: int) -> Term:
+    """Peel simplicial vertices off the graph on `live`, then split it into components.
+
+    P(G) = (t - d) P(G - v) when N(v) is a clique of size d. Only vertices
+    in `todo` are tested at first; removing v can only make its neighbours
+    simplicial. Mutates `adj`.
+    """
+    sizes: list[int] = []
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        v = low.bit_length() - 1
+        nb = adj[v]
+        if nb & (nb - 1) == 0 or all(nb & ~adj[x] == 1 << x for x in _bits(nb)):
+            sizes.append(nb.bit_count())
+            live ^= low
+            for x in _bits(nb):
+                adj[x] ^= low
+            todo |= nb
+    comps = []
+    while live:
+        comp = frontier = live & -live
+        while frontier:
+            reach = 0
+            for v in _bits(frontier):
+                reach |= adj[v]
+            frontier = reach & ~comp
+            comp |= frontier
+        live ^= comp
+        comps.append(_canonical(adj, comp))
+    return sizes, comps
+
+
+def _branch(adj: Adjacency) -> tuple[Term, Term]:
+    """Reduced G - e and G / e, for e from a minimum-degree vertex to its highest-degree neighbour."""
+    deg = [a.bit_count() for a in adj]
+    u = min(range(len(adj)), key=deg.__getitem__)
+    w = max(_bits(adj[u]), key=deg.__getitem__)
+    everyone = (1 << len(adj)) - 1
+    deleted = list(adj)
+    deleted[u] ^= 1 << w
+    deleted[w] ^= 1 << u
+    # Merge w into u; parallel edges collapse in the masks.
+    contracted = list(adj)
+    for x in _bits(adj[w]):
+        contracted[x] = contracted[x] & ~(1 << w) | 1 << u
+    contracted[u] = (adj[u] | adj[w]) & ~(1 << u | 1 << w)
+    # A key has no simplicial vertex; only these vertices can have become one.
+    return (_reduce(deleted, everyone, 1 << u | 1 << w),
+            _reduce(contracted, everyone ^ 1 << w, 1 << u | contracted[u]))
 
 
 def chromatic_poly(g: SimpleGraph, memo: dict | None = None) -> IntPolynomial:
-    """Chromatic polynomial via deletion-contraction on the smallest edge.
+    """Chromatic polynomial by deletion-contraction on reduced graphs.
 
-    An optional memo dict (keyed by the exact vertex count and sorted edge
-    set) may be shared across calls; it never changes results.
+    Before any branching the graph is reduced exactly: a simplicial vertex
+    v, whose neighbourhood is a clique of size d, is peeled off with a
+    factor (t - d), which covers isolated and pendant vertices, cliques,
+    trees and chordal graphs; what is left is split into connected
+    components, whose polynomials multiply. A component is expanded as
+    P(G) = P(G - e) - P(G / e), for e from a minimum-degree vertex to its
+    highest-degree neighbour, with an explicit stack, so no input is
+    limited by the interpreter's recursion depth.
+
+    `memo` is an opaque dict owned by the caller and may be shared across
+    calls; it never changes results. Its keys are components as tuples of
+    neighbour bitmasks, relabelled by (degree, sorted neighbour degrees),
+    so isomorphic copies often share one entry.
     """
-    return _chromatic_poly(g, {} if memo is None else memo)
+    memo = {} if memo is None else memo
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    everyone = (1 << g.n) - 1
+    root = _reduce(adj, everyone, everyone)
+    # Each component waits on the stack until the components of both of its
+    # branches are in the memo; a branch has fewer edges than its parent.
+    stack = list(root[1])
+    branches: dict[Adjacency, tuple[Term, Term]] = {}
+    while stack:
+        key = stack[-1]
+        if key in memo:
+            stack.pop()
+        elif key in branches:
+            deleted, contracted = branches.pop(key)
+            minus = _evaluate(contracted, memo)
+            out = _evaluate(deleted, memo)
+            for i, c in enumerate(minus):
+                out[i] -= c
+            memo[key] = tuple(out)
+            stack.pop()
+        else:
+            branches[key] = terms = _branch(key)
+            stack.extend(k for term in terms for k in term[1] if k not in memo)
+    return IntPolynomial(tuple(_evaluate(root, memo)))
 
 
 def count_colorings(g: SimpleGraph, t: int, cap: int = DEFAULT_COLORING_CAP) -> int:

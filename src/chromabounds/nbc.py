@@ -57,12 +57,17 @@ def broken_circuits(
     arr: Arrangement,
     order: Sequence[int] | None = None,
     guard: int = DEFAULT_SUBSET_GUARD,
+    found: Sequence[frozenset[int]] | None = None,
 ) -> tuple[frozenset[int], ...]:
-    """Each circuit minus its order-maximal element, deduplicated."""
+    """Each circuit minus its order-maximal element, deduplicated.
+
+    Circuits do not depend on the order, so a caller that needs several
+    orders computes `circuits(arr)` once and passes it as `found`.
+    """
     order = default_order(arr.m) if order is None else _validate_order(order, arr.m)
     position = {idx: pos for pos, idx in enumerate(order)}
     out: list[frozenset[int]] = []
-    for circuit in circuits(arr, guard=guard):
+    for circuit in circuits(arr, guard=guard) if found is None else found:
         top = max(circuit, key=position.__getitem__)
         broken = circuit - {top}
         if broken not in out:
@@ -74,15 +79,18 @@ def nbc_counts(
     arr: Arrangement,
     order: Sequence[int] | None = None,
     guard: int = DEFAULT_SUBSET_GUARD,
+    found: Sequence[frozenset[int]] | None = None,
 ) -> tuple[int, ...]:
     """Entry k, for k = 0..m: the k-subsets with nonempty intersection and no broken circuit.
 
     Matches the absolute coefficient of t^(n-k) in the characteristic
     polynomial for 0 <= k <= rank, and is 0 above the rank. Such subsets
     are closed under taking subsets, so one depth-first sweep that grows
-    each by larger indices only reaches every one of them once.
+    each by larger indices only reaches every one of them once. `found`
+    is as for `broken_circuits`.
     """
-    broken_masks = [sum(1 << i for i in b) for b in broken_circuits(arr, order=order, guard=guard)]
+    broken = broken_circuits(arr, order=order, guard=guard, found=found)
+    broken_masks = [sum(1 << i for i in b) for b in broken]
     # A central whole arrangement makes every subset central.
     all_central = is_central(arr)
     counts = [0] * (arr.m + 1)

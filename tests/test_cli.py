@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +21,14 @@ PATH4_TEXT = "n 4\n0 1\n1 2\n2 3\n"
 GENERIC_LINES_TEXT = "dim 2\n1 0 0\n0 1 0\n1 1 1\n"
 PARALLEL_TEXT = "dim 2\n1 0 0\n1 0 1\n"
 DIMACS_TEXT = "c a triangle\np edge 3 3\ne 1 2\ne 1 3\ne 2 3\n"
+LONG = 1200
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def long_graph_text(n, closed):
+    """A path on n vertices, or a cycle when `closed`."""
+    edges = [(i, i + 1) for i in range(n - 1)] + ([(n - 1, 0)] if closed else [])
+    return f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
 
 
 @pytest.fixture
@@ -97,6 +110,33 @@ class TestChromaticCommand:
 
     def test_rejects_arrangement_input(self, write):
         assert main(["chromatic", write("a.txt", PARALLEL_TEXT)]) == 2
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["path", "cycle"])
+    def test_long_path_and_cycle(self, write, capsys, closed):
+        # far deeper than the interpreter's recursion limit: t(t-1)^1199 and (t-1)^1200 + (t-1)
+        n = LONG
+        assert main(["chromatic", write("long.txt", long_graph_text(n, closed)), "--format", "json"]) == 0
+        coeffs = json.loads(capsys.readouterr().out)["results"]["coefficients_ascending"]
+        if closed:
+            expected = [comb(n, j) * (-1) ** (n - j) for j in range(n + 1)]
+            expected[0] -= 1
+            expected[1] += 1
+        else:
+            expected = [0] + [comb(n - 1, j) * (-1) ** (n - 1 - j) for j in range(n)]
+        assert [int(c) for c in coeffs] == expected
+
+    def test_reader_closing_the_pipe_early_exits_0(self, write):
+        # the report (about 1 MB) is larger than the pipe buffer, so the write fails with EPIPE
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        args = [sys.executable, "-m", "chromabounds", "chromatic", write("long.txt", long_graph_text(LONG, False)),
+                "--format", "json"]
+        with subprocess.Popen(args, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.read(10) == b'{\n  "comma'
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 0, err
+        assert err == b""
 
 
 class TestBoundsCommand:

@@ -28,11 +28,22 @@ C4_POLY = IntPolynomial((0, -3, 6, -4, 1))
 
 
 @st.composite
-def small_graphs(draw):
-    n = draw(st.integers(0, 5))
+def small_graphs(draw, max_n=5, max_m=None):
+    n = draw(st.integers(0, max_n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=max_m)) if pairs else set()
     return SimpleGraph(n, frozenset(edges))
+
+
+def reference_chromatic_poly(g, memo):
+    """The smallest-edge recurrence on labelled graphs that the bitmask kernel replaced."""
+    if not g.edges:
+        return IntPolynomial.term(1, g.n)
+    key = (g.n, tuple(g.sorted_edges()))
+    if key not in memo:
+        e = min(g.edges)
+        memo[key] = reference_chromatic_poly(delete_edge(g, e), memo) - reference_chromatic_poly(contract_edge(g, e), memo)
+    return memo[key]
 
 
 class TestSimpleGraph:
@@ -161,6 +172,39 @@ class TestProperties:
         p = chromatic_poly(g)
         for e in g.sorted_edges():
             assert p == chromatic_poly(delete_edge(g, e)) - chromatic_poly(contract_edge(g, e))
+
+
+class TestKernelAgainstSlowPaths:
+    @settings(max_examples=80, deadline=None)
+    @given(small_graphs(max_n=9))
+    def test_matches_the_labelled_recurrence(self, g):
+        assert chromatic_poly(g) == reference_chromatic_poly(g, {})
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_relabelling_keeps_the_polynomial(self, data):
+        g = data.draw(small_graphs(max_n=9))
+        perm = data.draw(st.permutations(range(g.n)))
+        relabelled = SimpleGraph(g.n, frozenset((perm[u], perm[v]) for u, v in g.edges))
+        assert chromatic_poly(relabelled) == chromatic_poly(g)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(small_graphs(max_n=8), max_size=8))
+    def test_shared_memo_matches_fresh_memos(self, gs):
+        memo = {}
+        assert [chromatic_poly(g, memo) for g in gs] == [chromatic_poly(g, {}) for g in gs]
+
+    @settings(max_examples=20, deadline=None)
+    @given(small_graphs(max_n=7, max_m=10))
+    def test_matches_networkx(self, g):
+        # networkx expands on sympy expressions, whose cost grows steeply with m
+        nx = pytest.importorskip("networkx")
+        sympy = pytest.importorskip("sympy")
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        descending = sympy.Poly(nx.chromatic_polynomial(h), sympy.Symbol("x")).all_coeffs()
+        assert chromatic_poly(g).coeffs == tuple(int(c) for c in reversed(descending))
 
 
 def test_random_graph_generator_is_deterministic():

@@ -1,6 +1,8 @@
 import random
 from itertools import combinations
 
+from chromabounds import checks
+from chromabounds import nbc as nbcmod
 from chromabounds import (
     Arrangement,
     Hyperplane,
@@ -89,6 +91,31 @@ class TestBrokenCircuits:
 
     def test_no_circuits(self):
         assert broken_circuits(GENERIC_LINES) == ()
+
+    def test_given_circuits_match_a_fresh_sweep(self):
+        rng = random.Random(11)
+        for arr in (K3_ARR, K4_ARR, GENERIC_LINES, PARALLEL_LINES):
+            found = circuits(arr)
+            for order in [None] + [random_order(rng, arr.m) for _ in range(3)]:
+                assert broken_circuits(arr, order, found=found) == broken_circuits(arr, order)
+                assert nbc_counts(arr, order, found=found) == nbc_counts(arr, order)
+
+    def test_nbc_check_sweeps_circuits_once_for_all_orders(self, monkeypatch):
+        # circuits do not depend on the ground order, so three orders cost one 2^m sweep
+        calls = []
+
+        def counting(arr, guard):
+            calls.append(arr)
+            return circuits(arr, guard=guard)
+
+        monkeypatch.setattr(nbcmod, "circuits", counting)
+        monkeypatch.setattr(checks, "circuits", counting)
+        rng = random.Random(2)
+        case = checks.Case("K4", complete(4), 0, 1, orders=lambda m: [None] + [random_order(rng, m) for _ in range(2)])
+        nbc_check = [c for c in checks.GRAPH_CHECKS if c.name == "nbc-coefficient"]
+        results = list(checks.run_checks(nbc_check, case))
+        assert len(results) == 3 * 4 and all(ok for _, ok, _ in results)
+        assert len(calls) == 1
 
 
 class TestNbcCoefficient:
