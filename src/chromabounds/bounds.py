@@ -123,6 +123,10 @@ def verify_bounds(
 
     Only pairs with 0 <= k <= q+r+1 are claimed, so only those are
     iterated; k_max optionally caps k on top of that.
+
+    Each q builds its rows binom(q, k), binom(r+q, k) and binom(m+q, k)
+    once, so a record costs O(r) multiplications, not the O(k r) of
+    `partial_binomial_sum` and `partial_sum_bounds`, which it must equal.
     """
     if q_min > q_max:
         raise ValueError("empty q window")
@@ -131,11 +135,19 @@ def verify_bounds(
         top = q + s.r + 1
         if k_max is not None:
             top = min(top, k_max)
+        choose_q, lower, upper = (_binomial_row(x, top) for x in (q, s.r + q, s.m + q))
         for k in range(0, top + 1):
-            lower, upper = partial_sum_bounds(s.m, s.r, q, k)
-            value = partial_binomial_sum(s, q, k)
-            records.append(BoundsRecord(q=q, k=k, lower=lower, value=value, upper=upper))
+            value = sum(choose_q[k - i] * s.a[i] for i in range(min(k, s.r) + 1))
+            records.append(BoundsRecord(q=q, k=k, lower=lower[k], value=value, upper=upper[k]))
     return BoundsReport(seq=s, q_min=q_min, q_max=q_max, records=tuple(records))
+
+
+def _binomial_row(x: int, top: int) -> list[int]:
+    """binom(x, k) for k = 0..top and any integer x, by binom(x, k+1) = binom(x, k) (x-k) / (k+1)."""
+    row = [1]
+    for k in range(top):
+        row.append(row[-1] * (x - k) // (k + 1))
+    return row
 
 
 @dataclass(frozen=True)

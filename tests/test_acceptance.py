@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`. The corpus matches the
 conftest fixtures: named graph families plus 200 seeded random graphs
-(n <= 6) and 50 seeded random rational arrangements (dim <= 4, m <= 7).
+(n <= 6) and 50 seeded random rational arrangements (dim <= 4, m <= 7);
+criterion 1 adds one seeded G(n, 1/2) for each of n = 10, 12 and 14.
 Criteria 1-3 and 5-9 select, by name, entries of the check tables in
 `chromabounds.checks` that `verify` runs, so each identity is written once.
 """
@@ -15,6 +16,7 @@ from contextlib import contextmanager
 from copy import copy
 
 from chromabounds import (
+    SimpleGraph,
     binom,
     check_coefficient_lower_bounds,
     chromatic_poly,
@@ -54,10 +56,17 @@ def assert_checks(table, cases, *names):
     assert ran == set(names), f"never evaluated: {set(names) - ran}"
 
 
+def half_dense_graph(n):
+    """G(n, 1/2) seeded with n: the pair i < j is an edge when the next draw is below 1/2."""
+    rng = random.Random(n)
+    return SimpleGraph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5))
+
+
 def test_criterion_01_coloring_oracle(graph_cases):
-    with criterion(1, "deletion-contraction equals the brute-force coloring oracle"):
+    with criterion(1, "deletion-contraction equals the inclusion-exclusion coloring oracle, up to n = 14"):
         start = time.monotonic()
-        assert_checks(GRAPH_CHECKS, graph_cases, "coloring-oracle")
+        larger = [Case(f"G({n}, 1/2)", half_dense_graph(n), -5, 5) for n in (10, 12, 14)]
+        assert_checks(GRAPH_CHECKS, graph_cases + larger, "coloring-oracle")
         elapsed = time.monotonic() - start
         assert elapsed < ORACLE_TIME_LIMIT, f"oracle sweep took {elapsed:.1f}s"
 

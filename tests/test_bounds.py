@@ -145,6 +145,25 @@ class TestVerifyBounds:
         with pytest.raises(ValueError):
             verify_bounds(K4_SEQ, 2, 1)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_records_match_the_slow_path(self, data):
+        # the rows built once per q must give what the per-record binomials give
+        a = [1] + data.draw(st.lists(st.integers(1, 10**6), max_size=8))
+        r = len(a) - 1
+        m = a[1] if r else 0
+        s = CoeffSequence(n=r + data.draw(st.integers(0, 3)), m=m, r=r, a=tuple(a))
+        q_min = data.draw(st.integers(-8, 6))
+        q_max = data.draw(st.integers(q_min, 8))
+        k_max = data.draw(st.none() | st.integers(-1, 12))
+        report = verify_bounds(s, q_min, q_max, k_max=k_max)
+        expected = []
+        for q in range(q_min, q_max + 1):
+            top = q + r + 1 if k_max is None else min(q + r + 1, k_max)
+            expected += [(q, k, *partial_sum_bounds(m, r, q, k), partial_binomial_sum(s, q, k))
+                         for k in range(top + 1)]
+        assert [(rec.q, rec.k, rec.lower, rec.upper, rec.value) for rec in report.records] == expected
+
 
 class TestCoefficientLowerBounds:
     def test_k4(self):

@@ -165,6 +165,13 @@ class TestBoundsCommand:
     def test_empty_window_rejected(self, write):
         assert main(["bounds", write("k3.txt", K3_TEXT), "--q-min", "2", "--q-max", "1"]) == 2
 
+    def test_long_path(self, write, capsys):
+        # a forest, so every record is tight
+        assert main(["bounds", write("path300.txt", long_graph_text(300, closed=False)), "--format", "json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["all_tight"] and not results["violations"]
+        assert len(results["records"]) == sum(q + 300 + 1 for q in range(-3, 4))
+
 
 class TestNbcCommand:
     def test_k3_table(self, write, capsys):
@@ -213,6 +220,11 @@ class TestResourceCaps:
 
     def test_coloring_cap_flag_accepted(self, write):
         assert main(["chromatic", write("k3.txt", K3_TEXT), "--cap-colorings", "100"]) == 0
+
+    def test_coloring_cap_bounds_the_oracle_work(self, capsys):
+        # the named graphs start P1, P2, P3, P4: n^2 2^n first exceeds 100 at n = 4
+        assert main(["verify", "--graphs", "0", "--arrangements", "0", "--cap-colorings", "100"]) == 3
+        assert "n=4 vertices needs n^2*2^n = 256 steps" in capsys.readouterr().err
 
 
 VERIFY_ARGS = ["verify", "--seed", "11", "--graphs", "8", "--max-n", "5",
