@@ -7,6 +7,16 @@ so flat equality and containment are bit operations. The
 characteristic polynomial is computed from the intersection poset's
 Moebius values, with an independent signed-subset expansion
 (`char_poly_whitney`) as a cross-check.
+
+The sweeps over subsets of hyperplanes (`char_poly_whitney`,
+`is_general_position`, and the circuit and NBC sweeps of the nbc module)
+share one depth-first walk, `_subset_walk`. It grows each subset by larger
+indices only and carries the subset's echelon basis down to its children,
+so a child costs one residual. A residual leading in the offset column
+means the child's hyperplanes have no common point; the walk does not
+descend from it, since every superset of an empty intersection is empty.
+The walk shares only `linalg.residual` with `intersection_poset`, so the
+Moebius and Whitney routes stay independent.
 """
 
 from __future__ import annotations
@@ -14,8 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError, ResourceLimitError
 from .exactmath import IntPolynomial, binom
@@ -71,15 +80,12 @@ class Arrangement:
     def __post_init__(self) -> None:
         if self.dim < 0:
             raise InputError("ambient dimension must be nonnegative")
-        seen = []
         for h in self.hyperplanes:
             if h.dim != self.dim:
                 raise InputError(
                     f"hyperplane normal has length {h.dim}, expected {self.dim}"
                 )
-            if h not in seen:
-                seen.append(h)
-        object.__setattr__(self, "hyperplanes", tuple(seen))
+        object.__setattr__(self, "hyperplanes", tuple(dict.fromkeys(self.hyperplanes)))
 
     @property
     def m(self) -> int:
@@ -108,6 +114,44 @@ def _rank(arr: Arrangement, indices: Iterable[int]) -> int | None:
     """Rank of the chosen hyperplanes; None when they have no common point."""
     basis = echelon(arr.hyperplanes[i].augmented_row() for i in indices)
     return None if any(_meets_nowhere(b) for b in basis) else len(basis)
+
+
+def _subset_walk(
+    arr: Arrangement,
+    expand_dependent: bool = False,
+    admit: Callable[[int, int], bool] | None = None,
+) -> Iterator[tuple[int, int, int | None]]:
+    """Depth-first over nonempty subsets grown by larger indices; yields (mask, size, rank).
+
+    Bit i of `mask` is set when hyperplane i is in the subset; `rank` is None
+    when the subset has no common point. Each child costs one residual of
+    the added hyperplane against its parent's echelon basis: zero means the
+    child is dependent (central, rank unchanged), a residual leading in the
+    offset column means an empty intersection, anything else raises the
+    rank by one. The walk descends from independent central subsets, from
+    dependent ones too when `expand_dependent`, and never from those with
+    an empty intersection. `admit(mask, i)`, when given, is asked before
+    the residual whether the child `mask` grown by index i is visited at all.
+    """
+    rows = [h.augmented_row() for h in arr.hyperplanes]
+    m = arr.m
+    stack: list[tuple[int, int, int, tuple[Row, ...]]] = [(0, 0, 0, ())]  # mask, next index, size, basis
+    while stack:
+        mask, start, size, basis = stack.pop()
+        for i in range(start, m):
+            grown = mask | 1 << i
+            if admit is not None and not admit(grown, i):
+                continue
+            res = residual(rows[i], basis)
+            if any(res[:-1]):
+                yield grown, size + 1, len(basis) + 1
+                stack.append((grown, i + 1, size + 1, basis + (res,)))
+            elif res[-1]:
+                yield grown, size + 1, None
+            else:
+                yield grown, size + 1, len(basis)
+                if expand_dependent:
+                    stack.append((grown, i + 1, size + 1, basis))
 
 
 def rank(arr: Arrangement) -> int:
@@ -153,13 +197,17 @@ def _check_guard(arr: Arrangement, guard: int) -> None:
 
 
 def is_general_position(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> bool:
-    """Every subset of size <= r is boolean, every larger subset non-central."""
+    """Every subset of size <= r is boolean, every larger subset non-central.
+
+    Every superset of a non-central subset is non-central, so the walk
+    stops at size r + 1: only independent subsets are descended from, and
+    none of size r + 1 can be central without failing the test.
+    """
     _check_guard(arr, guard)
     r = rank(arr)
-    for size in range(1, arr.m + 1):
-        for subset in combinations(range(arr.m), size):
-            if _rank(arr, subset) != (size if size <= r else None):
-                return False
+    for _, size, sub_rank in _subset_walk(arr):
+        if sub_rank != (size if size <= r else None):
+            return False
     return True
 
 
@@ -237,12 +285,9 @@ def char_poly_whitney(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> In
     _check_guard(arr, guard)
     coeffs = [0] * (arr.dim + 1)
     coeffs[arr.dim] = 1  # empty subset
-    for size in range(1, arr.m + 1):
-        sign = -1 if size % 2 else 1
-        for subset in combinations(range(arr.m), size):
-            r = _rank(arr, subset)
-            if r is not None:
-                coeffs[arr.dim - r] += sign
+    for _, size, r in _subset_walk(arr, expand_dependent=True):
+        if r is not None:
+            coeffs[arr.dim - r] += -1 if size % 2 else 1
     return IntPolynomial(tuple(coeffs))
 
 

@@ -8,6 +8,7 @@ oracles: each side of an identity comes from the module that owns it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .arrangements import (
@@ -30,7 +31,9 @@ class Case:
     """A graph or arrangement under test, with the values its checks share.
 
     `orders(m)` gives the NBC ground orders (None is the identity order); it
-    is called only when the NBC check applies.
+    is called only when the NBC check applies. A graph's graphic
+    arrangement is built on first use, so commands that never consult it
+    (such as `bounds`) never pay for it.
     """
 
     label: str
@@ -48,16 +51,18 @@ class Case:
         if isinstance(obj, SimpleGraph):
             self.poly = chromatic_poly(obj, memo=self.memo)
             self.rank = rank_info(obj).rank
-            self.arrangement = graphic_arrangement(obj)
             size = {"n": obj.n, "m": obj.m}
         else:
             self.poly = char_poly(obj, guard=self.cap_subsets)
             self.rank = rank(obj)
-            self.arrangement = obj
             size = {"dim": obj.dim, "m": obj.m}
         self.seq = coeff_sequence(self.poly, self.m)  # raises on any sign-pattern defect
         self.bounds = verify_bounds(self.seq, self.q_min, self.q_max)
         self.row = {"instance": self.label, **size, "rank": self.rank, "logconcave": is_logconcave(self.seq)}
+
+    @cached_property
+    def arrangement(self) -> Arrangement:
+        return graphic_arrangement(self.obj) if isinstance(self.obj, SimpleGraph) else self.obj
 
 
 class Check(NamedTuple):

@@ -1,17 +1,18 @@
 """Circuits, broken circuits, and no-broken-circuit subset counting.
 
-Dependence is decided through the arrangements module's exact linear
-algebra; graphs participate via their graphic arrangements, so there is a
-single dependence implementation. A ground order is a permutation of the
+Both sweeps run on the arrangements module's depth-first subset walk,
+which grows each subset by larger indices, carries its echelon basis down
+to its children and never descends from an empty intersection. Graphs
+participate via their graphic arrangements, so there is a single
+dependence implementation. A ground order is a permutation of the
 hyperplane indices listed from smallest to largest.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Sequence
 
-from .arrangements import DEFAULT_SUBSET_GUARD, Arrangement, _check_guard, _rank, is_central
+from .arrangements import DEFAULT_SUBSET_GUARD, Arrangement, _check_guard, _rank, _subset_walk
 from .errors import InputError
 
 GroundOrder = tuple[int, ...]
@@ -36,21 +37,23 @@ def is_dependent(arr: Arrangement, subset: Sequence[int]) -> bool:
 
 
 def circuits(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> tuple[frozenset[int], ...]:
-    """All minimal dependent subsets, by size-ascending sweep with pruning."""
+    """All minimal dependent subsets, ordered by size, then lexicographically.
+
+    The walk descends from independent central subsets only. A child S + i
+    that is dependent contains a circuit through i, its largest index, and
+    every circuit arises so, from its own set minus its largest index.
+    Dropping any j != i from such a child leaves (S - j) + i, another child
+    of an independent central subset; the child is a circuit exactly when
+    none of those is dependent.
+    """
     _check_guard(arr, guard)
-    found: list[frozenset[int]] = []
-    found_masks: list[int] = []
-    for size in range(1, arr.m + 1):
-        for subset in combinations(range(arr.m), size):
-            mask = 0
-            for i in subset:
-                mask |= 1 << i
-            if any(cm & mask == cm for cm in found_masks):
-                continue
-            if is_dependent(arr, subset):
-                found.append(frozenset(subset))
-                found_masks.append(mask)
-    return tuple(found)
+    dependent = {mask for mask, size, r in _subset_walk(arr) if r is not None and r < size}
+    found = []
+    for mask in dependent:
+        subset = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        if all(mask ^ 1 << i not in dependent for i in subset):
+            found.append((len(subset), subset))
+    return tuple(frozenset(subset) for _, subset in sorted(found))
 
 
 def broken_circuits(
@@ -66,12 +69,10 @@ def broken_circuits(
     """
     order = default_order(arr.m) if order is None else _validate_order(order, arr.m)
     position = {idx: pos for pos, idx in enumerate(order)}
-    out: list[frozenset[int]] = []
+    out: dict[frozenset[int], None] = {}
     for circuit in circuits(arr, guard=guard) if found is None else found:
         top = max(circuit, key=position.__getitem__)
-        broken = circuit - {top}
-        if broken not in out:
-            out.append(broken)
+        out[circuit - {top}] = None
     return tuple(out)
 
 
@@ -85,23 +86,22 @@ def nbc_counts(
 
     Matches the absolute coefficient of t^(n-k) in the characteristic
     polynomial for 0 <= k <= rank, and is 0 above the rank. Such subsets
-    are closed under taking subsets, so one depth-first sweep that grows
-    each by larger indices only reaches every one of them once. `found`
-    is as for `broken_circuits`.
+    are closed under taking subsets, so the subset walk reaches every one
+    of them once. A subset that passed grows by index i into one holding a
+    broken circuit only when that broken circuit's largest index is i. A
+    central subset with no broken circuit is independent. `found` is as for
+    `broken_circuits`.
     """
-    broken = broken_circuits(arr, order=order, guard=guard, found=found)
-    broken_masks = [sum(1 << i for i in b) for b in broken]
-    # A central whole arrangement makes every subset central.
-    all_central = is_central(arr)
+    by_top: dict[int, list[int]] = {}
+    for b in broken_circuits(arr, order=order, guard=guard, found=found):
+        by_top.setdefault(max(b), []).append(sum(1 << i for i in b))
+
+    def admit(mask: int, i: int) -> bool:
+        return not any(bm & mask == bm for bm in by_top.get(i, ()))
+
     counts = [0] * (arr.m + 1)
-    stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
-    while stack:
-        subset, mask = stack.pop()
-        counts[len(subset)] += 1
-        for i in range(subset[-1] + 1 if subset else 0, arr.m):
-            grown, grown_mask = subset + (i,), mask | 1 << i
-            if any(bm & grown_mask == bm for bm in broken_masks):
-                continue
-            if all_central or _rank(arr, grown) is not None:
-                stack.append((grown, grown_mask))
+    counts[0] = 1  # empty subset
+    for _, size, r in _subset_walk(arr, admit=admit):
+        if r is not None:
+            counts[size] += 1
     return tuple(counts)

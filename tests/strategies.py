@@ -1,0 +1,50 @@
+"""Random inputs shared by the test modules.
+
+The arrangement families feed the property tests of the depth-first subset
+walk against the per-subset sweeps it replaced: affine arrangements with
+parallel hyperplanes, repeated directions and fractional offsets (empty
+intersections to prune), random linear ones (every subset central, many
+dependent), generic affine ones (general position occurs) and graphic
+arrangements of small graphs.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import strategies as st
+
+from chromabounds import Arrangement, Hyperplane, SimpleGraph, graphic_arrangement
+from chromabounds.corpus import random_arrangement
+
+
+@st.composite
+def small_graphs(draw, max_n=5, max_m=None):
+    n = draw(st.integers(0, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=max_m)) if pairs else set()
+    return SimpleGraph(n, frozenset(edges))
+
+
+def random_affine_with_parallels(rng):
+    """Up to 7 hyperplanes in dimension 1-3, some sharing a normal, with fractional offsets."""
+    dim = rng.randint(1, 3)
+    normals, wanted = [], rng.randint(1, 4)
+    while len(normals) < wanted:
+        normal = tuple(rng.randint(-2, 2) for _ in range(dim))
+        if any(normal):
+            normals.append(normal)
+    hyps = [
+        Hyperplane.make(rng.choice(normals), Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        for _ in range(rng.randint(1, 7))
+    ]
+    return Arrangement(dim, tuple(hyps))
+
+
+_rngs = st.integers(0, 2**32 - 1).map(random.Random)
+
+walk_arrangements = st.one_of(
+    _rngs.map(random_affine_with_parallels),
+    _rngs.map(lambda rng: random_arrangement(rng, max_dim=4, max_m=8, linear=True)),
+    _rngs.map(lambda rng: random_arrangement(rng, max_dim=4, max_m=8)),
+    small_graphs().map(graphic_arrangement),
+)

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 from chromabounds import (
     Arrangement,
@@ -32,6 +34,8 @@ from chromabounds import (
     restrict,
 )
 from chromabounds.corpus import coordinate_arrangement, named_graphs
+from chromabounds.linalg import echelon
+from strategies import random_affine_with_parallels, walk_arrangements
 
 K3_ARR = graphic_arrangement(complete(3))
 
@@ -74,6 +78,11 @@ class TestHyperplane:
             2, (Hyperplane.make((1, 1), 1), Hyperplane.make((2, 2), 2))
         )
         assert arr.m == 1
+
+    def test_repeats_keep_first_seen_order(self):
+        a, b, c = Hyperplane.make((1, 0), 0), Hyperplane.make((0, 1), 2), Hyperplane.make((1, 1), 1)
+        arr = Arrangement(2, (b, a, b, c, a, Hyperplane.make((2, 0), 0)))
+        assert arr.hyperplanes == (b, a, c)
 
 
 class TestRank:
@@ -146,7 +155,7 @@ class TestIntersectionPoset:
     def test_flats_are_the_subset_intersections(self, arrangement_corpus):
         rng = random.Random(2718)
         samples = [arr for _, arr in arrangement_corpus]
-        samples += [_random_affine_with_parallels(rng) for _ in range(40)]
+        samples += [random_affine_with_parallels(rng) for _ in range(40)]
         assert any(not is_central(arr) for arr in samples)
         for arr in samples:
             by_subset = {flat_of(arr, _bits(mask)) for mask in range(1 << arr.m)} - {None}
@@ -160,21 +169,6 @@ def _bits(mask):
 def _point_set_contains(arr, outer, inner):
     meet = flat_of(arr, _bits(outer.mask | inner.mask))
     return meet is not None and meet.dim == inner.dim
-
-
-def _random_affine_with_parallels(rng):
-    """Up to 7 hyperplanes in dimension 1-3, some sharing a normal, with fractional offsets."""
-    dim = rng.randint(1, 3)
-    normals, wanted = [], rng.randint(1, 4)
-    while len(normals) < wanted:
-        normal = tuple(rng.randint(-2, 2) for _ in range(dim))
-        if any(normal):
-            normals.append(normal)
-    hyps = [
-        Hyperplane.make(rng.choice(normals), Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
-        for _ in range(rng.randint(1, 7))
-    ]
-    return Arrangement(dim, tuple(hyps))
 
 
 class TestCharPoly:
@@ -220,6 +214,46 @@ class TestWhitney:
     def test_matches_on_random_instances(self, arrangement_corpus):
         for _, arr in arrangement_corpus:
             assert char_poly_whitney(arr) == char_poly(arr)
+
+
+def _subset_rank(arr, subset):
+    """Rank of the chosen hyperplanes from a fresh elimination; None when they share no point."""
+    basis = echelon(arr.hyperplanes[i].augmented_row() for i in subset)
+    return None if any(not any(b[:-1]) for b in basis) else len(basis)
+
+
+def reference_char_poly_whitney(arr):
+    """The signed sum over every subset, each ranked on its own, that the subset walk replaced."""
+    coeffs = [0] * (arr.dim + 1)
+    coeffs[arr.dim] = 1
+    for size in range(1, arr.m + 1):
+        for subset in combinations(range(arr.m), size):
+            r = _subset_rank(arr, subset)
+            if r is not None:
+                coeffs[arr.dim - r] += -1 if size % 2 else 1
+    return IntPolynomial(tuple(coeffs))
+
+
+def reference_is_general_position(arr):
+    """Every subset ranked on its own: boolean up to the rank, non-central above it."""
+    r = rank(arr)
+    return all(
+        _subset_rank(arr, subset) == (size if size <= r else None)
+        for size in range(1, arr.m + 1)
+        for subset in combinations(range(arr.m), size)
+    )
+
+
+class TestSubsetWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(walk_arrangements)
+    def test_whitney_matches_per_subset_sweep(self, arr):
+        assert char_poly_whitney(arr) == reference_char_poly_whitney(arr)
+
+    @settings(max_examples=150, deadline=None)
+    @given(walk_arrangements)
+    def test_general_position_matches_per_subset_sweep(self, arr):
+        assert is_general_position(arr) == reference_is_general_position(arr)
 
 
 class TestPredicates:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from chromabounds import Arrangement, InputError, IntPolynomial, SimpleGraph, checks
+from chromabounds import Arrangement, InputError, IntPolynomial, SimpleGraph, checks, graphic_arrangement
 from chromabounds.cli import (
     main,
     parse_arrangement_text,
@@ -171,6 +171,18 @@ class TestBoundsCommand:
         results = json.loads(capsys.readouterr().out)["results"]
         assert results["all_tight"] and not results["violations"]
         assert len(results["records"]) == sum(q + 300 + 1 for q in range(-3, 4))
+
+    @pytest.mark.parametrize("command,builds", [("bounds", 0), ("nbc", 1)])
+    def test_graphic_arrangement_built_only_when_used(self, write, monkeypatch, capsys, command, builds):
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return graphic_arrangement(g)
+
+        monkeypatch.setattr(checks, "graphic_arrangement", counting)
+        assert main([command, write("k4.txt", K4_TEXT)]) == 0
+        assert len(calls) == builds
 
 
 class TestNbcCommand:

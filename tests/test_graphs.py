@@ -22,17 +22,10 @@ from chromabounds import (
     rank_info,
 )
 from chromabounds.corpus import random_graph
+from strategies import small_graphs
 
 K4_POLY = IntPolynomial((0, -6, 11, -6, 1))
 C4_POLY = IntPolynomial((0, -3, 6, -4, 1))
-
-
-@st.composite
-def small_graphs(draw, max_n=5, max_m=None):
-    n = draw(st.integers(0, max_n))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges = draw(st.sets(st.sampled_from(pairs), max_size=max_m)) if pairs else set()
-    return SimpleGraph(n, frozenset(edges))
 
 
 def reference_chromatic_poly(g, memo):

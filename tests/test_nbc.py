@@ -1,6 +1,9 @@
 import random
 from itertools import combinations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from chromabounds import checks
 from chromabounds import nbc as nbcmod
 from chromabounds import (
@@ -15,12 +18,14 @@ from chromabounds import (
     complete,
     flat_of,
     graphic_arrangement,
+    is_central,
     is_dependent,
     nbc_counts,
     path,
     rank,
 )
 from chromabounds.corpus import coordinate_arrangement, random_order
+from strategies import walk_arrangements
 
 K3_ARR = graphic_arrangement(complete(3))
 K4_ARR = graphic_arrangement(complete(4))
@@ -40,16 +45,39 @@ GENERIC_LINES = Arrangement(
 
 
 def brute_force_circuits(arr):
-    """Independent minimality check over every dependent subset."""
+    """Every minimal dependent subset, each decided on its own, by size, then lexicographically."""
     dependent = [
         frozenset(s)
         for size in range(1, arr.m + 1)
         for s in combinations(range(arr.m), size)
         if is_dependent(arr, s)
     ]
-    return {
+    return tuple(
         d for d in dependent if not any(other < d for other in dependent)
-    }
+    )
+
+
+def reference_nbc_counts(arr, order):
+    """The depth-first NBC sweep that the subset walk replaced.
+
+    Each grown subset is checked against every broken circuit, and its
+    intersection is computed afresh unless the whole arrangement is central.
+    """
+    broken = broken_circuits(arr, order, found=brute_force_circuits(arr))
+    broken_masks = [sum(1 << i for i in b) for b in broken]
+    all_central = is_central(arr)
+    counts = [0] * (arr.m + 1)
+    stack = [((), 0)]
+    while stack:
+        subset, mask = stack.pop()
+        counts[len(subset)] += 1
+        for i in range(subset[-1] + 1 if subset else 0, arr.m):
+            grown, grown_mask = subset + (i,), mask | 1 << i
+            if any(bm & grown_mask == bm for bm in broken_masks):
+                continue
+            if all_central or flat_of(arr, grown) is not None:
+                stack.append((grown, grown_mask))
+    return tuple(counts)
 
 
 class TestDependence:
@@ -79,7 +107,12 @@ class TestCircuits:
     def test_k4_has_seven_matching_brute_force(self):
         found = circuits(K4_ARR)
         assert len(found) == 7
-        assert set(found) == brute_force_circuits(K4_ARR)
+        assert found == brute_force_circuits(K4_ARR)
+
+    @settings(max_examples=150, deadline=None)
+    @given(walk_arrangements)
+    def test_match_per_subset_sweep_in_order(self, arr):
+        assert circuits(arr) == brute_force_circuits(arr)
 
 
 class TestBrokenCircuits:
@@ -153,6 +186,12 @@ class TestNbcCoefficient:
             s = coeff_sequence(chromatic_poly(g), g.m)
             for k in range(s.r + 1):
                 assert nbc_counts(arr, None)[k] == s.a[k]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), walk_arrangements)
+    def test_matches_per_subset_sweep(self, data, arr):
+        order = data.draw(st.permutations(range(arr.m)))
+        assert nbc_counts(arr, order) == reference_nbc_counts(arr, order)
 
     def test_matches_subset_sweep(self):
         # the depth-first sweep against a direct sweep over all 2^m subsets
