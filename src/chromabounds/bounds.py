@@ -124,21 +124,44 @@ def verify_bounds(
     Only pairs with 0 <= k <= q+r+1 are claimed, so only those are
     iterated; k_max optionally caps k on top of that.
 
-    Each q builds its rows binom(q, k), binom(r+q, k) and binom(m+q, k)
-    once, so a record costs O(r) multiplications, not the O(k r) of
-    `partial_binomial_sum` and `partial_sum_bounds`, which it must equal.
+    The sums S_q(k) = sum_i binom(q, k-i) a_i are kept as one row over k
+    and moved between shifts by Pascal's rule: S_0 is the sequence a
+    itself, S_{q+1}(k) = S_q(k) + S_q(k-1) and S_{q-1}(k) = S_q(k) -
+    S_{q-1}(k-1). The rows binom(r+q, k) and binom(m+q, k) are built once
+    per q, so a record costs O(1) additions. Every record must equal
+    `partial_binomial_sum` and `partial_sum_bounds`, which sum term by term.
     """
     if q_min > q_max:
         raise ValueError("empty q window")
+
+    def top(q: int) -> int:
+        return q + s.r + 1 if k_max is None else min(q + s.r + 1, k_max)
+
+    # The rows are needed up to the largest top, which is q_max's. No k is
+    # claimed below q = -r-1, and far above q = 0 one direct sum costs less
+    # than walking up to the window.
+    width = max(top(q_max), 0) + 1
+    first = max(q_min, -s.r - 1)
+    if first > s.r + 1:
+        choose = _binomial_row(first, width - 1)
+        shift = first
+        sums = [sum(choose[k - i] * s.a[i] for i in range(min(k, s.r) + 1)) for k in range(width)]
+    else:
+        shift = 0
+        sums = [s.a[k] if k <= s.r else 0 for k in range(width)]
     records = []
-    for q in range(q_min, q_max + 1):
-        top = q + s.r + 1
-        if k_max is not None:
-            top = min(top, k_max)
-        choose_q, lower, upper = (_binomial_row(x, top) for x in (q, s.r + q, s.m + q))
-        for k in range(0, top + 1):
-            value = sum(choose_q[k - i] * s.a[i] for i in range(min(k, s.r) + 1))
-            records.append(BoundsRecord(q=q, k=k, lower=lower[k], value=value, upper=upper[k]))
+    for q in range(first, q_max + 1):
+        while shift > q:
+            for k in range(1, width):
+                sums[k] -= sums[k - 1]
+            shift -= 1
+        while shift < q:
+            for k in range(width - 1, 0, -1):
+                sums[k] += sums[k - 1]
+            shift += 1
+        lower, upper = (_binomial_row(x, top(q)) for x in (s.r + q, s.m + q))
+        for k in range(0, top(q) + 1):
+            records.append(BoundsRecord(q=q, k=k, lower=lower[k], value=sums[k], upper=upper[k]))
     return BoundsReport(seq=s, q_min=q_min, q_max=q_max, records=tuple(records))
 
 

@@ -1,37 +1,46 @@
 """Simple graphs, proper-coloring counts, and chromatic polynomials.
 
 Two independent routes to the chromatic polynomial live here: the
-deletion-contraction recurrence (`chromatic_poly`) and exact Lagrange
-interpolation through proper-coloring counts
+deletion-contraction kernel (`chromatic_poly`) and the expansion of the
+proper-coloring counts in falling factorials
 (`chromatic_poly_interpolated`). They must agree coefficient-exact.
 
 The counts come from ranked inclusion-exclusion over independent sets
 (Bjorklund, Husfeldt & Koivisto 2009): one table of independent-set
-polynomials per graph gives the number of ordered partitions into j
+polynomials per graph gives the number e_j of ordered partitions into j
 independent sets for every j, hence the count for every t, in about
-n^2 2^n steps. The oracle and the deletion-contraction kernel share only
-the exact-arithmetic primitives of `exactmath`.
+n^2 2^n steps, and P(t) = sum_j (e_j / j!) t(t-1)...(t-j+1) in integers.
+The oracle and the deletion-contraction kernel share only the
+exact-arithmetic primitives of `exactmath`.
 
 `chromatic_poly` reduces a graph exactly before it branches: simplicial
 vertices are peeled off with a linear factor each, and what is left
 factors over its connected components. Each component is memoized under
 a canonical relabelling of its adjacency bitmasks and expanded with an
 explicit stack; `SimpleGraph` and `IntPolynomial` appear only at its
-boundary. `delete_edge` and `contract_edge` stay for the callers that
-check the recurrence itself.
+boundary. A sparse component is expanded by deletion-contraction on an
+edge, a dense one by Zykov's addition-contraction on a non-edge, which
+drives it toward cliques that the peeling settles at once.
+`delete_edge` and `contract_edge` stay for the callers that check the
+recurrence itself.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import InputError, InvariantError, ResourceLimitError
 from .exactmath import IntPolynomial, binom
 
 DEFAULT_COLORING_CAP = 10**8
+
+# A component expands by addition-contraction when at least this share of
+# its vertex pairs, as (numerator, denominator), are adjacent, and by
+# deletion-contraction below it: at 1/2, whichever of edges and non-edges
+# is scarcer is the one that gets used up.
+ZYKOV_DENSITY = (1, 2)
 
 Edge = tuple[int, int]
 
@@ -239,36 +248,72 @@ def _reduce(adj: list[int], live: int, todo: int) -> Term:
     return sizes, comps
 
 
-def _branch(adj: Adjacency) -> tuple[Term, Term]:
-    """Reduced G - e and G / e, for e from a minimum-degree vertex to its highest-degree neighbour."""
+def _branch(adj: Adjacency) -> tuple[Term, Term, int]:
+    """One expansion step: the reduced first term, the reduced G / e and the sign between them.
+
+    The first term is G - e for an edge e of a sparse component and G + e
+    for a non-edge e of a dense one; `chromatic_poly` says how e is chosen.
+    """
+    k = len(adj)
     deg = [a.bit_count() for a in adj]
-    u = min(range(len(adj)), key=deg.__getitem__)
-    w = max(_bits(adj[u]), key=deg.__getitem__)
-    everyone = (1 << len(adj)) - 1
-    deleted = list(adj)
-    deleted[u] ^= 1 << w
-    deleted[w] ^= 1 << u
-    # Merge w into u; parallel edges collapse in the masks.
+    everyone = (1 << k) - 1
+    first = list(adj)
+    num, den = ZYKOV_DENSITY
+    if den * sum(deg) < num * k * (k - 1):
+        u = min(range(k), key=deg.__getitem__)
+        w = max(_bits(adj[u]), key=deg.__getitem__)
+        sign = -1
+        # A key has no simplicial vertex; deleting uw can make only u or w one.
+        retest = 1 << u | 1 << w
+    else:
+        u = max((v for v in range(k) if deg[v] < k - 1), key=deg.__getitem__)
+        w = max(_bits(everyone & ~adj[u] & ~(1 << u)),
+                key=lambda x: ((adj[u] & adj[x]).bit_count(), deg[x]))
+        sign = 1
+        # Adding uw can complete only the neighbourhoods of u, w and their
+        # common neighbours.
+        retest = 1 << u | 1 << w | adj[u] & adj[w]
+    first[u] ^= 1 << w
+    first[w] ^= 1 << u
+    # Merge w into u; parallel edges collapse in the masks. Only u and its
+    # new neighbours can have become simplicial.
     contracted = list(adj)
     for x in _bits(adj[w]):
         contracted[x] = contracted[x] & ~(1 << w) | 1 << u
     contracted[u] = (adj[u] | adj[w]) & ~(1 << u | 1 << w)
-    # A key has no simplicial vertex; only these vertices can have become one.
-    return (_reduce(deleted, everyone, 1 << u | 1 << w),
-            _reduce(contracted, everyone ^ 1 << w, 1 << u | contracted[u]))
+    return (_reduce(first, everyone, retest),
+            _reduce(contracted, everyone ^ 1 << w, 1 << u | contracted[u]),
+            sign)
 
 
 def chromatic_poly(g: SimpleGraph, memo: dict | None = None) -> IntPolynomial:
-    """Chromatic polynomial by deletion-contraction on reduced graphs.
+    """Chromatic polynomial by deletion- or addition-contraction on reduced graphs.
 
     Before any branching the graph is reduced exactly: a simplicial vertex
     v, whose neighbourhood is a clique of size d, is peeled off with a
     factor (t - d), which covers isolated and pendant vertices, cliques,
     trees and chordal graphs; what is left is split into connected
-    components, whose polynomials multiply. A component is expanded as
-    P(G) = P(G - e) - P(G / e), for e from a minimum-degree vertex to its
-    highest-degree neighbour, with an explicit stack, so no input is
-    limited by the interpreter's recursion depth.
+    components, whose polynomials multiply. A component on k vertices with
+    m edges is expanded with an explicit stack, so no input is limited by
+    the interpreter's recursion depth, and by one of two forms of the same
+    recurrence:
+
+    - below ZYKOV_DENSITY (2m < C(k, 2) at 1/2), by deletion-contraction,
+      P(G) = P(G - e) - P(G / e), for e from a minimum-degree vertex to its
+      highest-degree neighbour;
+    - otherwise by Zykov's addition-contraction, P(G) = P(G + e) + P(G / e),
+      for a non-edge e = uw, where u is a non-universal vertex of maximum
+      degree and w its non-neighbour with the most common neighbours, ties
+      broken by degree. On dense components this reaches cliques in a few
+      steps, where deletion would have to remove most of the edges.
+
+    The walk terminates. Contraction removes a vertex. At a fixed vertex
+    count, deletion-contraction only removes edges, so its first branch
+    stays below the switch, and addition-contraction only adds them, so
+    its first branch stays above it; a component can change mode only
+    after it has lost vertices. No component is therefore its own
+    descendant, and every chain of first branches ends in a graph that the
+    peeling settles.
 
     `memo` is an opaque dict owned by the caller and may be shared across
     calls; it never changes results. Its keys are components as tuples of
@@ -283,24 +328,23 @@ def chromatic_poly(g: SimpleGraph, memo: dict | None = None) -> IntPolynomial:
     everyone = (1 << g.n) - 1
     root = _reduce(adj, everyone, everyone)
     # Each component waits on the stack until the components of both of its
-    # branches are in the memo; a branch has fewer edges than its parent.
+    # branches are in the memo; it is never its own descendant (see above).
     stack = list(root[1])
-    branches: dict[Adjacency, tuple[Term, Term]] = {}
+    branches: dict[Adjacency, tuple[Term, Term, int]] = {}
     while stack:
         key = stack[-1]
         if key in memo:
             stack.pop()
         elif key in branches:
-            deleted, contracted = branches.pop(key)
-            minus = _evaluate(contracted, memo)
-            out = _evaluate(deleted, memo)
-            for i, c in enumerate(minus):
-                out[i] -= c
+            first, contracted, sign = branches.pop(key)
+            out = _evaluate(first, memo)
+            for i, c in enumerate(_evaluate(contracted, memo)):
+                out[i] += sign * c
             memo[key] = tuple(out)
             stack.pop()
         else:
             branches[key] = terms = _branch(key)
-            stack.extend(k for term in terms for k in term[1] if k not in memo)
+            stack.extend(k for term in terms[:2] for k in term[1] if k not in memo)
     return IntPolynomial(tuple(_evaluate(root, memo)))
 
 
@@ -380,30 +424,24 @@ def count_colorings(g: SimpleGraph, t: int, cap: int = DEFAULT_COLORING_CAP) -> 
 
 
 def chromatic_poly_interpolated(g: SimpleGraph, cap: int = DEFAULT_COLORING_CAP) -> IntPolynomial:
-    """Exact Lagrange interpolation through the coloring counts at t = 0..n.
+    """The oracle's counts at every t at once, expanded in integers.
 
-    All n + 1 counts come from one inclusion-exclusion table.
+    P(t) = sum_j C(t, j) e_j = sum_j (e_j / j!) t(t-1)...(t-j+1), with the
+    falling factorials built one factor at a time. The j blocks of an
+    ordered partition can be put in any of j! orders, so j! divides e_j;
+    a remainder means the table is wrong.
     """
     e = _ordered_partitions(g, cap)
-    values = [_colorings_from_partitions(e, t) for t in range(g.n + 1)]
-    coeffs = [Fraction(0)] * (g.n + 1)
-    for i, y in enumerate(values):
-        if y == 0:
-            continue
-        basis = [Fraction(1)]
-        denom = 1
-        for j in range(g.n + 1):
-            if j == i:
-                continue
-            grown = [Fraction(0)] * (len(basis) + 1)
-            for p, c in enumerate(basis):
-                grown[p + 1] += c
-                grown[p] -= c * j
-            basis = grown
-            denom *= i - j
-        scale = Fraction(y, denom)
-        for p, c in enumerate(basis):
-            coeffs[p] += scale * c
-    if any(c.denominator != 1 for c in coeffs):
-        raise InvariantError("interpolation produced non-integer coefficients")
-    return IntPolynomial(tuple(int(c) for c in coeffs))
+    coeffs = [0] * (g.n + 1)
+    falling, factorial = [1], 1
+    for j, count in enumerate(e):
+        if j:
+            # times (t - (j - 1))
+            falling = [a - (j - 1) * b for a, b in zip([0, *falling], [*falling, 0])]
+            factorial *= j
+        blocks, rest = divmod(count, factorial)
+        if rest:
+            raise InvariantError(f"{count} ordered partitions into {j} blocks is not a multiple of {j}!")
+        for p, c in enumerate(falling):
+            coeffs[p] += blocks * c
+    return IntPolynomial(tuple(coeffs))

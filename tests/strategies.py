@@ -1,5 +1,9 @@
 """Random inputs shared by the test modules.
 
+`small_graphs` and its complements, `dense_graphs`, feed the chromatic
+kernel on both sides of its switch between deletion-contraction and
+addition-contraction.
+
 The arrangement families feed the property tests of the depth-first subset
 walk against the per-subset sweeps it replaced: affine arrangements with
 parallel hyperplanes, repeated directions and fractional offsets (empty
@@ -23,6 +27,15 @@ def small_graphs(draw, max_n=5, max_m=None):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.sets(st.sampled_from(pairs), max_size=max_m)) if pairs else set()
     return SimpleGraph(n, frozenset(edges))
+
+
+def _complement(g):
+    return SimpleGraph(g.n, frozenset((i, j) for i in range(g.n) for j in range(i + 1, g.n)) - g.edges)
+
+
+def dense_graphs(max_n=5, max_m=None):
+    """Complements of `small_graphs`, so most vertex pairs are adjacent."""
+    return small_graphs(max_n, max_m).map(_complement)
 
 
 def random_affine_with_parallels(rng):

@@ -148,21 +148,43 @@ class TestVerifyBounds:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_records_match_the_slow_path(self, data):
-        # the rows built once per q must give what the per-record binomials give
+        # the rows moved by Pascal's rule must give what the per-record binomials give
         a = [1] + data.draw(st.lists(st.integers(1, 10**6), max_size=8))
-        r = len(a) - 1
-        m = a[1] if r else 0
-        s = CoeffSequence(n=r + data.draw(st.integers(0, 3)), m=m, r=r, a=tuple(a))
+        s = _sequence(a, data.draw(st.integers(0, 3)))
         q_min = data.draw(st.integers(-8, 6))
         q_max = data.draw(st.integers(q_min, 8))
         k_max = data.draw(st.none() | st.integers(-1, 12))
-        report = verify_bounds(s, q_min, q_max, k_max=k_max)
-        expected = []
-        for q in range(q_min, q_max + 1):
-            top = q + r + 1 if k_max is None else min(q + r + 1, k_max)
-            expected += [(q, k, *partial_sum_bounds(m, r, q, k), partial_binomial_sum(s, q, k))
-                         for k in range(top + 1)]
-        assert [(rec.q, rec.k, rec.lower, rec.upper, rec.value) for rec in report.records] == expected
+        _assert_matches_slow_path(s, q_min, q_max, k_max)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_long_sequences_match_the_slow_path(self, data):
+        a = [1] + data.draw(st.lists(st.integers(1, 10**12), min_size=9, max_size=30))
+        s = _sequence(a, 0)
+        q_min = data.draw(st.integers(-6, 6))
+        q_max = data.draw(st.integers(q_min, 6))
+        k_max = data.draw(st.none() | st.integers(0, 40))
+        _assert_matches_slow_path(s, q_min, q_max, k_max)
+
+    @pytest.mark.parametrize("q_min, q_max", [(5, 7), (40, 41), (-40, -2)])
+    def test_windows_far_from_zero_match_the_slow_path(self, q_min, q_max):
+        # a window beyond r + 1 starts from one direct sum instead of walking up from q = 0
+        _assert_matches_slow_path(K4_SEQ, q_min, q_max, None)
+
+
+def _sequence(a, extra_degree):
+    r = len(a) - 1
+    return CoeffSequence(n=r + extra_degree, m=a[1] if r else 0, r=r, a=tuple(a))
+
+
+def _assert_matches_slow_path(s, q_min, q_max, k_max):
+    report = verify_bounds(s, q_min, q_max, k_max=k_max)
+    expected = []
+    for q in range(q_min, q_max + 1):
+        top = q + s.r + 1 if k_max is None else min(q + s.r + 1, k_max)
+        expected += [(q, k, *partial_sum_bounds(s.m, s.r, q, k), partial_binomial_sum(s, q, k))
+                     for k in range(top + 1)]
+    assert [(rec.q, rec.k, rec.lower, rec.upper, rec.value) for rec in report.records] == expected
 
 
 class TestCoefficientLowerBounds:

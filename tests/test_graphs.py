@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from chromabounds import (
     InputError,
+    InvariantError,
     IntPolynomial,
     ResourceLimitError,
     SimpleGraph,
@@ -21,8 +22,9 @@ from chromabounds import (
     path,
     rank_info,
 )
+from chromabounds import graphs
 from chromabounds.corpus import random_graph
-from strategies import small_graphs
+from strategies import dense_graphs, small_graphs
 
 K4_POLY = IntPolynomial((0, -6, 11, -6, 1))
 C4_POLY = IntPolynomial((0, -3, 6, -4, 1))
@@ -225,9 +227,10 @@ class TestKernelAgainstSlowPaths:
         relabelled = SimpleGraph(g.n, frozenset((perm[u], perm[v]) for u, v in g.edges))
         assert chromatic_poly(relabelled) == chromatic_poly(g)
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(small_graphs(max_n=8), max_size=8))
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(small_graphs(max_n=8) | dense_graphs(max_n=9), max_size=8))
     def test_shared_memo_matches_fresh_memos(self, gs):
+        # sparse and dense components, expanded by different recurrences, share one memo
         memo = {}
         assert [chromatic_poly(g, memo) for g in gs] == [chromatic_poly(g, {}) for g in gs]
 
@@ -242,6 +245,37 @@ class TestKernelAgainstSlowPaths:
         h.add_edges_from(g.edges)
         descending = sympy.Poly(nx.chromatic_polynomial(h), sympy.Symbol("x")).all_coeffs()
         assert chromatic_poly(g).coeffs == tuple(int(c) for c in reversed(descending))
+
+
+class TestAdditionContraction:
+    """Dense components expand by P(G) = P(G + e) + P(G / e) on a non-edge e."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(dense_graphs(max_n=9))
+    def test_matches_the_labelled_recurrence_and_the_oracle(self, g):
+        p = chromatic_poly(g)
+        assert p == reference_chromatic_poly(g, {})
+        assert p == chromatic_poly_interpolated(g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_graphs(max_n=9) | dense_graphs(max_n=9))
+    def test_every_memoized_component_is_reduced(self, g):
+        # each branch re-tests only the vertices that can have become
+        # simplicial; one it missed would reach the memo unpeeled
+        memo = {}
+        chromatic_poly(g, memo)
+        for key in memo:
+            for v, nb in enumerate(key):
+                clique = all(nb & ~key[x] == 1 << x for x in range(len(key)) if nb >> x & 1)
+                assert nb & (nb - 1) and not clique, (key, v)
+
+
+class TestOracleExpansion:
+    def test_rejects_counts_not_divisible_by_the_block_orders(self, monkeypatch):
+        # 3 ordered partitions into 2 blocks cannot come from unordered ones
+        monkeypatch.setattr(graphs, "_ordered_partitions", lambda g, cap: [0, 1, 3])
+        with pytest.raises(InvariantError, match="multiple of 2!"):
+            chromatic_poly_interpolated(path(2))
 
 
 def test_random_graph_generator_is_deterministic():

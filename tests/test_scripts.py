@@ -1,5 +1,6 @@
 """The experiment scripts run end to end on small inputs (one subprocess each)."""
 
+import json
 import os
 import subprocess
 import sys
@@ -32,3 +33,14 @@ def test_script_runs(script, args):
         assert "checked 10 sequences: 0 violations" in out
     else:
         assert "K4" in out
+
+
+def test_chromatic_growth_writes_one_row_per_graph(tmp_path):
+    out = tmp_path / "growth.json"
+    _run("chromatic_growth.py", "--sizes", "8", "--seeds", "1", "2", "--regular-sizes", "8",
+         "--cycles", "6", "--out", str(out))
+    report = json.loads(out.read_text())
+    assert [(row["family"], row["n"], row["seed"]) for row in report["rows"]] == [
+        ("gnp", 8, 1), ("gnp", 8, 2), ("regular", 8, 1), ("regular", 8, 2), ("cycle", 6, None)]
+    assert all(row["memo"] >= 1 and row["seconds"] >= 0 for row in report["rows"])
+    assert [row["m"] for row in report["rows"][2:]] == [24, 24, 6]
