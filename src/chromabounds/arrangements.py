@@ -22,9 +22,8 @@ Moebius and Whitney routes stay independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError, ResourceLimitError
 from .exactmath import IntPolynomial, binom
@@ -34,8 +33,7 @@ from .linalg import Row, echelon, residual
 DEFAULT_SUBSET_GUARD = 20
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(NamedTuple):
     """The affine locus normal . x = offset, in canonical form."""
 
     normal: tuple[int, ...]
@@ -70,30 +68,50 @@ class Hyperplane:
         return tuple(d * x for x in self.normal) + (self.offset.numerator,)
 
 
-@dataclass(frozen=True)
 class Arrangement:
-    """Ambient dimension plus an ordered, deduplicated hyperplane list."""
+    """Ambient dimension plus an ordered, deduplicated hyperplane list. Immutable."""
 
+    __slots__ = ("dim", "hyperplanes")
     dim: int
-    hyperplanes: tuple[Hyperplane, ...] = ()
+    hyperplanes: tuple[Hyperplane, ...]
 
-    def __post_init__(self) -> None:
-        if self.dim < 0:
+    def __init__(self, dim: int, hyperplanes: tuple[Hyperplane, ...] = ()) -> None:
+        if dim < 0:
             raise InputError("ambient dimension must be nonnegative")
-        for h in self.hyperplanes:
-            if h.dim != self.dim:
+        for h in hyperplanes:
+            if h.dim != dim:
                 raise InputError(
-                    f"hyperplane normal has length {h.dim}, expected {self.dim}"
+                    f"hyperplane normal has length {h.dim}, expected {dim}"
                 )
-        object.__setattr__(self, "hyperplanes", tuple(dict.fromkeys(self.hyperplanes)))
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "hyperplanes", tuple(dict.fromkeys(hyperplanes)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return Arrangement, (self.dim, self.hyperplanes)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dim == other.dim and self.hyperplanes == other.hyperplanes
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.hyperplanes))
+
+    def __repr__(self) -> str:
+        return f"Arrangement(dim={self.dim!r}, hyperplanes={self.hyperplanes!r})"
 
     @property
     def m(self) -> int:
         return len(self.hyperplanes)
 
 
-@dataclass(frozen=True)
-class Flat:
+class Flat(NamedTuple):
     """Nonempty intersection of hyperplanes, identified by its closure.
 
     Bit i of `mask` is set when hyperplane i contains the flat; the ambient
@@ -211,8 +229,7 @@ def is_general_position(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> 
     return True
 
 
-@dataclass(frozen=True)
-class IntersectionPoset:
+class IntersectionPoset(NamedTuple):
     """Flats ordered by reverse inclusion with their Moebius values.
 
     Flats are sorted by decreasing dimension (ambient space first), then by
@@ -261,10 +278,10 @@ def intersection_poset(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> I
 
     # mu(V) = 1; top-down, mu(X) = -sum of mu over flats strictly containing X,
     # the flats whose closure is a proper subset of X's.
+    masks = [flat.mask for flat in flats]
     mobius = [1]
-    for x in range(1, len(flats)):
-        mask = flats[x].mask
-        mobius.append(-sum(mu for y, mu in zip(flats, mobius) if y.mask & mask == y.mask))
+    for mask in masks[1:]:
+        mobius.append(-sum(mu for y, mu in zip(masks, mobius) if y & mask == y))
     return IntersectionPoset(arr.dim, tuple(flats), tuple(mobius))
 
 

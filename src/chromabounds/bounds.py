@@ -11,15 +11,14 @@ negative q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import CoeffSequenceError, InvariantError
 from .exactmath import IntPolynomial, binom
 from .graphs import SimpleGraph, chromatic_poly, is_forest
 
 
-@dataclass(frozen=True)
-class CoeffSequence:
+class CoeffSequence(NamedTuple):
     """Validated sign-stripped coefficients (a_0..a_r), all positive."""
 
     n: int
@@ -77,8 +76,7 @@ def partial_sum_bounds(m: int, r: int, q: int, k: int) -> tuple[int, int]:
     return binom(r + q, k), binom(m + q, k)
 
 
-@dataclass(frozen=True)
-class BoundsRecord:
+class BoundsRecord(NamedTuple):
     q: int
     k: int
     lower: int
@@ -94,14 +92,13 @@ class BoundsRecord:
         return self.lower == self.value == self.upper
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Grid of partial-sum bound checks over a window of shifts q."""
 
     seq: CoeffSequence
     q_min: int
     q_max: int
-    records: tuple[BoundsRecord, ...] = field(default_factory=tuple)
+    records: tuple[BoundsRecord, ...] = ()
 
     @property
     def all_ok(self) -> bool:
@@ -173,8 +170,7 @@ def _binomial_row(x: int, top: int) -> list[int]:
     return row
 
 
-@dataclass(frozen=True)
-class LowerBoundReport:
+class LowerBoundReport(NamedTuple):
     """Nonnegativity of the rank-weighted alternating sums, plus a_2/a_3 floors."""
 
     alternating_sums: tuple[int, ...]  # indexed by k = 0..r, each must be >= 0
@@ -251,8 +247,7 @@ def is_logconcave(s: CoeffSequence) -> bool:
     return all(s.a[i] ** 2 >= s.a[i - 1] * s.a[i + 1] for i in range(1, s.r))
 
 
-@dataclass(frozen=True)
-class ForestEquivalence:
+class ForestEquivalence(NamedTuple):
     binom_m_match: bool  # a_k == binom(m, k) for all k <= r
     binom_r_match: bool  # a_k == binom(r, k) for all k <= r
     forest: bool  # m == r

@@ -7,7 +7,6 @@ oracles: each side of an identity comes from the module that owns it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -26,27 +25,36 @@ from .graphs import (
 )
 from .nbc import circuits, nbc_counts
 
-@dataclass(eq=False)
+
 class Case:
     """A graph or arrangement under test, with the values its checks share.
 
     `orders(m)` gives the NBC ground orders (None is the identity order); it
     is called only when the NBC check applies. A graph's graphic
     arrangement is built on first use, so commands that never consult it
-    (such as `bounds`) never pay for it.
+    (such as `bounds`) never pay for it. `memo` is the chromatic memo its
+    graph polynomials share; None gives the case a fresh one.
     """
 
-    label: str
-    obj: SimpleGraph | Arrangement
-    q_min: int
-    q_max: int
-    orders: Callable[[int], Sequence[tuple[int, ...] | None]] = lambda m: [None]
-    cap_subsets: int = DEFAULT_SUBSET_GUARD
-    cap_colorings: int = DEFAULT_COLORING_CAP
-    memo: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        obj = self.obj
+    def __init__(
+        self,
+        label: str,
+        obj: SimpleGraph | Arrangement,
+        q_min: int,
+        q_max: int,
+        orders: Callable[[int], Sequence[tuple[int, ...] | None]] = lambda m: [None],
+        cap_subsets: int = DEFAULT_SUBSET_GUARD,
+        cap_colorings: int = DEFAULT_COLORING_CAP,
+        memo: dict | None = None,
+    ) -> None:
+        self.label = label
+        self.obj = obj
+        self.q_min = q_min
+        self.q_max = q_max
+        self.orders = orders
+        self.cap_subsets = cap_subsets
+        self.cap_colorings = cap_colorings
+        self.memo = {} if memo is None else memo
         self.m = obj.m
         if isinstance(obj, SimpleGraph):
             self.poly = chromatic_poly(obj, memo=self.memo)

@@ -13,9 +13,9 @@ import json
 import os
 import random
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from . import bounds as bnd
 from . import nbc as nbcmod
@@ -36,8 +36,7 @@ DEFAULT_Q_MIN = -3
 DEFAULT_Q_MAX = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     inputs: tuple[str, ...]
     q_min: int = DEFAULT_Q_MIN
@@ -46,12 +45,6 @@ class RunConfig:
     cap_colorings: int = DEFAULT_COLORING_CAP
     seed: int | None = None
     output_format: str = "text"
-
-    def __post_init__(self) -> None:
-        if self.q_min > self.q_max:
-            raise InputError("q window is empty (q_min > q_max)")
-        if self.cap_subsets <= 0 or self.cap_colorings <= 0:
-            raise InputError("caps must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +317,7 @@ def build_verify_report(config: RunConfig, num_graphs: int, max_vertices: int,
 def _emit(command: str, config: RunConfig, results: dict, violations: list) -> str:
     payload = {
         "command": command,
-        "config": asdict(config),
+        "config": config._asdict(),
         "results": results,
         "violations": violations,
     }
@@ -433,6 +426,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.q_min > args.q_max:
+        raise InputError("q window is empty (q_min > q_max)")
+    if args.cap_subsets <= 0 or args.cap_colorings <= 0:
+        raise InputError("caps must be positive")
     config = RunConfig(
         command=args.command,
         inputs=tuple([args.file] if hasattr(args, "file") else []),

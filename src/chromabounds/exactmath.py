@@ -9,7 +9,6 @@ the empty tuple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InvariantError
 
@@ -49,14 +48,34 @@ def _trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     return coeffs[:end]
 
 
-@dataclass(frozen=True)
 class IntPolynomial:
-    """Dense integer polynomial, coefficients ascending by power of t."""
+    """Dense integer polynomial, coefficients ascending by power of t. Immutable."""
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ("coeffs",)
+    coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _trim(tuple(int(c) for c in self.coeffs)))
+    def __init__(self, coeffs: tuple[int, ...] = ()) -> None:
+        object.__setattr__(self, "coeffs", _trim(tuple(int(c) for c in coeffs)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return IntPolynomial, (self.coeffs,)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __repr__(self) -> str:
+        return f"IntPolynomial(coeffs={self.coeffs!r})"
 
     @classmethod
     def zero(cls) -> "IntPolynomial":

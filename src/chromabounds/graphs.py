@@ -28,8 +28,7 @@ recurrence itself.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InputError, InvariantError, ResourceLimitError
 from .exactmath import IntPolynomial, binom
@@ -45,25 +44,46 @@ ZYKOV_DENSITY = (1, 2)
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
 class SimpleGraph:
-    """Vertices 0..n-1 plus a set of unordered edges; no loops, no multi-edges."""
+    """Vertices 0..n-1 plus a set of unordered edges; no loops, no multi-edges. Immutable."""
 
+    __slots__ = ("n", "edges")
     n: int
-    edges: frozenset[Edge] = field(default_factory=frozenset)
+    edges: frozenset[Edge]
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise InputError(f"vertex count must be nonnegative, got {self.n}")
+    def __init__(self, n: int, edges: frozenset[Edge] = frozenset()) -> None:
+        if n < 0:
+            raise InputError(f"vertex count must be nonnegative, got {n}")
         normalized = set()
-        for e in self.edges:
+        for e in edges:
             u, v = e
             if u == v:
                 raise InputError(f"loop at vertex {u} is not allowed in a simple graph")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise InputError(f"edge {e} has an endpoint outside 0..{self.n - 1}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise InputError(f"edge {e} has an endpoint outside 0..{n - 1}")
             normalized.add((u, v) if u < v else (v, u))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(normalized))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return SimpleGraph, (self.n, self.edges)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return f"SimpleGraph(n={self.n!r}, edges={self.edges!r})"
 
     @property
     def m(self) -> int:
@@ -73,8 +93,7 @@ class SimpleGraph:
         return sorted(self.edges)
 
 
-@dataclass(frozen=True)
-class GraphRankInfo:
+class GraphRankInfo(NamedTuple):
     components: int
     rank: int
 

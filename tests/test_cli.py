@@ -139,6 +139,15 @@ class TestChromaticCommand:
         assert err == b""
 
 
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # dataclasses pulls inspect, ast, dis and tokenize into every command's start-up; the package needs none of them
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = "import sys, chromabounds.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 class TestBoundsCommand:
     def test_k4_all_ok(self, write, capsys):
         assert main(["bounds", write("k4.txt", K4_TEXT)]) == 0
@@ -229,6 +238,11 @@ class TestResourceCaps:
     def test_subset_cap_exit_code(self, write):
         code = main(["nbc", write("k4.txt", K4_TEXT), "--cap-subsets", "2"])
         assert code == 3
+
+    @pytest.mark.parametrize("flag", ["--cap-subsets", "--cap-colorings"])
+    def test_nonpositive_cap_rejected(self, write, capsys, flag):
+        assert main(["bounds", write("k3.txt", K3_TEXT), flag, "0"]) == 2
+        assert "caps must be positive" in capsys.readouterr().err
 
     def test_coloring_cap_flag_accepted(self, write):
         assert main(["chromatic", write("k3.txt", K3_TEXT), "--cap-colorings", "100"]) == 0

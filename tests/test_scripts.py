@@ -44,3 +44,13 @@ def test_chromatic_growth_writes_one_row_per_graph(tmp_path):
         ("gnp", 8, 1), ("gnp", 8, 2), ("regular", 8, 1), ("regular", 8, 2), ("cycle", 6, None)]
     assert all(row["memo"] >= 1 and row["seconds"] >= 0 for row in report["rows"])
     assert [row["m"] for row in report["rows"][2:]] == [24, 24, 6]
+
+
+def test_startup_time_reports_each_series(tmp_path):
+    out = tmp_path / "startup.json"
+    text = _run("startup_time.py", "--runs", "2", "--out", str(out))
+    report = json.loads(out.read_text())
+    assert list(report["series"]) == ["pass", "source", "bytecode"]
+    assert all(s["q1_ms"] <= s["median_ms"] <= s["q3_ms"] for s in report["series"].values())
+    assert report["import_self_us"]["chromabounds.cli"] > 0
+    assert "chromabounds.cli" in text
