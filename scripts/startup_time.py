@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Time fresh interpreters that start and import `chromabounds.cli`.
+"""Time fresh interpreters that start, import `chromabounds.cli` and run commands.
 
-Each run starts three interpreters, one after another, so the three series
+Each run starts five interpreters, one after another, so the five series
 are interleaved and share the host's drift:
 
   pass      python -c pass, the interpreter alone
@@ -10,11 +10,16 @@ are interleaved and share the host's drift:
             as in a fresh checkout run with bytecode writing off
   bytecode  the same import on a second copy whose bytecode was written
             beforehand
+  bounds    python -B -m chromabounds bounds on the K4 edge list, source copy
+  nbc       python -B -m chromabounds nbc on three lines through the origin,
+            source copy
 
-Each series is reported as its median and quartiles in milliseconds, with
-the import's cost over `pass`. One further `-X importtime` run of the
-source copy gives each module's self time, the largest printed; --out
-writes everything as JSON.
+The commands' inputs are so small that the series time what a command
+loads, not what it computes. Each series is reported as its median and
+quartiles in milliseconds, with its cost over `pass`. One further
+`-X importtime` run of the source copy gives each module's self time, the
+largest printed; --out writes everything as JSON, the import series under
+"series" and the command series under "commands".
 
     PYTHONPATH=src python scripts/startup_time.py [--runs N] [--out FILE]
 """
@@ -33,6 +38,8 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "chromabounds"
 IMPORT = "import chromabounds.cli"
+K4 = "n 4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
+LINES = "dim 2\n1 0 0\n0 1 0\n1 1 0\n"
 SHOWN_MODULES = 15
 
 
@@ -84,10 +91,15 @@ def main():
         source_env = copy_package(Path(tmp) / "source")
         bytecode_env = copy_package(Path(tmp) / "bytecode")
         start(["-c", IMPORT], bytecode_env)  # writes the copy's bytecode and warms the file cache
+        k4, lines = Path(tmp) / "k4.txt", Path(tmp) / "lines.txt"
+        k4.write_text(K4)
+        lines.write_text(LINES)
         series = {
             "pass": (["-c", "pass"], os.environ),
             "source": (["-B", "-c", IMPORT], source_env),
             "bytecode": (["-c", IMPORT], bytecode_env),
+            "bounds": (["-B", "-m", "chromabounds", "bounds", str(k4)], source_env),
+            "nbc": (["-B", "-m", "chromabounds", "nbc", str(lines)], source_env),
         }
         seconds = {name: [] for name in series}
         for _ in range(args.runs):
@@ -96,8 +108,9 @@ def main():
         modules = import_self_times(source_env)
 
     summaries = {name: summary(values) for name, values in seconds.items()}
+    commands = {name: summaries.pop(name) for name in ("bounds", "nbc")}
     print(f"{'series':>9} {'median ms':>10} {'q1':>8} {'q3':>8} {'over pass':>10}  ({args.runs} runs)")
-    for name, s in summaries.items():
+    for name, s in {**summaries, **commands}.items():
         over = s["median_ms"] - summaries["pass"]["median_ms"]
         print(f"{name:>9} {s['median_ms']:>10.1f} {s['q1_ms']:>8.1f} {s['q3_ms']:>8.1f} {over:>10.1f}")
     print(f"largest module self times, one -X importtime run of the source copy (of {len(modules)} modules):")
@@ -110,6 +123,7 @@ def main():
                 "machine": platform.machine(),
                 "runs": args.runs,
                 "series": summaries,
+                "commands": commands,
                 "import_self_us": modules,
             }, fh, indent=2)
             fh.write("\n")

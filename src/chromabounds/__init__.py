@@ -4,62 +4,27 @@ Everything computes over arbitrary-precision integers and rationals; no
 floating point is used anywhere.
 """
 
-from .arrangements import (
-    Arrangement,
-    Flat,
-    Hyperplane,
-    IntersectionPoset,
-    boolean_char_poly,
-    char_poly,
-    char_poly_whitney,
-    decone,
-    delete,
-    essentialize,
-    flat_of,
-    general_position_char_poly,
-    graphic_arrangement,
-    intersection_poset,
-    is_boolean,
-    is_central,
-    is_general_position,
-    rank,
-    restrict,
-)
-from .bounds import (
-    BoundsRecord,
-    BoundsReport,
-    CoeffSequence,
-    ForestEquivalence,
-    LowerBoundReport,
-    check_coefficient_lower_bounds,
-    coeff_sequence,
-    divided_difference,
-    divided_difference_formula,
-    divided_difference_iter,
-    forest_equivalence,
-    is_logconcave,
-    partial_binomial_sum,
-    partial_sum_bounds,
-    verify_bounds,
-)
-from .errors import CoeffSequenceError, InputError, InvariantError, ResourceLimitError
-from .exactmath import IntPolynomial, binom, vandermonde_sum
-from .graphs import (
-    GraphRankInfo,
-    SimpleGraph,
-    chromatic_poly,
-    chromatic_poly_interpolated,
-    complete,
-    complete_bipartite,
-    contract_edge,
-    count_colorings,
-    cycle,
-    delete_edge,
-    is_forest,
-    path,
-    rank_info,
-)
-from .nbc import broken_circuits, circuits, default_order, is_dependent, nbc_counts
+# The public names by home module. A name is imported from its module on
+# first access, so `import chromabounds` (and `python -m chromabounds`, which
+# runs it before the command line) loads no module that a command never runs.
+_HOME = {
+    name: module
+    for module, names in (
+        ("arrangements", "Arrangement Flat Hyperplane IntersectionPoset boolean_char_poly char_poly "
+                         "char_poly_whitney decone delete essentialize flat_of general_position_char_poly "
+                         "graphic_arrangement intersection_poset is_boolean is_central is_general_position "
+                         "rank restrict"),
+        ("bounds", "BoundsRecord BoundsReport CoeffSequence LowerBoundReport check_coefficient_lower_bounds "
+                   "coeff_sequence divided_difference divided_difference_formula divided_difference_iter "
+                   "is_logconcave partial_binomial_sum partial_sum_bounds verify_bounds"),
+        ("errors", "CoeffSequenceError InputError InvariantError ResourceLimitError"),
+        ("exactmath", "IntPolynomial binom vandermonde_sum"),
+        ("graphs", "GraphRankInfo SimpleGraph chromatic_poly chromatic_poly_interpolated complete "
+                   "complete_bipartite contract_edge count_colorings cycle delete_edge is_forest path rank_info"),
+        ("nbc", "broken_circuits circuits default_order is_dependent nbc_counts"),
+    )
+    for name in names.split()
+}
 
 __all__ = [
     "Arrangement",
@@ -68,7 +33,6 @@ __all__ = [
     "CoeffSequence",
     "CoeffSequenceError",
     "Flat",
-    "ForestEquivalence",
     "GraphRankInfo",
     "Hyperplane",
     "InputError",
@@ -102,7 +66,6 @@ __all__ = [
     "divided_difference_iter",
     "essentialize",
     "flat_of",
-    "forest_equivalence",
     "general_position_char_poly",
     "graphic_arrangement",
     "intersection_poset",
@@ -121,3 +84,17 @@ __all__ = [
     "restrict",
     "verify_bounds",
 ]
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

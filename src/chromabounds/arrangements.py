@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import InputError, ResourceLimitError
+from .errors import DEFAULT_SUBSET_GUARD, InputError, ResourceLimitError
 from .exactmath import IntPolynomial, binom
-from .graphs import SimpleGraph
 from .linalg import Row, echelon, residual
 
-DEFAULT_SUBSET_GUARD = 20
+if TYPE_CHECKING:
+    from .graphs import SimpleGraph
 
 
 class Hyperplane(NamedTuple):

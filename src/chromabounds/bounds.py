@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import CoeffSequenceError, InvariantError
+from .errors import CoeffSequenceError
 from .exactmath import IntPolynomial, binom
-from .graphs import SimpleGraph, chromatic_poly, is_forest
 
 
 class CoeffSequence(NamedTuple):
@@ -245,24 +244,3 @@ def divided_difference_formula(s: CoeffSequence, j: int) -> IntPolynomial:
 def is_logconcave(s: CoeffSequence) -> bool:
     """a_i^2 >= a_{i-1} a_{i+1} for the interior indices (diagnostic only)."""
     return all(s.a[i] ** 2 >= s.a[i - 1] * s.a[i + 1] for i in range(1, s.r))
-
-
-class ForestEquivalence(NamedTuple):
-    binom_m_match: bool  # a_k == binom(m, k) for all k <= r
-    binom_r_match: bool  # a_k == binom(r, k) for all k <= r
-    forest: bool  # m == r
-
-
-def forest_equivalence(g: SimpleGraph) -> ForestEquivalence:
-    """Evaluate the three equivalent forest characterizations and insist they agree."""
-    p = chromatic_poly(g)
-    s = coeff_sequence(p, g.m)
-    binom_m = all(s.a[k] == binom(s.m, k) for k in range(s.r + 1))
-    binom_r = all(s.a[k] == binom(s.r, k) for k in range(s.r + 1))
-    forest = is_forest(g)
-    if not (binom_m == binom_r == forest):
-        raise InvariantError(
-            f"forest equivalence broken on n={g.n}, edges={sorted(g.edges)}: "
-            f"({binom_m}, {binom_r}, {forest})"
-        )
-    return ForestEquivalence(binom_m_match=binom_m, binom_r_match=binom_r, forest=forest)

@@ -11,17 +11,18 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .arrangements import (
-    DEFAULT_SUBSET_GUARD, Arrangement, boolean_char_poly, char_poly, char_poly_whitney, decone,
-    delete, essentialize, general_position_char_poly, graphic_arrangement, is_boolean, is_central,
-    is_general_position, rank, restrict,
+    Arrangement, boolean_char_poly, char_poly, char_poly_whitney, decone, delete, essentialize,
+    general_position_char_poly, graphic_arrangement, is_boolean, is_central, is_general_position, rank,
+    restrict,
 )
 from .bounds import (
     check_coefficient_lower_bounds, coeff_sequence, divided_difference, divided_difference_formula,
     divided_difference_iter, is_logconcave, verify_bounds,
 )
+from .errors import DEFAULT_COLORING_CAP, DEFAULT_SUBSET_GUARD
 from .graphs import (
-    DEFAULT_COLORING_CAP, SimpleGraph, chromatic_poly, chromatic_poly_interpolated, contract_edge,
-    delete_edge, is_forest, rank_info,
+    SimpleGraph, chromatic_poly, chromatic_poly_interpolated, contract_edge, delete_edge, is_forest,
+    rank_info,
 )
 from .nbc import circuits, nbc_counts
 
@@ -31,8 +32,7 @@ class Case:
 
     `orders(m)` gives the NBC ground orders (None is the identity order); it
     is called only when the NBC check applies. A graph's graphic
-    arrangement is built on first use, so commands that never consult it
-    (such as `bounds`) never pay for it. `memo` is the chromatic memo its
+    arrangement is built on first use. `memo` is the chromatic memo its
     graph polynomials share; None gives the case a fresh one.
     """
 

@@ -1,5 +1,9 @@
 """Command-line front end: parse inputs, run computations, emit text or JSON.
 
+Each command imports the modules it runs when it runs them: a graph
+command never loads `arrangements`, `linalg` or `nbc`, and only `verify`
+loads `checks` and `corpus`.
+
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 resource
 cap exceeded; a reader closing stdout early is not a failure (exit 0).
 JSON reports keep every potentially large integer as a decimal string so
@@ -13,24 +17,17 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import bounds as bnd
-from . import nbc as nbcmod
-from .arrangements import DEFAULT_SUBSET_GUARD, Arrangement, Hyperplane, char_poly, decone, graphic_arrangement
-from .checks import ARRANGEMENT_CHECKS, GRAPH_CHECKS, LINEAR_CENTRAL_CHECKS, Case, Check, run_checks
-from .corpus import (
-    linear_central_corpus,
-    named_graphs,
-    random_arrangements,
-    random_graphs,
-    random_order,
-)
-from .errors import InputError, InvariantError, ResourceLimitError
-from .exactmath import IntPolynomial
-from .graphs import DEFAULT_COLORING_CAP, SimpleGraph, chromatic_poly, rank_info
+from .errors import DEFAULT_COLORING_CAP, DEFAULT_SUBSET_GUARD, InputError, InvariantError, ResourceLimitError
+
+if TYPE_CHECKING:
+    from .arrangements import Arrangement
+    from .checks import Check
+    from .exactmath import IntPolynomial
+    from .graphs import SimpleGraph
 
 DEFAULT_Q_MIN = -3
 DEFAULT_Q_MAX = 3
@@ -64,15 +61,17 @@ def _meaningful_lines(text: str) -> list[tuple[int, str]]:
 
 def parse_graph_text(text: str, source: str = "<input>") -> SimpleGraph:
     """Edge-list format ("n N" header, 0-based "u v" lines) or DIMACS .col."""
+    from .graphs import SimpleGraph
+
     lines = _meaningful_lines(text)
     if not lines:
         raise InputError(f"{source}: empty graph file")
-    if any(line.split()[0] == "p" for _, line in lines):
-        return _parse_dimacs(lines, source)
-    return _parse_edge_list(lines, source)
+    parse = _parse_dimacs if any(line.split()[0] == "p" for _, line in lines) else _parse_edge_list
+    n, edges = parse(lines, source)
+    return SimpleGraph(n, frozenset(edges))
 
 
-def _parse_edge_list(lines: list[tuple[int, str]], source: str) -> SimpleGraph:
+def _parse_edge_list(lines: list[tuple[int, str]], source: str) -> tuple[int, set[tuple[int, int]]]:
     lineno, header = lines[0]
     parts = header.split()
     if len(parts) != 2 or parts[0] != "n":
@@ -81,11 +80,10 @@ def _parse_edge_list(lines: list[tuple[int, str]], source: str) -> SimpleGraph:
         n = int(parts[1])
     except ValueError:
         raise InputError(f"{source}:{lineno}: vertex count '{parts[1]}' is not an integer")
-    edges = _collect_edges(lines[1:], n, source, one_based=False)
-    return SimpleGraph(n, frozenset(edges))
+    return n, _collect_edges(lines[1:], n, source, one_based=False)
 
 
-def _parse_dimacs(lines: list[tuple[int, str]], source: str) -> SimpleGraph:
+def _parse_dimacs(lines: list[tuple[int, str]], source: str) -> tuple[int, set[tuple[int, int]]]:
     n = None
     edge_lines = []
     for lineno, line in lines:
@@ -106,8 +104,7 @@ def _parse_dimacs(lines: list[tuple[int, str]], source: str) -> SimpleGraph:
             raise InputError(f"{source}:{lineno}: unrecognized DIMACS line '{line}'")
     if n is None:
         raise InputError(f"{source}: DIMACS file has no 'p edge' line")
-    edges = _collect_edges(edge_lines, n, source, one_based=True)
-    return SimpleGraph(n, frozenset(edges))
+    return n, _collect_edges(edge_lines, n, source, one_based=True)
 
 
 def _collect_edges(
@@ -137,6 +134,10 @@ def _collect_edges(
 
 def parse_arrangement_text(text: str, source: str = "<input>") -> Arrangement:
     """One hyperplane per line: n rational coordinates then the offset."""
+    from fractions import Fraction
+
+    from .arrangements import Arrangement, Hyperplane
+
     lines = _meaningful_lines(text)
     if not lines:
         raise InputError(f"{source}: empty arrangement file")
@@ -183,6 +184,15 @@ def parse_input_file(path: str) -> SimpleGraph | Arrangement:
     raise InputError(f"{path}: unrecognized header '{lines[0][1]}'")
 
 
+def _is_graph(obj: SimpleGraph | Arrangement) -> bool:
+    """Whether a parsed input is a graph, without loading `graphs` for an arrangement.
+
+    Only parsing a graph loads `graphs`, so while it is not loaded no input is a graph.
+    """
+    graphs = sys.modules.get(f"{__package__}.graphs")
+    return graphs is not None and isinstance(obj, graphs.SimpleGraph)
+
+
 def format_arrangement(arr: Arrangement) -> str:
     lines = [f"dim {arr.dim}"]
     for h in arr.hyperplanes:
@@ -215,7 +225,26 @@ def _record_json(rec: bnd.BoundsRecord) -> dict:
     }
 
 
+def _as_arrangement(obj: SimpleGraph | Arrangement) -> Arrangement:
+    from .arrangements import graphic_arrangement
+
+    return graphic_arrangement(obj) if _is_graph(obj) else obj
+
+
+def _polynomial(obj: SimpleGraph | Arrangement, cap_subsets: int) -> IntPolynomial:
+    """The chromatic polynomial of a graph, the characteristic polynomial of an arrangement."""
+    if _is_graph(obj):
+        from .graphs import chromatic_poly
+
+        return chromatic_poly(obj)
+    from .arrangements import char_poly
+
+    return char_poly(obj, guard=cap_subsets)
+
+
 def build_chromatic_report(g: SimpleGraph) -> dict:
+    from .graphs import chromatic_poly, rank_info
+
     p = chromatic_poly(g)
     info = rank_info(g)
     s = bnd.coeff_sequence(p, g.m)
@@ -231,34 +260,41 @@ def build_chromatic_report(g: SimpleGraph) -> dict:
 
 
 def build_bounds_report(obj: SimpleGraph | Arrangement, config: RunConfig) -> dict:
-    case = Case(config.inputs[0], obj, config.q_min, config.q_max, cap_subsets=config.cap_subsets)
+    poly = _polynomial(obj, config.cap_subsets)
+    seq = bnd.coeff_sequence(poly, obj.m)
+    report = bnd.verify_bounds(seq, config.q_min, config.q_max)
     return {
-        "polynomial": str(case.poly),
-        "sequence": _seq_json(case.seq),
-        "records": [_record_json(rec) for rec in case.bounds.records],
-        "all_ok": case.bounds.all_ok,
-        "all_tight": case.bounds.all_tight,
-        "violations": [_record_json(rec) for rec in case.bounds.violations],
+        "polynomial": str(poly),
+        "sequence": _seq_json(seq),
+        "records": [_record_json(rec) for rec in report.records],
+        "all_ok": report.all_ok,
+        "all_tight": report.all_tight,
+        "violations": [_record_json(rec) for rec in report.violations],
     }
 
 
 def build_nbc_report(
     obj: SimpleGraph | Arrangement, order: tuple[int, ...] | None, config: RunConfig
 ) -> dict:
-    case = Case(config.inputs[0], obj, config.q_min, config.q_max, cap_subsets=config.cap_subsets)
-    counts = nbcmod.nbc_counts(case.arrangement, order=order, guard=config.cap_subsets)
-    rows = [{"k": k, "nbc_count": str(counts[k]), "abs_coefficient": str(case.seq.a[k]),
-             "match": counts[k] == case.seq.a[k]} for k in range(case.seq.r + 1)]
+    from .nbc import nbc_counts
+
+    poly = _polynomial(obj, config.cap_subsets)
+    seq = bnd.coeff_sequence(poly, obj.m)
+    counts = nbc_counts(_as_arrangement(obj), order=order, guard=config.cap_subsets)
+    rows = [{"k": k, "nbc_count": str(counts[k]), "abs_coefficient": str(seq.a[k]),
+             "match": counts[k] == seq.a[k]} for k in range(seq.r + 1)]
     return {
-        "polynomial": str(case.poly),
-        "order": list(order) if order is not None else list(range(case.m)),
+        "polynomial": str(poly),
+        "order": list(order) if order is not None else list(range(obj.m)),
         "rows": rows,
         "all_match": all(row["match"] for row in rows),
     }
 
 
 def build_decone_report(obj: SimpleGraph | Arrangement, k0: int, config: RunConfig) -> dict:
-    arr = graphic_arrangement(obj) if isinstance(obj, SimpleGraph) else obj
+    from .arrangements import char_poly, decone
+
+    arr = _as_arrangement(obj)
     if not 0 <= k0 < arr.m:
         raise InputError(f"hyperplane index {k0} out of range for m={arr.m}")
     deconed = decone(arr, k0)
@@ -281,6 +317,9 @@ def build_decone_report(obj: SimpleGraph | Arrangement, k0: int, config: RunConf
 
 def build_verify_report(config: RunConfig, num_graphs: int, max_vertices: int,
                         num_arrangements: int, max_dim: int, max_hyperplanes: int) -> tuple[dict, list[dict]]:
+    from .checks import ARRANGEMENT_CHECKS, GRAPH_CHECKS, LINEAR_CENTRAL_CHECKS, Case, run_checks
+    from .corpus import linear_central_corpus, named_graphs, random_arrangements, random_graphs, random_order
+
     rng = random.Random(config.seed if config.seed is not None else 0)
     outcomes: list[tuple[str, str, bool, str]] = []
 
@@ -378,7 +417,9 @@ def _parse_order_flag(raw: str | None, m: int) -> tuple[int, ...] | None:
         order = tuple(int(tok) for tok in raw.split(","))
     except ValueError:
         raise InputError(f"--order '{raw}' is not a comma-separated integer list")
-    return nbcmod._validate_order(order, m)
+    from .nbc import _validate_order
+
+    return _validate_order(order, m)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -444,7 +485,7 @@ def run(argv: list[str] | None = None) -> int:
     violations: list = []
     if args.command == "chromatic":
         obj = parse_input_file(args.file)
-        if not isinstance(obj, SimpleGraph):
+        if not _is_graph(obj):
             raise InputError(f"{args.file}: 'chromatic' expects a graph file")
         results = build_chromatic_report(obj)
         printer = _print_text_chromatic

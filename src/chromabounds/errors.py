@@ -2,7 +2,12 @@
 
 The CLI maps these onto process exit codes: InputError -> 2,
 ResourceLimitError -> 3, InvariantError (and report-level violations) -> 1.
+The default caps live here too, beside the error they raise, so that the
+command line can offer them without loading the modules they guard.
 """
+
+DEFAULT_SUBSET_GUARD = 20  # hyperplanes or edges a subset enumeration may range over
+DEFAULT_COLORING_CAP = 10**8  # n^2 * 2^n steps the coloring oracle may take
 
 
 class InputError(Exception):

@@ -30,10 +30,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import InputError, InvariantError, ResourceLimitError
+from .errors import DEFAULT_COLORING_CAP, InputError, InvariantError, ResourceLimitError
 from .exactmath import IntPolynomial, binom
-
-DEFAULT_COLORING_CAP = 10**8
 
 # A component expands by addition-contraction when at least this share of
 # its vertex pairs, as (numerator, denominator), are adjacent, and by

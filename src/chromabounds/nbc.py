@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .arrangements import DEFAULT_SUBSET_GUARD, Arrangement, _check_guard, _rank, _subset_walk
-from .errors import InputError
+from .arrangements import Arrangement, _check_guard, _rank, _subset_walk
+from .errors import DEFAULT_SUBSET_GUARD, InputError
 
 GroundOrder = tuple[int, ...]
 

@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from chromabounds import (
     CoeffSequence,
     CoeffSequenceError,
     IntPolynomial,
+    InvariantError,
     SimpleGraph,
     binom,
     check_coefficient_lower_bounds,
@@ -15,13 +18,34 @@ from chromabounds import (
     divided_difference,
     divided_difference_formula,
     divided_difference_iter,
-    forest_equivalence,
+    is_forest,
     is_logconcave,
     partial_binomial_sum,
     partial_sum_bounds,
     path,
     verify_bounds,
 )
+
+
+class ForestEquivalence(NamedTuple):
+    binom_m_match: bool  # a_k == binom(m, k) for all k <= r
+    binom_r_match: bool  # a_k == binom(r, k) for all k <= r
+    forest: bool  # m == r
+
+
+def forest_equivalence(g):
+    """Evaluate the three equivalent forest characterizations and insist they agree."""
+    s = coeff_sequence(chromatic_poly(g), g.m)
+    binom_m = all(s.a[k] == binom(s.m, k) for k in range(s.r + 1))
+    binom_r = all(s.a[k] == binom(s.r, k) for k in range(s.r + 1))
+    forest = is_forest(g)
+    if not (binom_m == binom_r == forest):
+        raise InvariantError(
+            f"forest equivalence broken on n={g.n}, edges={sorted(g.edges)}: "
+            f"({binom_m}, {binom_r}, {forest})"
+        )
+    return ForestEquivalence(binom_m_match=binom_m, binom_r_match=binom_r, forest=forest)
+
 
 K3_SEQ = CoeffSequence(n=3, m=3, r=2, a=(1, 3, 2))
 K4_SEQ = CoeffSequence(n=4, m=6, r=3, a=(1, 6, 11, 6))

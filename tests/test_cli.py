@@ -6,20 +6,31 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chromabounds import Arrangement, InputError, IntPolynomial, SimpleGraph, checks, graphic_arrangement
+from chromabounds import (
+    Arrangement, InputError, IntPolynomial, SimpleGraph, arrangements, checks, graphic_arrangement, nbc_counts,
+)
 from chromabounds.cli import (
+    RunConfig,
+    _record_json,
+    _seq_json,
+    build_bounds_report,
+    build_nbc_report,
     main,
     parse_arrangement_text,
     parse_graph_text,
     parse_input_file,
 )
+from strategies import small_graphs, walk_arrangements
 
 K3_TEXT = "n 3\n0 1\n0 2\n1 2\n"
 K4_TEXT = "n 4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 PATH4_TEXT = "n 4\n0 1\n1 2\n2 3\n"
 GENERIC_LINES_TEXT = "dim 2\n1 0 0\n0 1 0\n1 1 1\n"
 PARALLEL_TEXT = "dim 2\n1 0 0\n1 0 1\n"
+LINEAR_LINES_TEXT = "dim 2\n1 0 0\n0 1 0\n1 1 0\n"
 DIMACS_TEXT = "c a triangle\np edge 3 3\ne 1 2\ne 1 3\ne 2 3\n"
 LONG = 1200
 ROOT = Path(__file__).resolve().parent.parent
@@ -148,6 +159,39 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     assert proc.stdout == "[]\n"
 
 
+# Runs each command with stdout captured, then prints the package modules loaded by
+# `import chromabounds` alone and by the end, with `fractions` among the latter.
+STARTUP_PROBE = """
+import contextlib, io, json, sys
+import chromabounds
+package_alone = [name for name in sys.modules if name.startswith("chromabounds.")]
+from chromabounds import cli
+for command in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(command) == 0, command
+loaded = [name.split(".")[-1] for name in sys.modules if name.startswith("chromabounds.") or name == "fractions"]
+print(json.dumps([package_alone, sorted(loaded)]))
+"""
+
+
+@pytest.mark.parametrize("text, commands, absent", [
+    (None, [], {"graphs", "arrangements", "linalg", "nbc", "checks", "corpus"}),
+    (K4_TEXT, [["bounds"], ["chromatic"]], {"arrangements", "linalg", "nbc", "checks", "corpus", "fractions"}),
+    (LINEAR_LINES_TEXT, [["nbc"], ["decone", "0"]], {"graphs", "checks", "corpus"}),
+], ids=["import", "graph", "arrangement"])
+def test_each_command_loads_only_the_modules_it_runs(write, text, commands, absent):
+    # every process compiles what it imports when bytecode writing is off, so an unused module costs start-up
+    path = write("input.txt", text) if text is not None else None
+    argv = [[command[0], path, *command[1:]] for command in commands]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", STARTUP_PROBE, json.dumps(argv)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    package_alone, loaded = json.loads(proc.stdout)
+    assert package_alone == []
+    assert "cli" in loaded and not absent & set(loaded)
+
+
 class TestBoundsCommand:
     def test_k4_all_ok(self, write, capsys):
         assert main(["bounds", write("k4.txt", K4_TEXT)]) == 0
@@ -189,9 +233,49 @@ class TestBoundsCommand:
             calls.append(g)
             return graphic_arrangement(g)
 
-        monkeypatch.setattr(checks, "graphic_arrangement", counting)
+        monkeypatch.setattr(arrangements, "graphic_arrangement", counting)
         assert main([command, write("k4.txt", K4_TEXT)]) == 0
         assert len(calls) == builds
+
+
+def case_bounds_report(obj, config):
+    """`build_bounds_report` as it was built on `checks.Case`, the reference for the direct path."""
+    case = checks.Case(config.inputs[0], obj, config.q_min, config.q_max, cap_subsets=config.cap_subsets)
+    return {
+        "polynomial": str(case.poly),
+        "sequence": _seq_json(case.seq),
+        "records": [_record_json(rec) for rec in case.bounds.records],
+        "all_ok": case.bounds.all_ok,
+        "all_tight": case.bounds.all_tight,
+        "violations": [_record_json(rec) for rec in case.bounds.violations],
+    }
+
+
+def case_nbc_report(obj, order, config):
+    """`build_nbc_report` as it was built on `checks.Case`, the reference for the direct path."""
+    case = checks.Case(config.inputs[0], obj, config.q_min, config.q_max, cap_subsets=config.cap_subsets)
+    counts = nbc_counts(case.arrangement, order=order, guard=config.cap_subsets)
+    rows = [{"k": k, "nbc_count": str(counts[k]), "abs_coefficient": str(case.seq.a[k]),
+             "match": counts[k] == case.seq.a[k]} for k in range(case.seq.r + 1)]
+    return {
+        "polynomial": str(case.poly),
+        "order": list(order) if order is not None else list(range(case.m)),
+        "rows": rows,
+        "all_match": all(row["match"] for row in rows),
+    }
+
+
+class TestDirectReports:
+    """`bounds` and `nbc` build their reports without `checks.Case`, and give the same ones."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(small_graphs(), walk_arrangements), st.integers(-4, 2), st.integers(0, 4), st.randoms())
+    def test_same_reports_as_through_case(self, obj, q_min, width, rng):
+        config = RunConfig(command="bounds", inputs=("<input>",), q_min=q_min, q_max=q_min + width)
+        assert build_bounds_report(obj, config) == case_bounds_report(obj, config)
+        order = tuple(rng.sample(range(obj.m), obj.m))
+        for chosen in (None, order):
+            assert build_nbc_report(obj, chosen, config) == case_nbc_report(obj, chosen, config)
 
 
 class TestNbcCommand:

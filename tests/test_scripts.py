@@ -54,3 +54,12 @@ def test_startup_time_reports_each_series(tmp_path):
     assert all(s["q1_ms"] <= s["median_ms"] <= s["q3_ms"] for s in report["series"].values())
     assert report["import_self_us"]["chromabounds.cli"] > 0
     assert "chromabounds.cli" in text
+
+
+def test_startup_time_times_each_command(tmp_path):
+    out = tmp_path / "startup.json"
+    text = _run("startup_time.py", "--runs", "2", "--out", str(out))
+    commands = json.loads(out.read_text())["commands"]
+    assert list(commands) == ["bounds", "nbc"]
+    assert all(s["q1_ms"] <= s["median_ms"] <= s["q3_ms"] for s in commands.values())
+    assert "bounds" in text and "nbc" in text
