@@ -1,12 +1,13 @@
 """Rational affine hyperplane arrangements and their characteristic polynomials.
 
-Hyperplanes are canonicalized (primitive integer normal, first nonzero
-entry positive) so equality and deduplication are structural. A flat is
-identified by its closure, the bitmask of the hyperplanes containing it,
-so flat equality and containment are bit operations. The
-characteristic polynomial is computed from the intersection poset's
-Moebius values, with an independent signed-subset expansion
-(`char_poly_whitney`) as a cross-check.
+A hyperplane is one primitive integer row (normal | offset) with a
+canonical sign, so equality and deduplication are structural and all the
+arithmetic is on integers. Restriction and deconing are one elimination
+step on these rows. A flat is identified by its closure, the bitmask of
+the hyperplanes containing it, so flat equality and containment are bit
+operations. The characteristic polynomial is computed from the
+intersection poset's Moebius values, with an independent signed-subset
+expansion (`char_poly_whitney`) as a cross-check.
 
 The sweeps over subsets of hyperplanes (`char_poly_whitney`,
 `is_general_position`, and the circuit and NBC sweeps of the nbc module)
@@ -21,8 +22,7 @@ Moebius and Whitney routes stay independent.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
+from math import gcd, lcm
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DEFAULT_SUBSET_GUARD, InputError, ResourceLimitError
@@ -30,42 +30,87 @@ from .exactmath import IntPolynomial, binom
 from .linalg import Row, echelon, residual
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .graphs import SimpleGraph
 
 
-class Hyperplane(NamedTuple):
-    """The affine locus normal . x = offset, in canonical form."""
+class Hyperplane:
+    """The affine locus normal . x = offset, as one integer row (normal | offset). Immutable.
 
-    normal: tuple[int, ...]
-    offset: Fraction
+    The row is scaled to integers by the offset's denominator, made
+    primitive, and signed so that its first nonzero entry, which lies in the
+    normal, is positive. Rows that are nonzero multiples of each other give
+    equal hyperplanes.
+    """
+
+    __slots__ = ("row",)
+    row: Row
+
+    def __init__(self, row: Sequence[int]) -> None:
+        for first in row[:-1]:
+            if first:
+                break
+        else:
+            raise InputError("hyperplane normal must be nonzero")
+        g = gcd(*row) if first > 0 else -gcd(*row)
+        object.__setattr__(self, "row", tuple(row) if g == 1 else tuple([x // g for x in row]))
 
     @classmethod
     def make(cls, normal: Sequence[Fraction | int], offset: Fraction | int = 0) -> "Hyperplane":
-        coeffs = [Fraction(x) for x in normal]
-        if all(c == 0 for c in coeffs):
-            raise InputError("hyperplane normal must be nonzero")
-        scale = Fraction(math.lcm(*(c.denominator for c in coeffs)))
-        ints = [int(c * scale) for c in coeffs]
-        g = math.gcd(*ints)
-        scale /= g
-        ints = [x // g for x in ints]
-        first = next(x for x in ints if x != 0)
-        if first < 0:
-            scale = -scale
-            ints = [-x for x in ints]
-        return cls(tuple(ints), Fraction(offset) * scale)
+        """The hyperplane normal . x = offset, from ints or any values `Fraction` accepts."""
+        row = [*normal, offset]
+        if not all(type(x) is int for x in row):
+            from fractions import Fraction
+
+            values = [Fraction(x) for x in row]
+            scale = lcm(*(v.denominator for v in values))
+            row = [v.numerator * (scale // v.denominator) for v in values]
+        return cls(row)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return Hyperplane, (self.row,)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.row == other.row
+
+    def __hash__(self) -> int:
+        return hash((self.row,))
+
+    def __repr__(self) -> str:
+        return f"Hyperplane(row={self.row!r})"
 
     @property
     def dim(self) -> int:
-        return len(self.normal)
+        return len(self.row) - 1
+
+    @property
+    def normal(self) -> tuple[int, ...]:
+        """Primitive integer normal, first nonzero entry positive."""
+        g = gcd(*self.row[:-1])
+        return tuple([x // g for x in self.row[:-1]])
+
+    @property
+    def offset(self) -> Fraction:
+        """Right-hand side for the primitive normal."""
+        from fractions import Fraction
+
+        return Fraction(self.row[-1], gcd(*self.row[:-1]))
 
     def is_linear(self) -> bool:
-        return self.offset == 0
+        return not self.row[-1]
 
     def augmented_row(self) -> Row:
         """Primitive integer row (normal | offset), scaled by the offset's denominator."""
-        d = self.offset.denominator
-        return tuple(d * x for x in self.normal) + (self.offset.numerator,)
+        return self.row
 
 
 class Arrangement:
@@ -130,7 +175,7 @@ def _meets_nowhere(row: Row) -> bool:
 
 def _rank(arr: Arrangement, indices: Iterable[int]) -> int | None:
     """Rank of the chosen hyperplanes; None when they have no common point."""
-    basis = echelon(arr.hyperplanes[i].augmented_row() for i in indices)
+    basis = echelon(arr.hyperplanes[i].row for i in indices)
     return None if any(_meets_nowhere(b) for b in basis) else len(basis)
 
 
@@ -151,7 +196,7 @@ def _subset_walk(
     an empty intersection. `admit(mask, i)`, when given, is asked before
     the residual whether the child `mask` grown by index i is visited at all.
     """
-    rows = [h.augmented_row() for h in arr.hyperplanes]
+    rows = [h.row for h in arr.hyperplanes]
     m = arr.m
     stack: list[tuple[int, int, int, tuple[Row, ...]]] = [(0, 0, 0, ())]  # mask, next index, size, basis
     while stack:
@@ -174,7 +219,7 @@ def _subset_walk(
 
 def rank(arr: Arrangement) -> int:
     """Dimension of the span of the normal vectors (exact elimination)."""
-    return len(echelon(h.normal for h in arr.hyperplanes))
+    return len(echelon(h.row[:-1] for h in arr.hyperplanes))
 
 
 def flat_of(arr: Arrangement, subset: Iterable[int]) -> Flat | None:
@@ -185,12 +230,12 @@ def flat_of(arr: Arrangement, subset: Iterable[int]) -> Flat | None:
     indices = sorted(set(subset))
     if indices and not (0 <= indices[0] and indices[-1] < arr.m):
         raise InputError(f"hyperplane indices {indices} out of range for m={arr.m}")
-    basis = echelon(arr.hyperplanes[i].augmented_row() for i in indices)
+    basis = echelon(arr.hyperplanes[i].row for i in indices)
     if any(_meets_nowhere(b) for b in basis):
         return None
     mask = 0
     for j, h in enumerate(arr.hyperplanes):
-        if not any(residual(h.augmented_row(), basis)):
+        if not any(residual(h.row, basis)):
             mask |= 1 << j
     return Flat(arr.dim - len(basis), mask)
 
@@ -254,7 +299,7 @@ def intersection_poset(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> I
     """
     _check_guard(arr, guard)
     flats = [Flat(arr.dim, 0)]
-    layer = {0: {j: h.augmented_row() for j, h in enumerate(arr.hyperplanes)}}
+    layer = {0: {j: h.row for j, h in enumerate(arr.hyperplanes)}}
     for dim in range(arr.dim - 1, -1, -1):
         found: dict[int, dict[int, Row]] = {}
         for mask, residuals in layer.items():
@@ -316,66 +361,46 @@ def delete(arr: Arrangement, h: int) -> Arrangement:
     return Arrangement(arr.dim, hyps)
 
 
-def _affine_chart(target: Hyperplane) -> tuple[tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]:
-    """Deterministic parametrization x = p + sum u_c v_c of a hyperplane.
+def _restrict_rows(rows: Iterable[Row], target: Row) -> Arrangement:
+    """Intersect each row's hyperplane with the hyperplane of `target`, one dimension down.
 
-    Derived from the canonical form: the pivot coordinate is the first
-    nonzero normal entry; the free coordinates, in increasing order, carry
-    the chart's basis vectors.
+    With j0 the first nonzero normal entry of `target`, the step
+    target[j0] * row - row[j0] * target clears column j0; the other columns,
+    in increasing order, are the coordinates on the target hyperplane, and
+    `Hyperplane` makes the result primitive. A result with a zero normal is parallel to the target and misses it, so it
+    is dropped; coincident restrictions collapse through Arrangement
+    deduplication.
     """
-    n = target.dim
-    j0 = next(i for i, x in enumerate(target.normal) if x != 0)
-    a0 = Fraction(target.normal[j0])
-    point = [Fraction(0)] * n
-    point[j0] = target.offset / a0
-    basis = []
-    for c in range(n):
-        if c == j0:
-            continue
-        v = [Fraction(0)] * n
-        v[c] = Fraction(1)
-        v[j0] = -Fraction(target.normal[c]) / a0
-        basis.append(tuple(v))
-    return tuple(point), tuple(basis)
-
-
-def _restrict_onto(hyps: Iterable[Hyperplane], target: Hyperplane) -> Arrangement:
-    """Pull hyperplanes back to the chart coordinates of `target`.
-
-    Empty intersections (parallel hyperplanes) are dropped; coincident
-    restrictions collapse through Arrangement deduplication.
-    """
-    point, basis = _affine_chart(target)
+    j0 = next(j for j, x in enumerate(target) if x)
+    p = target[j0]
     restricted: list[Hyperplane] = []
-    for h in hyps:
-        new_normal = tuple(
-            sum(Fraction(b) * v[i] for i, b in enumerate(h.normal)) for v in basis
-        )
-        new_offset = h.offset - sum(Fraction(b) * point[i] for i, b in enumerate(h.normal))
-        if all(x == 0 for x in new_normal):
-            assert new_offset != 0, "coincident hyperplane slipped past deduplication"
-            continue
-        restricted.append(Hyperplane.make(new_normal, new_offset))
-    return Arrangement(target.dim - 1, tuple(restricted))
+    for row in rows:
+        f = row[j0]
+        out = [p * x - f * y for x, y in zip(row, target)]
+        del out[j0]
+        if any(out[:-1]):
+            restricted.append(Hyperplane(out))
+        else:
+            assert out[-1], "coincident hyperplane slipped past deduplication"
+    return Arrangement(len(target) - 2, tuple(restricted))
 
 
 def restrict(arr: Arrangement, h: int) -> Arrangement:
     """Restriction: intersect every other hyperplane with hyperplane h."""
     if not 0 <= h < arr.m:
         raise InputError(f"hyperplane index {h} out of range")
-    target = arr.hyperplanes[h]
-    others = [x for i, x in enumerate(arr.hyperplanes) if i != h]
-    return _restrict_onto(others, target)
+    others = [x.row for i, x in enumerate(arr.hyperplanes) if i != h]
+    return _restrict_rows(others, arr.hyperplanes[h].row)
 
 
 def graphic_arrangement(g: SimpleGraph) -> Arrangement:
     """One hyperplane x_i - x_j = 0 per edge (i, j), in sorted edge order."""
     hyps = []
     for i, j in sorted(g.edges):
-        normal = [0] * g.n
-        normal[i] = 1
-        normal[j] = -1
-        hyps.append(Hyperplane.make(normal, 0))
+        row = [0] * (g.n + 1)
+        row[i] = 1
+        row[j] = -1
+        hyps.append(Hyperplane(row))
     return Arrangement(g.n, tuple(hyps))
 
 
@@ -387,13 +412,12 @@ def essentialize(arr: Arrangement) -> Arrangement:
     intersection poset up to a uniform dimension shift. Any basis of the
     span does; this one is the integer echelon basis of the normals.
     """
-    basis = echelon(h.normal for h in arr.hyperplanes)
-    r = len(basis)
+    basis = echelon(h.row[:-1] for h in arr.hyperplanes)
     hyps = []
     for h in arr.hyperplanes:
-        new_normal = tuple(sum(b * g[i] for i, b in enumerate(h.normal)) for g in basis)
-        hyps.append(Hyperplane.make(new_normal, h.offset))
-    return Arrangement(r, tuple(hyps))
+        normal = h.row[:-1]
+        hyps.append(Hyperplane([sum(x * y for x, y in zip(normal, b)) for b in basis] + [h.row[-1]]))
+    return Arrangement(len(basis), tuple(hyps))
 
 
 def decone(arr: Arrangement, k0: int) -> Arrangement:
@@ -405,12 +429,11 @@ def decone(arr: Arrangement, k0: int) -> Arrangement:
     """
     if not 0 <= k0 < arr.m:
         raise InputError(f"hyperplane index {k0} out of range")
-    nonlinear = [h for h in arr.hyperplanes if not h.is_linear()]
-    if nonlinear:
+    if not all(h.is_linear() for h in arr.hyperplanes):
         raise InputError("deconing requires a linear arrangement (all offsets zero)")
-    chart = Hyperplane(arr.hyperplanes[k0].normal, Fraction(1))
-    others = [x for i, x in enumerate(arr.hyperplanes) if i != k0]
-    return _restrict_onto(others, chart)
+    chart = arr.hyperplanes[k0].row[:-1] + (1,)
+    others = [x.row for i, x in enumerate(arr.hyperplanes) if i != k0]
+    return _restrict_rows(others, chart)
 
 
 def boolean_char_poly(n: int, m: int) -> IntPolynomial:

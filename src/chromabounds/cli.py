@@ -278,9 +278,10 @@ def build_nbc_report(
 ) -> dict:
     from .nbc import nbc_counts
 
+    # The counts first: their subset guard depends only on m and trips before any polynomial is built.
+    counts = nbc_counts(_as_arrangement(obj), order=order, guard=config.cap_subsets)
     poly = _polynomial(obj, config.cap_subsets)
     seq = bnd.coeff_sequence(poly, obj.m)
-    counts = nbc_counts(_as_arrangement(obj), order=order, guard=config.cap_subsets)
     rows = [{"k": k, "nbc_count": str(counts[k]), "abs_coefficient": str(seq.a[k]),
              "match": counts[k] == seq.a[k]} for k in range(seq.r + 1)]
     return {

@@ -8,7 +8,6 @@ byte-identical reports.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .arrangements import Arrangement, Hyperplane, graphic_arrangement
 from .graphs import (
@@ -51,14 +50,14 @@ def random_graphs(rng: random.Random, count: int, max_n: int) -> list[SimpleGrap
 
 
 def _random_hyperplane(rng: random.Random, dim: int, linear: bool) -> Hyperplane | None:
+    """Normal entries in -3..3; the offset 0, or a numerator in -2..2 over a denominator in 1..3."""
     normal = [rng.randint(-3, 3) for _ in range(dim)]
     if all(x == 0 for x in normal):
         return None
     if linear:
-        offset = Fraction(0)
-    else:
-        offset = Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3]))
-    return Hyperplane.make(normal, offset)
+        return Hyperplane(normal + [0])
+    numerator, denominator = rng.randint(-2, 2), rng.choice([1, 2, 3])
+    return Hyperplane([denominator * x for x in normal] + [numerator])
 
 
 def random_arrangement(

@@ -9,7 +9,9 @@ walk against the per-subset sweeps it replaced: affine arrangements with
 parallel hyperplanes, repeated directions and fractional offsets (empty
 intersections to prune), random linear ones (every subset central, many
 dependent), generic affine ones (general position occurs) and graphic
-arrangements of small graphs.
+arrangements of small graphs. `linear_arrangements` feeds the property
+tests of restriction and deconing with wider normals, repeated directions
+and scaled copies.
 """
 
 import random
@@ -61,3 +63,11 @@ walk_arrangements = st.one_of(
     _rngs.map(lambda rng: random_arrangement(rng, max_dim=4, max_m=8)),
     small_graphs().map(graphic_arrangement),
 )
+
+
+@st.composite
+def linear_arrangements(draw, max_dim=5, max_m=8):
+    """Linear arrangements with integer normals in -9..9; multiples of one normal give one hyperplane."""
+    dim = draw(st.integers(1, max_dim))
+    normals = st.lists(st.integers(-9, 9), min_size=dim, max_size=dim).filter(any)
+    return Arrangement(dim, tuple(Hyperplane.make(normal, 0) for normal in draw(st.lists(normals, max_size=max_m))))

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromabounds import (
     Arrangement,
@@ -33,9 +35,9 @@ from chromabounds import (
     rank,
     restrict,
 )
-from chromabounds.corpus import coordinate_arrangement, named_graphs
+from chromabounds.corpus import _random_hyperplane, coordinate_arrangement, named_graphs
 from chromabounds.linalg import echelon
-from strategies import random_affine_with_parallels, walk_arrangements
+from strategies import linear_arrangements, random_affine_with_parallels, walk_arrangements
 
 K3_ARR = graphic_arrangement(complete(3))
 
@@ -83,6 +85,44 @@ class TestHyperplane:
         a, b, c = Hyperplane.make((1, 0), 0), Hyperplane.make((0, 1), 2), Hyperplane.make((1, 1), 1)
         arr = Arrangement(2, (b, a, b, c, a, Hyperplane.make((2, 0), 0)))
         assert arr.hyperplanes == (b, a, c)
+
+
+def reference_make(normal, offset=0):
+    """(normal, offset) as the `Fraction` canonicaliser gave them before hyperplanes were integer rows."""
+    coeffs = [Fraction(x) for x in normal]
+    scale = Fraction(math.lcm(*(c.denominator for c in coeffs)))
+    ints = [int(c * scale) for c in coeffs]
+    g = math.gcd(*ints)
+    scale /= g
+    ints = [x // g for x in ints]
+    if next(x for x in ints if x != 0) < 0:
+        scale = -scale
+        ints = [-x for x in ints]
+    return tuple(ints), Fraction(offset) * scale
+
+
+int_normals = st.lists(st.integers(-12, 12), min_size=1, max_size=5).filter(any)
+nonzero_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+
+
+class TestMakeFastPath:
+    @settings(max_examples=200, deadline=None)
+    @given(int_normals, st.integers(-12, 12), nonzero_rationals)
+    def test_ints_match_fractions_and_rational_multiples(self, normal, offset, scale):
+        h = Hyperplane.make(normal, offset)
+        assert h == Hyperplane.make([Fraction(x) for x in normal], Fraction(offset))
+        assert h == Hyperplane.make([scale * x for x in normal], scale * offset)
+        assert (h.normal, h.offset) == reference_make(normal, offset)
+        assert h.row == h.augmented_row() and h.dim == len(normal) and h.is_linear() == (offset == 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.fractions(max_denominator=6), min_size=1, max_size=5).filter(any),
+           st.fractions(max_denominator=6))
+    def test_fractions_match_reference(self, normal, offset):
+        h = Hyperplane.make(normal, offset)
+        assert (h.normal, h.offset) == reference_make(normal, offset)
+        d = h.offset.denominator
+        assert h.row == tuple(d * x for x in h.normal) + (h.offset.numerator,)
 
 
 class TestRank:
@@ -218,7 +258,7 @@ class TestWhitney:
 
 def _subset_rank(arr, subset):
     """Rank of the chosen hyperplanes from a fresh elimination; None when they share no point."""
-    basis = echelon(arr.hyperplanes[i].augmented_row() for i in subset)
+    basis = echelon(arr.hyperplanes[i].row for i in subset)
     return None if any(not any(b[:-1]) for b in basis) else len(basis)
 
 
@@ -378,6 +418,94 @@ class TestDecone:
             p = char_poly(arr)
             for k0 in range(arr.m):
                 assert char_poly(decone(arr, k0)) == divided_difference(p)
+
+
+def reference_random_hyperplane(rng, dim, linear):
+    """The corpus generator's hyperplane as it was built through `Fraction` offsets."""
+    normal = [rng.randint(-3, 3) for _ in range(dim)]
+    if all(x == 0 for x in normal):
+        return None
+    offset = Fraction(0) if linear else Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3]))
+    return Hyperplane.make(normal, offset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.booleans())
+def test_random_hyperplanes_match_the_fraction_generator(seed, dim, linear):
+    # the same hyperplanes from the same random calls, so every seeded corpus stays the same
+    rng, ref = random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        assert _random_hyperplane(rng, dim, linear) == reference_random_hyperplane(ref, dim, linear)
+    assert rng.getstate() == ref.getstate()
+
+
+def reference_affine_chart(normal, offset):
+    """Deterministic parametrization x = p + sum u_c v_c of the hyperplane normal . x = offset.
+
+    The pivot coordinate is the first nonzero normal entry; the free
+    coordinates, in increasing order, carry the chart's basis vectors.
+    """
+    n = len(normal)
+    j0 = next(i for i, x in enumerate(normal) if x != 0)
+    a0 = Fraction(normal[j0])
+    point = [Fraction(0)] * n
+    point[j0] = offset / a0
+    basis = []
+    for c in range(n):
+        if c == j0:
+            continue
+        v = [Fraction(0)] * n
+        v[c] = Fraction(1)
+        v[j0] = -Fraction(normal[c]) / a0
+        basis.append(tuple(v))
+    return tuple(point), tuple(basis)
+
+
+def reference_restrict_onto(hyps, normal, offset):
+    """Pull hyperplanes back to the chart coordinates of normal . x = offset; parallel ones are dropped."""
+    point, basis = reference_affine_chart(normal, offset)
+    restricted = []
+    for h in hyps:
+        new_normal = tuple(sum(Fraction(b) * v[i] for i, b in enumerate(h.normal)) for v in basis)
+        new_offset = h.offset - sum(Fraction(b) * point[i] for i, b in enumerate(h.normal))
+        if all(x == 0 for x in new_normal):
+            assert new_offset != 0, "coincident hyperplane slipped past deduplication"
+            continue
+        restricted.append(Hyperplane.make(new_normal, new_offset))
+    return Arrangement(len(normal) - 1, tuple(restricted))
+
+
+def reference_restrict(arr, h):
+    """Restriction through the `Fraction` chart, which the one-step integer elimination replaced."""
+    target = arr.hyperplanes[h]
+    others = [x for i, x in enumerate(arr.hyperplanes) if i != h]
+    return reference_restrict_onto(others, target.normal, target.offset)
+
+
+def reference_decone(arr, k0):
+    """Deconing through the `Fraction` chart of {normal_k0 . x = 1}."""
+    others = [x for i, x in enumerate(arr.hyperplanes) if i != k0]
+    return reference_restrict_onto(others, arr.hyperplanes[k0].normal, Fraction(1))
+
+
+def _is_linear(arr):
+    return all(h.is_linear() for h in arr.hyperplanes)
+
+
+class TestRestrictionStep:
+    """Restriction and deconing by one integer elimination step agree with the chart, order included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(walk_arrangements, linear_arrangements()))
+    def test_restrict_matches_chart(self, arr):
+        for h in range(arr.m):
+            assert restrict(arr, h) == reference_restrict(arr, h)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(walk_arrangements.filter(_is_linear), linear_arrangements()))
+    def test_decone_matches_chart(self, arr):
+        for k0 in range(arr.m):
+            assert decone(arr, k0) == reference_decone(arr, k0)
 
 
 def test_general_position_iff_binomial_shape(arrangement_corpus):

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromabounds import (
-    Arrangement, InputError, IntPolynomial, SimpleGraph, arrangements, checks, graphic_arrangement, nbc_counts,
+    Arrangement, InputError, IntPolynomial, SimpleGraph, arrangements, checks, graphic_arrangement, graphs,
+    nbc_counts,
 )
 from chromabounds.cli import (
     RunConfig,
@@ -178,11 +179,13 @@ print(json.dumps([package_alone, sorted(loaded)]))
     (None, [], {"graphs", "arrangements", "linalg", "nbc", "checks", "corpus"}),
     (K4_TEXT, [["bounds"], ["chromatic"]], {"arrangements", "linalg", "nbc", "checks", "corpus", "fractions"}),
     (LINEAR_LINES_TEXT, [["nbc"], ["decone", "0"]], {"graphs", "checks", "corpus"}),
-], ids=["import", "graph", "arrangement"])
+    # hyperplanes are integer rows, so only parsing rationals needs `fractions`
+    (None, [["verify", "--graphs", "2", "--arrangements", "2", "--seed", "1"]], {"fractions"}),
+], ids=["import", "graph", "arrangement", "verify"])
 def test_each_command_loads_only_the_modules_it_runs(write, text, commands, absent):
     # every process compiles what it imports when bytecode writing is off, so an unused module costs start-up
     path = write("input.txt", text) if text is not None else None
-    argv = [[command[0], path, *command[1:]] for command in commands]
+    argv = [command if path is None else [command[0], path, *command[1:]] for command in commands]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-S", "-c", STARTUP_PROBE, json.dumps(argv)],
                           env=env, capture_output=True, text=True, timeout=60)
@@ -322,6 +325,21 @@ class TestResourceCaps:
     def test_subset_cap_exit_code(self, write):
         code = main(["nbc", write("k4.txt", K4_TEXT), "--cap-subsets", "2"])
         assert code == 3
+
+    def test_nbc_guard_trips_before_the_polynomial(self, write, monkeypatch, capsys):
+        # the circulant graph C13(1, 2, 3) has 39 edges, far above a subset cap of 5
+        text = "n 13\n" + "".join(f"{i} {(i + k) % 13}\n" for i in range(13) for k in (1, 2, 3))
+        calls = []
+        chromatic_poly = graphs.chromatic_poly
+
+        def counting(g, **kwargs):
+            calls.append(g)
+            return chromatic_poly(g, **kwargs)
+
+        monkeypatch.setattr(graphs, "chromatic_poly", counting)
+        assert main(["nbc", write("c13.txt", text), "--cap-subsets", "5"]) == 3
+        assert "39 hyperplanes; subset enumeration guard is 5" in capsys.readouterr().err
+        assert calls == []
 
     @pytest.mark.parametrize("flag", ["--cap-subsets", "--cap-colorings"])
     def test_nonpositive_cap_rejected(self, write, capsys, flag):

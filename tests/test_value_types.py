@@ -1,4 +1,4 @@
-"""Value semantics of the normalising value types: IntPolynomial, SimpleGraph, Arrangement.
+"""Value semantics of the normalising value types: IntPolynomial, SimpleGraph, Hyperplane, Arrangement.
 
 Equal inputs after normalisation give equal objects with equal hashes, the
 hash is the one of the field tuple, every field takes part in equality,
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromabounds import Arrangement, IntPolynomial, SimpleGraph
+from chromabounds import Arrangement, Hyperplane, IntPolynomial, SimpleGraph
 
 from strategies import small_graphs, walk_arrangements
 
@@ -66,6 +66,20 @@ class TestSimpleGraph:
 
     def test_other_classes_are_unequal(self):
         assert SimpleGraph(0) != Arrangement(0)
+
+
+class TestHyperplane:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(any), st.integers(-9, 9),
+           st.integers(-4, 4).filter(bool))
+    def test_scaled_rows_do_not_matter(self, normal, offset, factor):
+        h = Hyperplane.make(normal, offset)
+        scaled = Hyperplane([factor * x for x in h.row])
+        assert_value_object(h, scaled, ("row",))
+        assert h != Hyperplane.make(normal, offset + 1)
+
+    def test_other_classes_are_unequal(self):
+        assert Hyperplane((1, 0)) != Arrangement(1)
 
 
 class TestArrangement:
