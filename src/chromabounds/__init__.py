@@ -10,80 +10,21 @@ floating point is used anywhere.
 _HOME = {
     name: module
     for module, names in (
-        ("arrangements", "Arrangement Flat Hyperplane IntersectionPoset boolean_char_poly char_poly "
-                         "char_poly_whitney decone delete essentialize flat_of general_position_char_poly "
-                         "graphic_arrangement intersection_poset is_boolean is_central is_general_position "
-                         "rank restrict"),
-        ("bounds", "BoundsRecord BoundsReport CoeffSequence LowerBoundReport check_coefficient_lower_bounds "
-                   "coeff_sequence divided_difference divided_difference_formula divided_difference_iter "
-                   "is_logconcave partial_binomial_sum partial_sum_bounds verify_bounds"),
+        ("arrangements", "Arrangement Hyperplane boolean_char_poly char_poly char_poly_whitney decone delete "
+                         "essentialize general_position_char_poly graphic_arrangement intersection_poset "
+                         "is_boolean is_central is_general_position rank restrict"),
+        ("bounds", "CoeffSequence check_coefficient_lower_bounds coeff_sequence divided_difference "
+                   "divided_difference_formula divided_difference_iter is_logconcave verify_bounds"),
         ("errors", "CoeffSequenceError InputError InvariantError ResourceLimitError"),
-        ("exactmath", "IntPolynomial binom vandermonde_sum"),
-        ("graphs", "GraphRankInfo SimpleGraph chromatic_poly chromatic_poly_interpolated complete "
-                   "complete_bipartite contract_edge count_colorings cycle delete_edge is_forest path rank_info"),
-        ("nbc", "broken_circuits circuits default_order is_dependent nbc_counts"),
+        ("exactmath", "IntPolynomial binom"),
+        ("graphs", "SimpleGraph chromatic_poly chromatic_poly_interpolated complete complete_bipartite "
+                   "contract_edge cycle delete_edge is_forest path rank_info"),
+        ("nbc", "circuits nbc_counts"),
     )
     for name in names.split()
 }
 
-__all__ = [
-    "Arrangement",
-    "BoundsRecord",
-    "BoundsReport",
-    "CoeffSequence",
-    "CoeffSequenceError",
-    "Flat",
-    "GraphRankInfo",
-    "Hyperplane",
-    "InputError",
-    "IntersectionPoset",
-    "IntPolynomial",
-    "InvariantError",
-    "LowerBoundReport",
-    "ResourceLimitError",
-    "SimpleGraph",
-    "binom",
-    "boolean_char_poly",
-    "broken_circuits",
-    "char_poly",
-    "char_poly_whitney",
-    "check_coefficient_lower_bounds",
-    "chromatic_poly",
-    "chromatic_poly_interpolated",
-    "circuits",
-    "coeff_sequence",
-    "complete",
-    "complete_bipartite",
-    "contract_edge",
-    "count_colorings",
-    "cycle",
-    "decone",
-    "default_order",
-    "delete",
-    "delete_edge",
-    "divided_difference",
-    "divided_difference_formula",
-    "divided_difference_iter",
-    "essentialize",
-    "flat_of",
-    "general_position_char_poly",
-    "graphic_arrangement",
-    "intersection_poset",
-    "is_boolean",
-    "is_central",
-    "is_dependent",
-    "is_forest",
-    "is_general_position",
-    "is_logconcave",
-    "nbc_counts",
-    "partial_binomial_sum",
-    "partial_sum_bounds",
-    "path",
-    "rank",
-    "rank_info",
-    "restrict",
-    "verify_bounds",
-]
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):

@@ -26,7 +26,7 @@ from math import gcd, lcm
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DEFAULT_SUBSET_GUARD, InputError, ResourceLimitError
-from .exactmath import IntPolynomial, binom
+from .exactmath import IntPolynomial, Value, binom
 from .linalg import Row, echelon, residual
 
 if TYPE_CHECKING:
@@ -35,7 +35,7 @@ if TYPE_CHECKING:
     from .graphs import SimpleGraph
 
 
-class Hyperplane:
+class Hyperplane(Value):
     """The affine locus normal . x = offset, as one integer row (normal | offset). Immutable.
 
     The row is scaled to integers by the offset's denominator, made
@@ -68,26 +68,6 @@ class Hyperplane:
             row = [v.numerator * (scale // v.denominator) for v in values]
         return cls(row)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self) -> tuple:
-        return Hyperplane, (self.row,)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.row == other.row
-
-    def __hash__(self) -> int:
-        return hash((self.row,))
-
-    def __repr__(self) -> str:
-        return f"Hyperplane(row={self.row!r})"
-
     @property
     def dim(self) -> int:
         return len(self.row) - 1
@@ -108,12 +88,8 @@ class Hyperplane:
     def is_linear(self) -> bool:
         return not self.row[-1]
 
-    def augmented_row(self) -> Row:
-        """Primitive integer row (normal | offset), scaled by the offset's denominator."""
-        return self.row
 
-
-class Arrangement:
+class Arrangement(Value):
     """Ambient dimension plus an ordered, deduplicated hyperplane list. Immutable."""
 
     __slots__ = ("dim", "hyperplanes")
@@ -130,26 +106,6 @@ class Arrangement:
                 )
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "hyperplanes", tuple(dict.fromkeys(hyperplanes)))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self) -> tuple:
-        return Arrangement, (self.dim, self.hyperplanes)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.dim == other.dim and self.hyperplanes == other.hyperplanes
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.hyperplanes))
-
-    def __repr__(self) -> str:
-        return f"Arrangement(dim={self.dim!r}, hyperplanes={self.hyperplanes!r})"
 
     @property
     def m(self) -> int:
@@ -171,12 +127,6 @@ class Flat(NamedTuple):
 def _meets_nowhere(row: Row) -> bool:
     """A residual leading in the offset column: the equation 0 = c with c != 0."""
     return not any(row[:-1])
-
-
-def _rank(arr: Arrangement, indices: Iterable[int]) -> int | None:
-    """Rank of the chosen hyperplanes; None when they have no common point."""
-    basis = echelon(arr.hyperplanes[i].row for i in indices)
-    return None if any(_meets_nowhere(b) for b in basis) else len(basis)
 
 
 def _subset_walk(
@@ -222,26 +172,8 @@ def rank(arr: Arrangement) -> int:
     return len(echelon(h.row[:-1] for h in arr.hyperplanes))
 
 
-def flat_of(arr: Arrangement, subset: Iterable[int]) -> Flat | None:
-    """Intersection of the chosen hyperplanes, as its closure; None when empty.
-
-    The empty subset yields the ambient space.
-    """
-    indices = sorted(set(subset))
-    if indices and not (0 <= indices[0] and indices[-1] < arr.m):
-        raise InputError(f"hyperplane indices {indices} out of range for m={arr.m}")
-    basis = echelon(arr.hyperplanes[i].row for i in indices)
-    if any(_meets_nowhere(b) for b in basis):
-        return None
-    mask = 0
-    for j, h in enumerate(arr.hyperplanes):
-        if not any(residual(h.row, basis)):
-            mask |= 1 << j
-    return Flat(arr.dim - len(basis), mask)
-
-
 def is_central(arr: Arrangement) -> bool:
-    return _rank(arr, range(arr.m)) is not None
+    return not any(_meets_nowhere(b) for b in echelon(h.row for h in arr.hyperplanes))
 
 
 def is_boolean(arr: Arrangement) -> bool:
@@ -281,7 +213,6 @@ class IntersectionPoset(NamedTuple):
     closure mask, and `mobius[i]` belongs to `flats[i]`.
     """
 
-    ambient_dim: int
     flats: tuple[Flat, ...]
     mobius: tuple[int, ...]
 
@@ -327,7 +258,7 @@ def intersection_poset(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> I
     mobius = [1]
     for mask in masks[1:]:
         mobius.append(-sum(mu for y, mu in zip(masks, mobius) if y & mask == y))
-    return IntersectionPoset(arr.dim, tuple(flats), tuple(mobius))
+    return IntersectionPoset(tuple(flats), tuple(mobius))
 
 
 def char_poly(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> IntPolynomial:

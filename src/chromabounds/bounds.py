@@ -57,24 +57,6 @@ def coeff_sequence(p: IntPolynomial, m: int) -> CoeffSequence:
     return CoeffSequence(n=n, m=m, r=r, a=tuple(a))
 
 
-def partial_binomial_sum(s: CoeffSequence, q: int, k: int) -> int:
-    """sum of binom(q, k-i) * a_i for i = 0..min(k, r)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return sum(binom(q, k - i) * s.a[i] for i in range(min(k, s.r) + 1))
-
-
-def partial_sum_bounds(m: int, r: int, q: int, k: int) -> tuple[int, int]:
-    """The guaranteed (lower, upper) pair (binom(r+q, k), binom(m+q, k)).
-
-    Only claimed for 0 <= k <= q+r+1; outside that range the bounds are
-    not asserted and asking for them is an error.
-    """
-    if not 0 <= k <= q + r + 1:
-        raise ValueError(f"(q={q}, k={k}) is outside the claimed range 0 <= k <= q+r+1")
-    return binom(r + q, k), binom(m + q, k)
-
-
 class BoundsRecord(NamedTuple):
     q: int
     k: int
@@ -94,10 +76,7 @@ class BoundsRecord(NamedTuple):
 class BoundsReport(NamedTuple):
     """Grid of partial-sum bound checks over a window of shifts q."""
 
-    seq: CoeffSequence
-    q_min: int
-    q_max: int
-    records: tuple[BoundsRecord, ...] = ()
+    records: tuple[BoundsRecord, ...]
 
     @property
     def all_ok(self) -> bool:
@@ -112,31 +91,25 @@ class BoundsReport(NamedTuple):
         return all(rec.tight for rec in self.records)
 
 
-def verify_bounds(
-    s: CoeffSequence, q_min: int, q_max: int, k_max: int | None = None
-) -> BoundsReport:
+def verify_bounds(s: CoeffSequence, q_min: int, q_max: int) -> BoundsReport:
     """Check the two-sided bounds for every admissible (q, k) in the window.
 
     Only pairs with 0 <= k <= q+r+1 are claimed, so only those are
-    iterated; k_max optionally caps k on top of that.
+    iterated.
 
     The sums S_q(k) = sum_i binom(q, k-i) a_i are kept as one row over k
     and moved between shifts by Pascal's rule: S_0 is the sequence a
     itself, S_{q+1}(k) = S_q(k) + S_q(k-1) and S_{q-1}(k) = S_q(k) -
     S_{q-1}(k-1). The rows binom(r+q, k) and binom(m+q, k) are built once
-    per q, so a record costs O(1) additions. Every record must equal
-    `partial_binomial_sum` and `partial_sum_bounds`, which sum term by term.
+    per q, so a record costs O(1) additions.
     """
     if q_min > q_max:
         raise ValueError("empty q window")
 
-    def top(q: int) -> int:
-        return q + s.r + 1 if k_max is None else min(q + s.r + 1, k_max)
-
-    # The rows are needed up to the largest top, which is q_max's. No k is
-    # claimed below q = -r-1, and far above q = 0 one direct sum costs less
-    # than walking up to the window.
-    width = max(top(q_max), 0) + 1
+    # The rows are needed up to q_max's top k. No k is claimed below
+    # q = -r-1, and far above q = 0 one direct sum costs less than walking
+    # up to the window.
+    width = max(q_max + s.r + 2, 1)
     first = max(q_min, -s.r - 1)
     if first > s.r + 1:
         choose = _binomial_row(first, width - 1)
@@ -155,10 +128,11 @@ def verify_bounds(
             for k in range(width - 1, 0, -1):
                 sums[k] += sums[k - 1]
             shift += 1
-        lower, upper = (_binomial_row(x, top(q)) for x in (s.r + q, s.m + q))
-        for k in range(0, top(q) + 1):
+        top = q + s.r + 1
+        lower, upper = (_binomial_row(x, top) for x in (s.r + q, s.m + q))
+        for k in range(0, top + 1):
             records.append(BoundsRecord(q=q, k=k, lower=lower[k], value=sums[k], upper=upper[k]))
-    return BoundsReport(seq=s, q_min=q_min, q_max=q_max, records=tuple(records))
+    return BoundsReport(tuple(records))
 
 
 def _binomial_row(x: int, top: int) -> list[int]:

@@ -171,7 +171,7 @@ def parse_input_file(path: str) -> SimpleGraph | Arrangement:
     """Dispatch on the header: 'n' or DIMACS for graphs, 'dim' for arrangements."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}")
     lines = _meaningful_lines(text)
     if not lines:

@@ -92,8 +92,8 @@ def coordinate_arrangement(dim: int) -> Arrangement:
     return Arrangement(dim, tuple(hyps))
 
 
-def linear_central_corpus(rng: random.Random, extra_random: int = 14) -> list[Arrangement]:
-    """Linear arrangements for deconing checks: graphic, boolean, and random."""
+def linear_central_corpus(rng: random.Random) -> list[Arrangement]:
+    """Linear arrangements for deconing checks: 3 graphic, 3 boolean and 14 random."""
     out = [
         graphic_arrangement(complete(3)),
         graphic_arrangement(complete(4)),
@@ -102,7 +102,7 @@ def linear_central_corpus(rng: random.Random, extra_random: int = 14) -> list[Ar
         coordinate_arrangement(2),
         coordinate_arrangement(3),
     ]
-    while len(out) < 6 + extra_random:
+    while len(out) < 20:
         arr = random_arrangement(rng, max_dim=4, max_m=5, linear=True)
         if arr.m >= 1:
             out.append(arr)

@@ -4,11 +4,15 @@ Everything here is pure and overflow-free (Python ints). Polynomials are
 stored as ascending-power coefficient tuples with trailing zeros trimmed,
 so structural equality is polynomial equality and the zero polynomial is
 the empty tuple.
+
+`Value` is the base of the package's immutable value types: IntPolynomial
+here, SimpleGraph, Hyperplane and Arrangement elsewhere.
 """
 
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 
 from .errors import InvariantError
 
@@ -30,17 +34,6 @@ def binom(x: int, j: int) -> int:
     return num // math.factorial(j)
 
 
-def vandermonde_sum(x: int, y: int, k: int) -> int:
-    """Direct summation of binom(x,i)*binom(y,k-i) over i = 0..k.
-
-    Equals binom(x+y, k) by Vandermonde's identity; callers that want the
-    identity checked should compare against binom(x+y, k) themselves.
-    """
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    return sum(binom(x, i) * binom(y, k - i) for i in range(k + 1))
-
-
 def _trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     end = len(coeffs)
     while end > 0 and coeffs[end - 1] == 0:
@@ -48,14 +41,22 @@ def _trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     return coeffs[:end]
 
 
-class IntPolynomial:
-    """Dense integer polynomial, coefficients ascending by power of t. Immutable."""
+class Value:
+    """Immutable `__slots__` value: its fields are the subclass's `__slots__`, set once by `__init__`.
 
-    __slots__ = ("coeffs",)
-    coeffs: tuple[int, ...]
+    Two values are equal when they are of the same class with equal fields,
+    and the hash is the hash of the field tuple. Copies and pickles rebuild
+    the value by calling the class on its fields, and the repr names every
+    field.
+    """
 
-    def __init__(self, coeffs: tuple[int, ...] = ()) -> None:
-        object.__setattr__(self, "coeffs", _trim(tuple(int(c) for c in coeffs)))
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls.__slots__)
+        # The field tuple; attrgetter of one name returns the bare value.
+        cls._astuple = staticmethod(lambda o: (get(o),)) if len(cls.__slots__) == 1 else get
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -64,18 +65,29 @@ class IntPolynomial:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple:
-        return IntPolynomial, (self.coeffs,)
+        return self.__class__, self._astuple(self)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._astuple(self) == other._astuple(other)
 
     def __hash__(self) -> int:
-        return hash((self.coeffs,))
+        return hash(self._astuple(self))
 
     def __repr__(self) -> str:
-        return f"IntPolynomial(coeffs={self.coeffs!r})"
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._astuple(self)))
+        return f"{self.__class__.__name__}({body})"
+
+
+class IntPolynomial(Value):
+    """Dense integer polynomial, coefficients ascending by power of t. Immutable."""
+
+    __slots__ = ("coeffs",)
+    coeffs: tuple[int, ...]
+
+    def __init__(self, coeffs: tuple[int, ...] = ()) -> None:
+        object.__setattr__(self, "coeffs", _trim(tuple(int(c) for c in coeffs)))
 
     @classmethod
     def zero(cls) -> "IntPolynomial":

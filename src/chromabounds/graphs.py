@@ -1,17 +1,20 @@
-"""Simple graphs, proper-coloring counts, and chromatic polynomials.
+"""Simple graphs and their chromatic polynomials, by two independent routes.
 
-Two independent routes to the chromatic polynomial live here: the
-deletion-contraction kernel (`chromatic_poly`) and the expansion of the
-proper-coloring counts in falling factorials
-(`chromatic_poly_interpolated`). They must agree coefficient-exact.
+`SimpleGraph` is an immutable value (`exactmath.Value`): vertices 0..n-1
+and a frozenset of edges, each stored as (low, high). Its chromatic
+polynomial comes from the deletion-contraction kernel (`chromatic_poly`)
+and from the coloring oracle (`chromatic_poly_interpolated`); the two
+must agree coefficient-exact.
 
-The counts come from ranked inclusion-exclusion over independent sets
-(Bjorklund, Husfeldt & Koivisto 2009): one table of independent-set
-polynomials per graph gives the number e_j of ordered partitions into j
-independent sets for every j, hence the count for every t, in about
-n^2 2^n steps, and P(t) = sum_j (e_j / j!) t(t-1)...(t-j+1) in integers.
-The oracle and the deletion-contraction kernel share only the
-exact-arithmetic primitives of `exactmath`.
+The oracle counts proper colorings by ranked inclusion-exclusion over
+independent sets (Bjorklund, Husfeldt & Koivisto 2009): one table of
+independent-set polynomials per graph gives the number e_j of ordered
+partitions into j independent sets for every j, in about n^2 2^n steps.
+The count with t colors is sum_j C(t, j) e_j, which the oracle expands in
+integers as P(t) = sum_j (e_j / j!) t(t-1)...(t-j+1), so the count for
+any t is the value of that polynomial at t. The oracle and the
+deletion-contraction kernel share only the exact-arithmetic primitives of
+`exactmath`.
 
 `chromatic_poly` reduces a graph exactly before it branches: simplicial
 vertices are peeled off with a linear factor each, and what is left
@@ -31,7 +34,7 @@ from collections import Counter
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DEFAULT_COLORING_CAP, InputError, InvariantError, ResourceLimitError
-from .exactmath import IntPolynomial, binom
+from .exactmath import IntPolynomial, Value
 
 # A component expands by addition-contraction when at least this share of
 # its vertex pairs, as (numerator, denominator), are adjacent, and by
@@ -42,7 +45,7 @@ ZYKOV_DENSITY = (1, 2)
 Edge = tuple[int, int]
 
 
-class SimpleGraph:
+class SimpleGraph(Value):
     """Vertices 0..n-1 plus a set of unordered edges; no loops, no multi-edges. Immutable."""
 
     __slots__ = ("n", "edges")
@@ -62,26 +65,6 @@ class SimpleGraph:
             normalized.add((u, v) if u < v else (v, u))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(normalized))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self) -> tuple:
-        return SimpleGraph, (self.n, self.edges)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges))
-
-    def __repr__(self) -> str:
-        return f"SimpleGraph(n={self.n!r}, edges={self.edges!r})"
 
     @property
     def m(self) -> int:
@@ -422,22 +405,6 @@ def _ordered_partitions(g: SimpleGraph, cap: int) -> list[int]:
             if len(power) == size:
                 e[j] += weight * power[-1]
     return e
-
-
-def _colorings_from_partitions(e: Sequence[int], t: int) -> int:
-    """P(t) = sum_j C(t, j) e_j: pick the j colors of the blocks, in order."""
-    return sum(binom(t, j) * count for j, count in enumerate(e))
-
-
-def count_colorings(g: SimpleGraph, t: int, cap: int = DEFAULT_COLORING_CAP) -> int:
-    """Number of proper colorings with t colors (the oracle), exact for every t >= 0.
-
-    Counted by inclusion-exclusion over independent sets, not by search;
-    `cap` bounds its n^2 2^n work, whatever t is.
-    """
-    if t < 0:
-        raise InputError("color count must be nonnegative")
-    return _colorings_from_partitions(_ordered_partitions(g, cap), t)
 
 
 def chromatic_poly_interpolated(g: SimpleGraph, cap: int = DEFAULT_COLORING_CAP) -> IntPolynomial:

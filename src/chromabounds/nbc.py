@@ -12,14 +12,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .arrangements import Arrangement, _check_guard, _rank, _subset_walk
+from .arrangements import Arrangement, _check_guard, _subset_walk
 from .errors import DEFAULT_SUBSET_GUARD, InputError
 
 GroundOrder = tuple[int, ...]
-
-
-def default_order(m: int) -> GroundOrder:
-    return tuple(range(m))
 
 
 def _validate_order(order: Sequence[int], m: int) -> GroundOrder:
@@ -27,13 +23,6 @@ def _validate_order(order: Sequence[int], m: int) -> GroundOrder:
     if sorted(order) != list(range(m)):
         raise InputError(f"order {order} is not a permutation of 0..{m - 1}")
     return order
-
-
-def is_dependent(arr: Arrangement, subset: Sequence[int]) -> bool:
-    """Central but not boolean: nonempty intersection of rank below |subset|."""
-    indices = sorted(set(subset))
-    r = _rank(arr, indices)
-    return r is not None and r < len(indices)
 
 
 def circuits(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> tuple[frozenset[int], ...]:
@@ -67,7 +56,7 @@ def broken_circuits(
     Circuits do not depend on the order, so a caller that needs several
     orders computes `circuits(arr)` once and passes it as `found`.
     """
-    order = default_order(arr.m) if order is None else _validate_order(order, arr.m)
+    order = range(arr.m) if order is None else _validate_order(order, arr.m)
     position = {idx: pos for pos, idx in enumerate(order)}
     out: dict[frozenset[int], None] = {}
     for circuit in circuits(arr, guard=guard) if found is None else found:

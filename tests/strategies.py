@@ -12,6 +12,9 @@ dependent), generic affine ones (general position occurs) and graphic
 arrangements of small graphs. `linear_arrangements` feeds the property
 tests of restriction and deconing with wider normals, repeated directions
 and scaled copies.
+
+`reference_flat_of` computes one intersection from a fresh elimination, the
+slow path that the poset, the walk and the NBC sweep are checked against.
 """
 
 import random
@@ -20,7 +23,9 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from chromabounds import Arrangement, Hyperplane, SimpleGraph, graphic_arrangement
+from chromabounds.arrangements import Flat
 from chromabounds.corpus import random_arrangement
+from chromabounds.linalg import echelon, residual
 
 
 @st.composite
@@ -71,3 +76,15 @@ def linear_arrangements(draw, max_dim=5, max_m=8):
     dim = draw(st.integers(1, max_dim))
     normals = st.lists(st.integers(-9, 9), min_size=dim, max_size=dim).filter(any)
     return Arrangement(dim, tuple(Hyperplane.make(normal, 0) for normal in draw(st.lists(normals, max_size=max_m))))
+
+
+def reference_flat_of(arr, subset):
+    """Intersection of the chosen hyperplanes, as its closure; None when empty.
+
+    The empty subset yields the ambient space.
+    """
+    basis = echelon(arr.hyperplanes[i].row for i in sorted(set(subset)))
+    if any(not any(b[:-1]) for b in basis):
+        return None
+    mask = sum(1 << j for j, h in enumerate(arr.hyperplanes) if not any(residual(h.row, basis)))
+    return Flat(arr.dim - len(basis), mask)

@@ -20,8 +20,6 @@ from chromabounds import (
     divided_difference_iter,
     is_forest,
     is_logconcave,
-    partial_binomial_sum,
-    partial_sum_bounds,
     path,
     verify_bounds,
 )
@@ -45,6 +43,24 @@ def forest_equivalence(g):
             f"({binom_m}, {binom_r}, {forest})"
         )
     return ForestEquivalence(binom_m_match=binom_m, binom_r_match=binom_r, forest=forest)
+
+
+def reference_partial_binomial_sum(s, q, k):
+    """sum of binom(q, k-i) * a_i for i = 0..min(k, r), term by term."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    return sum(binom(q, k - i) * s.a[i] for i in range(min(k, s.r) + 1))
+
+
+def reference_partial_sum_bounds(m, r, q, k):
+    """The guaranteed (lower, upper) pair (binom(r+q, k), binom(m+q, k)).
+
+    Only claimed for 0 <= k <= q+r+1; outside that range the bounds are
+    not asserted and asking for them is an error.
+    """
+    if not 0 <= k <= q + r + 1:
+        raise ValueError(f"(q={q}, k={k}) is outside the claimed range 0 <= k <= q+r+1")
+    return binom(r + q, k), binom(m + q, k)
 
 
 K3_SEQ = CoeffSequence(n=3, m=3, r=2, a=(1, 3, 2))
@@ -108,41 +124,41 @@ def _edge_count_of(p):
 
 class TestPartialBinomialSum:
     def test_collapses_to_coefficient_at_q_zero(self):
-        assert partial_binomial_sum(K4_SEQ, 0, 2) == 11
+        assert reference_partial_binomial_sum(K4_SEQ, 0, 2) == 11
 
     def test_k4_shifted(self):
-        assert partial_binomial_sum(K4_SEQ, 2, 3) == 34
+        assert reference_partial_binomial_sum(K4_SEQ, 2, 3) == 34
 
     def test_alternating_instance(self):
-        assert partial_binomial_sum(K3_SEQ, -1, 1) == 2
+        assert reference_partial_binomial_sum(K3_SEQ, -1, 1) == 2
 
     def test_truncates_above_rank(self):
         # i runs only to r even when k is larger
-        assert partial_binomial_sum(K3_SEQ, 0, 3) == 0
+        assert reference_partial_binomial_sum(K3_SEQ, 0, 3) == 0
 
     def test_rejects_negative_k(self):
         with pytest.raises(ValueError):
-            partial_binomial_sum(K3_SEQ, 0, -1)
+            reference_partial_binomial_sum(K3_SEQ, 0, -1)
 
 
 class TestPartialSumBounds:
     def test_q_zero(self):
-        assert partial_sum_bounds(6, 3, 0, 2) == (3, 15)
+        assert reference_partial_sum_bounds(6, 3, 0, 2) == (3, 15)
 
     def test_shifted(self):
-        assert partial_sum_bounds(6, 3, 2, 3) == (10, 56)
+        assert reference_partial_sum_bounds(6, 3, 2, 3) == (10, 56)
 
     def test_equal_when_m_is_r(self):
         for q in range(-2, 3):
             for k in range(0, q + 4):
-                lower, upper = partial_sum_bounds(3, 3, q, k)
+                lower, upper = reference_partial_sum_bounds(3, 3, q, k)
                 assert lower == upper
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            partial_sum_bounds(6, 3, -5, 1)
+            reference_partial_sum_bounds(6, 3, -5, 1)
         with pytest.raises(ValueError):
-            partial_sum_bounds(6, 3, 0, 5)
+            reference_partial_sum_bounds(6, 3, 0, 5)
 
 
 class TestVerifyBounds:
@@ -161,10 +177,6 @@ class TestVerifyBounds:
         rec = next(r for r in report.records if (r.q, r.k) == (-1, 1))
         assert (rec.lower, rec.value, rec.upper) == (1, 2, 2)
 
-    def test_k_cap(self):
-        report = verify_bounds(K4_SEQ, 0, 0, k_max=1)
-        assert {rec.k for rec in report.records} == {0, 1}
-
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
             verify_bounds(K4_SEQ, 2, 1)
@@ -177,8 +189,7 @@ class TestVerifyBounds:
         s = _sequence(a, data.draw(st.integers(0, 3)))
         q_min = data.draw(st.integers(-8, 6))
         q_max = data.draw(st.integers(q_min, 8))
-        k_max = data.draw(st.none() | st.integers(-1, 12))
-        _assert_matches_slow_path(s, q_min, q_max, k_max)
+        _assert_matches_slow_path(s, q_min, q_max)
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())
@@ -187,13 +198,12 @@ class TestVerifyBounds:
         s = _sequence(a, 0)
         q_min = data.draw(st.integers(-6, 6))
         q_max = data.draw(st.integers(q_min, 6))
-        k_max = data.draw(st.none() | st.integers(0, 40))
-        _assert_matches_slow_path(s, q_min, q_max, k_max)
+        _assert_matches_slow_path(s, q_min, q_max)
 
     @pytest.mark.parametrize("q_min, q_max", [(5, 7), (40, 41), (-40, -2)])
     def test_windows_far_from_zero_match_the_slow_path(self, q_min, q_max):
         # a window beyond r + 1 starts from one direct sum instead of walking up from q = 0
-        _assert_matches_slow_path(K4_SEQ, q_min, q_max, None)
+        _assert_matches_slow_path(K4_SEQ, q_min, q_max)
 
 
 def _sequence(a, extra_degree):
@@ -201,13 +211,12 @@ def _sequence(a, extra_degree):
     return CoeffSequence(n=r + extra_degree, m=a[1] if r else 0, r=r, a=tuple(a))
 
 
-def _assert_matches_slow_path(s, q_min, q_max, k_max):
-    report = verify_bounds(s, q_min, q_max, k_max=k_max)
+def _assert_matches_slow_path(s, q_min, q_max):
+    report = verify_bounds(s, q_min, q_max)
     expected = []
     for q in range(q_min, q_max + 1):
-        top = q + s.r + 1 if k_max is None else min(q + s.r + 1, k_max)
-        expected += [(q, k, *partial_sum_bounds(s.m, s.r, q, k), partial_binomial_sum(s, q, k))
-                     for k in range(top + 1)]
+        expected += [(q, k, *reference_partial_sum_bounds(s.m, s.r, q, k), reference_partial_binomial_sum(s, q, k))
+                     for k in range(q + s.r + 2)]
     assert [(rec.q, rec.k, rec.lower, rec.upper, rec.value) for rec in report.records] == expected
 
 

@@ -92,6 +92,14 @@ class TestParsing:
         assert main(["chromatic", write("bad.col", "p edge x 3\ne 1 2\n")]) == 2
         assert "bad.col:1: vertex count 'x'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["chromatic", "bounds", "nbc", "decone"])
+    def test_undecodable_file_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe\x00n 3\n")
+        assert main([command, str(path), *(["0"] if command == "decone" else [])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: ") and "Traceback" not in err
+
     def test_dispatch(self, write):
         assert isinstance(parse_input_file(write("g.txt", K3_TEXT)), SimpleGraph)
         assert isinstance(parse_input_file(write("a.txt", PARALLEL_TEXT)), Arrangement)
@@ -429,3 +437,11 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "3f3d7e7ba373c6da7047e5bc790de9b8259a68cf6a3195e3e43ec5cd95c762ee"
+
+    def test_pinned_headline_hash(self, capsys):
+        # the headline report at the default corpus sizes, byte for byte
+        import hashlib
+
+        assert main(["verify", "--seed", "42", "--format", "json"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "96b8917209dbcf07eab37db83eb48972e6f0488af9f1c80b942a9658c10d2e87"

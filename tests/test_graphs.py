@@ -15,7 +15,6 @@ from chromabounds import (
     coeff_sequence,
     complete,
     contract_edge,
-    count_colorings,
     cycle,
     delete_edge,
     is_forest,
@@ -116,35 +115,37 @@ class TestChromaticPoly:
 
 
 class TestCountColorings:
+    # the oracle's count with t colors is its polynomial's value at t
     def test_triangle(self):
-        assert count_colorings(complete(3), 3) == 6
+        assert chromatic_poly_interpolated(complete(3))(3) == 6
 
     def test_zero_colors(self):
-        assert count_colorings(SimpleGraph(2), 0) == 0
-        assert count_colorings(path(3), 0) == 0
-        assert count_colorings(SimpleGraph(0), 0) == 1
+        assert chromatic_poly_interpolated(SimpleGraph(2))(0) == 0
+        assert chromatic_poly_interpolated(path(3))(0) == 0
+        assert chromatic_poly_interpolated(SimpleGraph(0))(0) == 1
 
     def test_single_edge(self):
-        assert count_colorings(path(2), 2) == 2
+        assert chromatic_poly_interpolated(path(2))(2) == 2
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
-            count_colorings(SimpleGraph(30), 10, cap=10**6)
+            chromatic_poly_interpolated(SimpleGraph(30), cap=10**6)
 
 
 class TestOracleAgainstBacktracking:
     @settings(max_examples=30, deadline=None)
     @given(small_graphs(max_n=7))
     def test_every_count_and_the_interpolation(self, g):
+        p = chromatic_poly_interpolated(g)
         for t in range(g.n + 2):
-            assert count_colorings(g, t) == reference_count_colorings(g, t)
-        assert chromatic_poly_interpolated(g) == chromatic_poly(g)
+            assert p(t) == reference_count_colorings(g, t)
+        assert p == chromatic_poly(g)
 
     def test_cap_counts_the_work(self):
-        # n^2 2^n = 256 for n = 4, whatever t is
-        assert count_colorings(SimpleGraph(4), 1, cap=256) == 1
+        # n^2 2^n = 256 for n = 4
+        assert chromatic_poly_interpolated(SimpleGraph(4), cap=256) == IntPolynomial.term(1, 4)
         with pytest.raises(ResourceLimitError, match="n=4 .* 256"):
-            count_colorings(SimpleGraph(4), 1, cap=255)
+            chromatic_poly_interpolated(SimpleGraph(4), cap=255)
 
 
 class TestInterpolation:

@@ -10,22 +10,20 @@ from chromabounds import (
     Arrangement,
     Hyperplane,
     binom,
-    broken_circuits,
     char_poly,
     chromatic_poly,
     circuits,
     coeff_sequence,
     complete,
-    flat_of,
     graphic_arrangement,
     is_central,
-    is_dependent,
     nbc_counts,
     path,
     rank,
 )
 from chromabounds.corpus import coordinate_arrangement, random_order
-from strategies import walk_arrangements
+from chromabounds.nbc import broken_circuits
+from strategies import reference_flat_of, walk_arrangements
 
 K3_ARR = graphic_arrangement(complete(3))
 K4_ARR = graphic_arrangement(complete(4))
@@ -44,13 +42,19 @@ GENERIC_LINES = Arrangement(
 )
 
 
+def reference_is_dependent(arr, subset):
+    """Central but not boolean: nonempty intersection of rank below |subset|."""
+    flat = reference_flat_of(arr, subset)
+    return flat is not None and arr.dim - flat.dim < len(set(subset))
+
+
 def brute_force_circuits(arr):
     """Every minimal dependent subset, each decided on its own, by size, then lexicographically."""
     dependent = [
         frozenset(s)
         for size in range(1, arr.m + 1)
         for s in combinations(range(arr.m), size)
-        if is_dependent(arr, s)
+        if reference_is_dependent(arr, s)
     ]
     return tuple(
         d for d in dependent if not any(other < d for other in dependent)
@@ -75,23 +79,23 @@ def reference_nbc_counts(arr, order):
             grown, grown_mask = subset + (i,), mask | 1 << i
             if any(bm & grown_mask == bm for bm in broken_masks):
                 continue
-            if all_central or flat_of(arr, grown) is not None:
+            if all_central or reference_flat_of(arr, grown) is not None:
                 stack.append((grown, grown_mask))
     return tuple(counts)
 
 
 class TestDependence:
     def test_k3_full_set(self):
-        assert is_dependent(K3_ARR, (0, 1, 2))
+        assert reference_is_dependent(K3_ARR, (0, 1, 2))
 
     def test_boolean_subsets_independent(self):
         arr = coordinate_arrangement(4)
         for size in range(1, 5):
             for s in combinations(range(4), size):
-                assert not is_dependent(arr, s)
+                assert not reference_is_dependent(arr, s)
 
     def test_parallel_pair_not_dependent(self):
-        assert not is_dependent(PARALLEL_LINES, (0, 1))
+        assert not reference_is_dependent(PARALLEL_LINES, (0, 1))
 
 
 class TestCircuits:
@@ -212,7 +216,7 @@ def chi_independent_subsets(arr, order):
             fs = frozenset(s)
             if any(b <= fs for b in broken):
                 continue
-            if flat_of(arr, s) is not None:
+            if reference_flat_of(arr, s) is not None:
                 out.add(fs)
     return out
 

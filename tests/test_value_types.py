@@ -2,8 +2,9 @@
 
 Equal inputs after normalisation give equal objects with equal hashes, the
 hash is the one of the field tuple, every field takes part in equality,
-objects are immutable and survive copy and pickle, and the reprs name
-every field.
+objects are immutable, hold no `__dict__` and survive copy and pickle, and
+the reprs name every field. The four are exactly the subclasses of
+`exactmath.Value`, so a new value type is not left out of these checks.
 """
 
 import copy
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromabounds import Arrangement, Hyperplane, IntPolynomial, SimpleGraph
+from chromabounds.exactmath import Value
 
 from strategies import small_graphs, walk_arrangements
 
@@ -23,6 +25,7 @@ coefficient_tuples = st.lists(st.integers(-50, 50), max_size=8).map(tuple)
 def assert_value_object(obj, same, fields):
     """`same` was built from other inputs that normalise to the same value as `obj`."""
     values = tuple(getattr(obj, name) for name in fields)
+    assert not hasattr(obj, "__dict__")
     assert obj == same and not obj != same
     assert hash(obj) == hash(same) == hash(values)
     assert obj != values and values != obj
@@ -35,6 +38,10 @@ def assert_value_object(obj, same, fields):
     assert copy.copy(obj) == obj and pickle.loads(pickle.dumps(obj)) == obj
     body = ", ".join(f"{name}={value!r}" for name, value in zip(fields, values))
     assert repr(obj) == f"{type(obj).__name__}({body})"
+
+
+def test_the_four_classes_are_every_value_type():
+    assert set(Value.__subclasses__()) == {IntPolynomial, SimpleGraph, Hyperplane, Arrangement}
 
 
 class TestIntPolynomial:
