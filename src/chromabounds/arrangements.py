@@ -9,15 +9,23 @@ operations. The characteristic polynomial is computed from the
 intersection poset's Moebius values, with an independent signed-subset
 expansion (`char_poly_whitney`) as a cross-check.
 
+The intersection poset is built rank by rank. Each flat groups the
+hyperplanes that cut it by their cut, in one dict pass keyed by the
+sign-normalised residual row, so each child flat is produced once, and
+hyperplanes parallel to the flat are dropped. Every parent -> child cover
+is recorded, and each Moebius value is summed over the flats above, found
+through those covers.
+
 The sweeps over subsets of hyperplanes (`char_poly_whitney`,
 `is_general_position`, and the circuit and NBC sweeps of the nbc module)
 share one depth-first walk, `_subset_walk`. It grows each subset by larger
-indices only and carries the subset's echelon basis down to its children,
-so a child costs one residual. A residual leading in the offset column
-means the child's hyperplanes have no common point; the walk does not
-descend from it, since every superset of an empty intersection is empty.
-The walk shares only `linalg.residual` with `intersection_poset`, so the
-Moebius and Whitney routes stay independent.
+indices only and carries the subset's echelon basis, each row with its
+pivot, down to its children, so a child costs one residual and its pivot
+classifies it. A residual with its pivot in the offset column means the
+child's hyperplanes have no common point; the walk does not descend from
+it, since every superset of an empty intersection is empty. The walk
+shares only the elimination primitive `linalg.residual` with
+`intersection_poset`, so the Moebius and Whitney routes stay independent.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequ
 
 from .errors import DEFAULT_SUBSET_GUARD, InputError, ResourceLimitError
 from .exactmath import IntPolynomial, Value, binom
-from .linalg import Row, echelon, residual
+from .linalg import Pivoted, Row, echelon, residual
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -124,11 +132,6 @@ class Flat(NamedTuple):
     mask: int
 
 
-def _meets_nowhere(row: Row) -> bool:
-    """A residual leading in the offset column: the equation 0 = c with c != 0."""
-    return not any(row[:-1])
-
-
 def _subset_walk(
     arr: Arrangement,
     expand_dependent: bool = False,
@@ -138,28 +141,30 @@ def _subset_walk(
 
     Bit i of `mask` is set when hyperplane i is in the subset; `rank` is None
     when the subset has no common point. Each child costs one residual of
-    the added hyperplane against its parent's echelon basis: zero means the
-    child is dependent (central, rank unchanged), a residual leading in the
-    offset column means an empty intersection, anything else raises the
-    rank by one. The walk descends from independent central subsets, from
-    dependent ones too when `expand_dependent`, and never from those with
-    an empty intersection. `admit(mask, i)`, when given, is asked before
-    the residual whether the child `mask` grown by index i is visited at all.
+    the added hyperplane against its parent's echelon basis, and the
+    residual's pivot classifies the child. A zero residual (pivot past the
+    last column) means the child is dependent (central, rank unchanged), a
+    pivot in the offset column means an empty intersection, and a pivot in
+    the normal raises the rank by one. The walk descends from independent central subsets,
+    from dependent ones too when `expand_dependent`, and never from those
+    with an empty intersection. `admit(mask, i)`, when given, is asked
+    before the residual whether the child `mask` grown by index i is
+    visited at all.
     """
     rows = [h.row for h in arr.hyperplanes]
-    m = arr.m
-    stack: list[tuple[int, int, int, tuple[Row, ...]]] = [(0, 0, 0, ())]  # mask, next index, size, basis
+    m, n = arr.m, arr.dim
+    stack: list[tuple[int, int, int, tuple[Pivoted, ...]]] = [(0, 0, 0, ())]  # mask, next index, size, basis
     while stack:
         mask, start, size, basis = stack.pop()
         for i in range(start, m):
             grown = mask | 1 << i
             if admit is not None and not admit(grown, i):
                 continue
-            res = residual(rows[i], basis)
-            if any(res[:-1]):
+            lead, res = residual(rows[i], basis)
+            if lead < n:
                 yield grown, size + 1, len(basis) + 1
-                stack.append((grown, i + 1, size + 1, basis + (res,)))
-            elif res[-1]:
+                stack.append((grown, i + 1, size + 1, basis + ((lead, res),)))
+            elif lead == n:
                 yield grown, size + 1, None
             else:
                 yield grown, size + 1, len(basis)
@@ -173,7 +178,10 @@ def rank(arr: Arrangement) -> int:
 
 
 def is_central(arr: Arrangement) -> bool:
-    return not any(_meets_nowhere(b) for b in echelon(h.row for h in arr.hyperplanes))
+    """The hyperplanes share a point. A linear arrangement shares the origin, with no elimination."""
+    if all(h.is_linear() for h in arr.hyperplanes):
+        return True
+    return all(lead < arr.dim for lead, _ in echelon(h.row for h in arr.hyperplanes))
 
 
 def is_boolean(arr: Arrangement) -> bool:
@@ -220,44 +228,60 @@ class IntersectionPoset(NamedTuple):
 def intersection_poset(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> IntersectionPoset:
     """All distinct nonempty intersections, with Moebius values.
 
-    Built rank by rank. A flat keeps, for each hyperplane outside its
-    closure, that hyperplane's residual against the flat's system. Meeting
-    hyperplane i gives the flat whose closure adds every hyperplane whose
-    residual vanishes against i's; a new flat then keeps the residuals of
-    the rest against i's. Every hyperplane in that closure meets the flat
-    in the same place, so each flat meets only the hyperplanes outside the
-    closures it has already produced.
+    Built rank by rank, until a rank has no flats. A flat keeps its
+    sections: the cuts of the flat by the hyperplanes that meet it in a
+    hyperplane of the flat. A section is one residual against the flat's
+    system, primitive with a positive pivot, with the mask of the
+    hyperplanes whose residual it is up to sign. A hyperplane whose
+    residual has a zero normal is parallel to the flat; it contains no flat
+    below it and is dropped. Each section gives one child, whose closure
+    adds the section's mask. The first parent to reach a child reduces the
+    other sections against the child's pivot row, one elimination step
+    each (none when the row already vanishes at the pivot), and regroups
+    them in one dict pass keyed by the sign-normalised residual. A point
+    has no sections, so none are computed for it. Every parent that
+    reaches a child is recorded as a cover.
+
+    The Moebius function follows from the covers alone: mu(V) = 1 and
+    mu(X) = -sum of mu over the flats strictly containing X, which are the
+    flats reached from X by a chain of covers upwards.
     """
     _check_guard(arr, guard)
-    flats = [Flat(arr.dim, 0)]
-    layer = {0: {j: h.row for j, h in enumerate(arr.hyperplanes)}}
-    for dim in range(arr.dim - 1, -1, -1):
-        found: dict[int, dict[int, Row]] = {}
-        for mask, residuals in layer.items():
-            produced = 0
-            for i, row in residuals.items():
-                if produced >> i & 1 or _meets_nowhere(row):
-                    continue
-                # Residuals are primitive, so one vanishes against `row` exactly when it is +-row.
-                neg = tuple(-x for x in row)
-                closure = mask
-                for j, other in residuals.items():
-                    if other == row or other == neg:
-                        closure |= 1 << j
-                produced |= closure
-                if closure not in found:
-                    found[closure] = {
-                        j: residual(other, (row,)) for j, other in residuals.items() if not closure >> j & 1
-                    }
-        flats.extend(Flat(dim, closure) for closure in sorted(found))
-        layer = found
-
-    # mu(V) = 1; top-down, mu(X) = -sum of mu over flats strictly containing X,
-    # the flats whose closure is a proper subset of X's.
-    masks = [flat.mask for flat in flats]
+    n = arr.dim
+    flats = [Flat(n, 0)]
     mobius = [1]
-    for mask in masks[1:]:
-        mobius.append(-sum(mu for y, mu in zip(masks, mobius) if y & mask == y))
+    above: list[frozenset[int]] = [frozenset()]  # indices of the flats strictly containing each flat
+    # each flat of the current rank as (flat index, closure, sections as (mask, pivot, row))
+    layer = [(0, 0, [(1 << j, *residual(h.row, ())) for j, h in enumerate(arr.hyperplanes)])]
+    dim = n
+    while layer:
+        dim -= 1
+        found: dict[int, tuple[list[int], list]] = {}  # closure -> (covering flat indices, sections)
+        for index, mask, sections in layer:
+            for bits, lead, row in sections:
+                closure = mask | bits
+                child = found.get(closure)
+                if child is not None:
+                    child[0].append(index)
+                    continue
+                grouped: dict[Pivoted, int] = {}
+                for other_bits, other_lead, other in sections if dim else ():
+                    if other_bits == bits:
+                        continue
+                    cut = residual(other, ((lead, row),)) if other[lead] else (other_lead, other)
+                    if cut[0] < n:
+                        if cut[1][cut[0]] < 0:
+                            cut = cut[0], tuple([-x for x in cut[1]])
+                        grouped[cut] = grouped.get(cut, 0) | other_bits
+                found[closure] = ([index], [(b, *cut) for cut, b in grouped.items()])
+        layer = []
+        for closure in sorted(found):
+            covers, sections = found[closure]
+            up = frozenset(covers).union(*[above[k] for k in covers])
+            layer.append((len(flats), closure, sections))
+            flats.append(Flat(dim, closure))
+            above.append(up)
+            mobius.append(-sum(map(mobius.__getitem__, up)))
     return IntersectionPoset(tuple(flats), tuple(mobius))
 
 
@@ -347,7 +371,7 @@ def essentialize(arr: Arrangement) -> Arrangement:
     hyps = []
     for h in arr.hyperplanes:
         normal = h.row[:-1]
-        hyps.append(Hyperplane([sum(x * y for x, y in zip(normal, b)) for b in basis] + [h.row[-1]]))
+        hyps.append(Hyperplane([sum(x * y for x, y in zip(normal, b)) for _, b in basis] + [h.row[-1]]))
     return Arrangement(len(basis), tuple(hyps))
 
 

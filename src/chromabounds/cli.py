@@ -24,6 +24,8 @@ from . import bounds as bnd
 from .errors import DEFAULT_COLORING_CAP, DEFAULT_SUBSET_GUARD, InputError, InvariantError, ResourceLimitError
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .arrangements import Arrangement
     from .checks import Check
     from .exactmath import IntPolynomial
@@ -132,10 +134,24 @@ def _collect_edges(
     return edges
 
 
-def parse_arrangement_text(text: str, source: str = "<input>") -> Arrangement:
-    """One hyperplane per line: n rational coordinates then the offset."""
+def _rational(token: str) -> int | Fraction:
+    """An ASCII integer token as an int, any other token as `Fraction` parses it.
+
+    Only [+-]?[0-9]+ takes the fast path: `int` also accepts forms such as
+    "1_000", which `Fraction` rejects under Python 3.10, so every other
+    token keeps its `Fraction` meaning. A file of integer tokens never
+    loads `fractions`.
+    """
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if digits.isascii() and digits.isdigit():
+        return int(token)
     from fractions import Fraction
 
+    return Fraction(token)
+
+
+def parse_arrangement_text(text: str, source: str = "<input>") -> Arrangement:
+    """One hyperplane per line: n rational coordinates then the offset."""
     from .arrangements import Arrangement, Hyperplane
 
     lines = _meaningful_lines(text)
@@ -157,7 +173,7 @@ def parse_arrangement_text(text: str, source: str = "<input>") -> Arrangement:
                 f"{source}:{lineno}: expected {dim} coordinates plus an offset, got {len(tokens)} values"
             )
         try:
-            values = [Fraction(tok) for tok in tokens]
+            values = [_rational(tok) for tok in tokens]
         except (ValueError, ZeroDivisionError):
             raise InputError(f"{source}:{lineno}: cannot parse rational in '{line}'")
         try:

@@ -1,14 +1,17 @@
 """Exact integer (fraction-free) elimination used by the arrangement machinery.
 
-Rows are integer tuples. An echelon basis is built in insertion order: each
+Rows are integer tuples. A basis row travels with its pivot, the column of
+its first nonzero entry, as a pair (pivot, row), so no caller scans a row
+for its leading column. An echelon basis is built in insertion order: each
 row is the residual of an input row against the rows before it, so it
-vanishes at their leading columns. One primitive, the residual of a row
-against such a basis, answers every question the callers ask:
+vanishes at their pivots. One primitive, the residual of a row against
+such a basis together with the residual's own pivot, answers every
+question the callers ask:
 
-- span membership: the residual is zero;
+- span membership: the residual is zero, and its pivot is len(row);
 - rank: the number of nonzero residuals met while building the basis;
 - consistency of an augmented system (offset in the last column): no
-  residual leads in the offset column, i.e. reads 0 = c with c != 0.
+  residual has its pivot in the offset column, i.e. reads 0 = c with c != 0.
 """
 
 from __future__ import annotations
@@ -17,32 +20,36 @@ from math import gcd
 from typing import Iterable, Sequence
 
 Row = tuple[int, ...]
+Pivoted = tuple[int, Row]
 
 
-def residual(row: Sequence[int], basis: Iterable[Row]) -> Row:
-    """Primitive residual of `row` after eliminating the leading column of each basis row.
+def residual(row: Sequence[int], basis: Iterable[Pivoted]) -> Pivoted:
+    """(pivot, primitive residual) of `row` after eliminating each basis row's pivot column.
 
-    Each basis row must vanish at the leading columns of the rows before it;
-    the residual then vanishes at all of them, and is zero exactly when the
-    row lies in the span of the basis.
+    Each basis row must vanish at the pivots of the rows before it; the
+    residual then vanishes at all of them, and is zero, with pivot
+    len(row), exactly when the row lies in the span of the basis.
     """
     out = row
-    for b in basis:
-        for lead, p in enumerate(b):
-            if p:
-                break
+    for lead, b in basis:
         f = out[lead]
         if f:
+            p = b[lead]
             out = [p * x - f * y for x, y in zip(out, b)]
+    for lead, x in enumerate(out):
+        if x:
+            break
+    else:
+        return len(out), tuple(out)
     g = gcd(*out)
-    return tuple([x // g for x in out]) if g > 1 else tuple(out)
+    return lead, tuple([x // g for x in out]) if g > 1 else tuple(out)
 
 
-def echelon(rows: Iterable[Sequence[int]]) -> list[Row]:
-    """Echelon basis of the row span, one primitive nonzero residual per independent row."""
-    basis: list[Row] = []
+def echelon(rows: Iterable[Sequence[int]]) -> list[Pivoted]:
+    """Echelon basis of the row span, one (pivot, primitive nonzero residual) per independent row."""
+    basis: list[Pivoted] = []
     for row in rows:
-        r = residual(row, basis)
-        if any(r):
-            basis.append(r)
+        lead, r = residual(row, basis)
+        if lead < len(r):
+            basis.append((lead, r))
     return basis

@@ -1,18 +1,22 @@
 """Circuits, broken circuits, and no-broken-circuit subset counting.
 
-Both sweeps run on the arrangements module's depth-first subset walk,
-which grows each subset by larger indices, carries its echelon basis down
-to its children and never descends from an empty intersection. Graphs
-participate via their graphic arrangements, so there is a single
-dependence implementation. A ground order is a permutation of the
-hyperplane indices listed from smallest to largest.
+The circuit sweep runs on the arrangements module's depth-first subset
+walk, which grows each subset by larger indices, carries its echelon basis
+down to its children and never descends from an empty intersection. It is
+the one place that decides dependence; graphs participate via their
+graphic arrangements. The NBC sweep needs no elimination on a central
+arrangement: a subset with no broken circuit contains no circuit, so it is
+independent, and it has a common point because every subset does. On
+other arrangements it runs on the walk, which drops the subsets with no
+common point. A ground order is a permutation of the hyperplane indices
+listed from smallest to largest.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .arrangements import Arrangement, _check_guard, _subset_walk
+from .arrangements import Arrangement, _check_guard, _subset_walk, is_central
 from .errors import DEFAULT_SUBSET_GUARD, InputError
 
 GroundOrder = tuple[int, ...]
@@ -75,11 +79,14 @@ def nbc_counts(
 
     Matches the absolute coefficient of t^(n-k) in the characteristic
     polynomial for 0 <= k <= rank, and is 0 above the rank. Such subsets
-    are closed under taking subsets, so the subset walk reaches every one
-    of them once. A subset that passed grows by index i into one holding a
-    broken circuit only when that broken circuit's largest index is i. A
-    central subset with no broken circuit is independent. `found` is as for
-    `broken_circuits`.
+    are closed under taking subsets, so a depth-first sweep that grows each
+    subset by larger indices reaches every one of them once. A subset that
+    passed grows by index i into one holding a broken circuit only when
+    that broken circuit's largest index is i. A subset with no broken
+    circuit contains no circuit, so it is independent; on a central
+    arrangement it therefore has a common point, and the sweep needs no
+    elimination. Otherwise it runs on the subset walk, which also drops
+    the subsets with no common point. `found` is as for `broken_circuits`.
     """
     by_top: dict[int, list[int]] = {}
     for b in broken_circuits(arr, order=order, guard=guard, found=found):
@@ -90,7 +97,17 @@ def nbc_counts(
 
     counts = [0] * (arr.m + 1)
     counts[0] = 1  # empty subset
-    for _, size, r in _subset_walk(arr, admit=admit):
-        if r is not None:
-            counts[size] += 1
+    if not is_central(arr):
+        for _, size, r in _subset_walk(arr, admit=admit):
+            if r is not None:
+                counts[size] += 1
+        return tuple(counts)
+    stack = [(0, 0, 0)]  # mask, next index, size
+    while stack:
+        mask, start, size = stack.pop()
+        for i in range(start, arr.m):
+            grown = mask | 1 << i
+            if admit(grown, i):
+                counts[size + 1] += 1
+                stack.append((grown, i + 1, size + 1))
     return tuple(counts)

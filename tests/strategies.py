@@ -84,7 +84,7 @@ def reference_flat_of(arr, subset):
     The empty subset yields the ambient space.
     """
     basis = echelon(arr.hyperplanes[i].row for i in sorted(set(subset)))
-    if any(not any(b[:-1]) for b in basis):
+    if any(not any(b[:-1]) for _, b in basis):
         return None
-    mask = sum(1 << j for j, h in enumerate(arr.hyperplanes) if not any(residual(h.row, basis)))
+    mask = sum(1 << j for j, h in enumerate(arr.hyperplanes) if not any(residual(h.row, basis)[1]))
     return Flat(arr.dim - len(basis), mask)

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -33,10 +34,16 @@ from chromabounds import (
     rank,
     restrict,
 )
-from chromabounds.arrangements import Flat
+from chromabounds.arrangements import Flat, IntersectionPoset
 from chromabounds.corpus import _random_hyperplane, coordinate_arrangement, named_graphs
-from chromabounds.linalg import echelon
-from strategies import linear_arrangements, random_affine_with_parallels, reference_flat_of, walk_arrangements
+from chromabounds.linalg import echelon, residual
+from strategies import (
+    dense_graphs,
+    linear_arrangements,
+    random_affine_with_parallels,
+    reference_flat_of,
+    walk_arrangements,
+)
 
 K3_ARR = graphic_arrangement(complete(3))
 
@@ -191,6 +198,35 @@ class TestIntersectionPoset:
                 )
                 assert total == 0
 
+    def test_empty_space_stops_at_the_first_empty_rank(self):
+        # a file holding only `dim 3000000` once walked every lower dimension;
+        # a budget of traced lines makes that fail at once instead of hanging
+        lines = 0
+
+        def count_lines(frame, event, arg):
+            nonlocal lines
+            lines += event == "line"
+            if lines > 1000:
+                raise RuntimeError("intersection_poset kept going past an empty rank")
+            return count_lines
+
+        def trace_the_poset(frame, event, arg):
+            return count_lines if frame.f_code is intersection_poset.__code__ else None
+
+        dim = 10**18
+        previous = sys.gettrace()
+        sys.settrace(trace_the_poset)
+        try:
+            poset = intersection_poset(Arrangement(dim))
+        finally:
+            sys.settrace(previous)
+        assert poset == IntersectionPoset((Flat(dim, 0),), (1,))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(walk_arrangements, linear_arrangements(), dense_graphs().map(graphic_arrangement)))
+    def test_matches_the_pairwise_scan(self, arr):
+        assert intersection_poset(arr) == reference_intersection_poset(arr)
+
     def test_flats_are_the_subset_intersections(self, arrangement_corpus):
         rng = random.Random(2718)
         samples = [arr for _, arr in arrangement_corpus]
@@ -199,6 +235,40 @@ class TestIntersectionPoset:
         for arr in samples:
             by_subset = {reference_flat_of(arr, _bits(mask)) for mask in range(1 << arr.m)} - {None}
             assert by_subset == set(intersection_poset(arr).flats)
+
+
+def reference_intersection_poset(arr):
+    """The poset as built before residuals were grouped: rank by rank over every dimension,
+    each residual row compared with every other, and each Moebius value summed over every
+    earlier flat."""
+    flats = [Flat(arr.dim, 0)]
+    layer = {0: {j: h.row for j, h in enumerate(arr.hyperplanes)}}
+    for dim in range(arr.dim - 1, -1, -1):
+        found = {}
+        for mask, residuals in layer.items():
+            produced = 0
+            for i, row in residuals.items():
+                if produced >> i & 1 or not any(row[:-1]):
+                    continue
+                # residuals are primitive, so one vanishes against `row` exactly when it is +-row
+                neg = tuple(-x for x in row)
+                closure = mask
+                for j, other in residuals.items():
+                    if other == row or other == neg:
+                        closure |= 1 << j
+                produced |= closure
+                if closure not in found:
+                    pivot = ((next(c for c, x in enumerate(row) if x), row),)
+                    found[closure] = {
+                        j: residual(other, pivot)[1] for j, other in residuals.items() if not closure >> j & 1
+                    }
+        flats.extend(Flat(dim, closure) for closure in sorted(found))
+        layer = found
+    masks = [flat.mask for flat in flats]
+    mobius = [1]
+    for mask in masks[1:]:
+        mobius.append(-sum(mu for y, mu in zip(masks, mobius) if y & mask == y))
+    return IntersectionPoset(tuple(flats), tuple(mobius))
 
 
 def _bits(mask):
@@ -258,7 +328,7 @@ class TestWhitney:
 def _subset_rank(arr, subset):
     """Rank of the chosen hyperplanes from a fresh elimination; None when they share no point."""
     basis = echelon(arr.hyperplanes[i].row for i in subset)
-    return None if any(not any(b[:-1]) for b in basis) else len(basis)
+    return None if any(not any(b[:-1]) for _, b in basis) else len(basis)
 
 
 def reference_char_poly_whitney(arr):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from chromabounds import (
 )
 from chromabounds.cli import (
     RunConfig,
+    _rational,
     _record_json,
     _seq_json,
     build_bounds_report,
@@ -83,6 +85,29 @@ class TestParsing:
         arr = parse_arrangement_text("dim 2\n1/2 -1/3 2\n0 1 -1/2\n")
         assert arr.m == 2
         assert arr.hyperplanes[0].normal == (3, -2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.from_regex(r"\A[+-]{0,2}[0-9_]{1,5}\Z"),
+        st.text(alphabet="0123456789+-_/.e\u0663\u00b2\uff11", min_size=1, max_size=6),
+    ))
+    def test_integer_fast_path_matches_fraction(self, token):
+        # `int` accepts "1_0", which `Fraction` rejects under Python 3.10; both must agree everywhere
+        def parse(convert):
+            try:
+                return convert(token)
+            except (ValueError, ZeroDivisionError) as exc:
+                return type(exc)
+
+        assert parse(_rational) == parse(Fraction)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.integers(-20, 20), min_size=3, max_size=3), min_size=1, max_size=5))
+    def test_integer_file_matches_the_fraction_path(self, rows):
+        # "k/1" is not an integer token, so the second text parses through `Fraction`
+        text = "dim 2\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows if any(row[:2]))
+        slow = "dim 2\n" + "".join(" ".join(f"{x}/1" for x in row) + "\n" for row in rows if any(row[:2]))
+        assert parse_arrangement_text(text) == parse_arrangement_text(slow)
 
     def test_arrangement_wrong_arity(self):
         with pytest.raises(InputError, match="coordinates"):
@@ -188,8 +213,10 @@ print(json.dumps([package_alone, sorted(loaded)]))
     (K4_TEXT, [["bounds"], ["chromatic"]], {"arrangements", "linalg", "nbc", "checks", "corpus", "fractions"}),
     (LINEAR_LINES_TEXT, [["nbc"], ["decone", "0"]], {"graphs", "checks", "corpus"}),
     # hyperplanes are integer rows, so only parsing rationals needs `fractions`
+    # (`decone` loads it to print offsets)
+    (LINEAR_LINES_TEXT, [["nbc"]], {"graphs", "checks", "corpus", "fractions"}),
     (None, [["verify", "--graphs", "2", "--arrangements", "2", "--seed", "1"]], {"fractions"}),
-], ids=["import", "graph", "arrangement", "verify"])
+], ids=["import", "graph", "arrangement", "integer-nbc", "verify"])
 def test_each_command_loads_only_the_modules_it_runs(write, text, commands, absent):
     # every process compiles what it imports when bytecode writing is off, so an unused module costs start-up
     path = write("input.txt", text) if text is not None else None

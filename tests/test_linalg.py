@@ -29,12 +29,19 @@ def test_rank_consistency_and_span_match_sympy(system):
     assert len(basis) == _rank(rows)
     # consistent exactly when no residual reads 0 = c with c != 0
     consistent = _rank([r[:-1] for r in rows]) == _rank(rows)
-    assert consistent == all(any(b[:-1]) for b in basis)
+    assert consistent == all(any(b[:-1]) for _, b in basis)
     in_span = _rank(rows + [extra]) == _rank(rows)
-    assert in_span == (not any(residual(extra, basis)))
+    lead, res = residual(extra, basis)
+    assert in_span == (not any(res)) == (lead == len(extra))
+    # each row carries its pivot, its first nonzero column, at which every later row vanishes
+    pivoted = basis if in_span else basis + [(lead, res)]
+    for k, (pivot, b) in enumerate(pivoted):
+        assert not any(b[:pivot]) and b[pivot]
+        assert all(later[pivot] == 0 for _, later in pivoted[k + 1:])
 
 
 def test_residuals_are_primitive_and_vanish_at_earlier_leads():
     basis = echelon([(2, 4, 6, 8), (1, 3, 5, 7), (3, 7, 11, 15), (0, 0, 4, 2)])
-    assert basis == [(1, 2, 3, 4), (0, 1, 2, 3), (0, 0, 2, 1)]
-    assert residual((5, 0, 0, 1), basis) == (0, 0, 0, 1)
+    assert basis == [(0, (1, 2, 3, 4)), (1, (0, 1, 2, 3)), (2, (0, 0, 2, 1))]
+    assert residual((5, 0, 0, 1), basis) == (3, (0, 0, 0, 1))
+    assert residual((2, 5, 8, 11), basis) == (4, (0, 0, 0, 0))

@@ -1,10 +1,11 @@
 import random
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromabounds import checks
+from chromabounds import arrangements, checks, linalg
 from chromabounds import nbc as nbcmod
 from chromabounds import (
     Arrangement,
@@ -23,7 +24,7 @@ from chromabounds import (
 )
 from chromabounds.corpus import coordinate_arrangement, random_order
 from chromabounds.nbc import broken_circuits
-from strategies import reference_flat_of, walk_arrangements
+from strategies import linear_arrangements, reference_flat_of, small_graphs, walk_arrangements
 
 K3_ARR = graphic_arrangement(complete(3))
 K4_ARR = graphic_arrangement(complete(4))
@@ -196,6 +197,22 @@ class TestNbcCoefficient:
     def test_matches_per_subset_sweep(self, data, arr):
         order = data.draw(st.permutations(range(arr.m)))
         assert nbc_counts(arr, order) == reference_nbc_counts(arr, order)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.one_of(linear_arrangements(), small_graphs().map(graphic_arrangement)))
+    def test_central_counts_need_no_elimination(self, data, arr):
+        # a subset without a broken circuit is independent, so a central arrangement needs no rank
+        order = data.draw(st.permutations(range(arr.m)))
+        found = circuits(arr)
+        expected = reference_nbc_counts(arr, order)
+
+        def no_elimination(*args):
+            raise AssertionError("nbc_counts eliminated on a central arrangement")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "residual", no_elimination)
+            patch.setattr(arrangements, "residual", no_elimination)
+            assert nbc_counts(arr, order, found=found) == expected
 
     def test_matches_subset_sweep(self):
         # the depth-first sweep against a direct sweep over all 2^m subsets

@@ -63,3 +63,14 @@ def test_startup_time_times_each_command(tmp_path):
     assert list(commands) == ["bounds", "nbc"]
     assert all(s["q1_ms"] <= s["median_ms"] <= s["q3_ms"] for s in commands.values())
     assert "bounds" in text and "nbc" in text
+
+
+def test_arrangement_growth_writes_one_row_per_arrangement(tmp_path):
+    out = tmp_path / "growth.json"
+    _run("arrangement_growth.py", "--dim", "3", "--sizes", "3", "4", "--seeds", "1", "--out", str(out))
+    report = json.loads(out.read_text())
+    assert [(row["family"], row["m"], row["seed"]) for row in report["rows"]] == [
+        ("affine", 3, 1), ("affine", 4, 1), ("linear", 3, 1), ("linear", 4, 1)]
+    assert all(row["flats"] > row["m"] for row in report["rows"])
+    assert all(set(row["seconds"]) == {"poset", "circuits", "nbc", "whitney"} for row in report["rows"])
+    assert list(report["totals_s"]) == ["affine m=3", "affine m=4", "linear m=3", "linear m=4"]
