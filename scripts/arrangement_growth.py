@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Time the arrangement layer in-process on seeded arrangements of growing size.
 
-For each seed in --seeds, each m in --sizes and each family, one
-arrangement of m distinct hyperplanes in dimension --dim is drawn from
+For each seed 1-3, each m in --sizes (default 8..14) and each family, one
+arrangement of m distinct hyperplanes in dimension 4 is drawn from
 random.Random(f"arrangement-growth:{family}:{seed}:{m}"): normal entries in
 -3..3, and for the affine family an offset with numerator in -2..2 over a
 denominator in 1..3, the distribution of the benchmark's arr-growth
@@ -29,6 +29,8 @@ from collections import defaultdict
 from chromabounds import Arrangement, Hyperplane, char_poly_whitney, circuits, intersection_poset, nbc_counts
 
 REPEATS = 3
+DIM = 4
+SEEDS = (1, 2, 3)
 FAMILIES = ("affine", "linear")
 STAGES = ("poset", "circuits", "nbc", "whitney")
 
@@ -70,9 +72,7 @@ def measure(arr):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--dim", type=int, default=4)
     parser.add_argument("--sizes", type=int, nargs="*", default=list(range(8, 15)))
-    parser.add_argument("--seeds", type=int, nargs="*", default=[1, 2, 3])
     parser.add_argument("--out", help="also write the rows and totals to this JSON file")
     args = parser.parse_args()
 
@@ -81,11 +81,11 @@ def main():
     print(f"{'family':>7} {'m':>3} {'seed':>5} {'flats':>6} " + " ".join(f"{s + '_s':>10}" for s in STAGES))
     for family in FAMILIES:
         for m in args.sizes:
-            for seed in args.seeds:
+            for seed in SEEDS:
                 rng = random.Random(f"arrangement-growth:{family}:{seed}:{m}")
-                arr = random_arrangement(rng, args.dim, m, family == "linear")
+                arr = random_arrangement(rng, DIM, m, family == "linear")
                 flats, seconds = measure(arr)
-                rows.append({"family": family, "dim": args.dim, "m": m, "seed": seed, "flats": flats,
+                rows.append({"family": family, "dim": DIM, "m": m, "seed": seed, "flats": flats,
                              "seconds": {s: round(seconds[s], 5) for s in STAGES}})
                 for stage in STAGES:
                     totals[f"{family} m={m}"][stage] += seconds[stage]

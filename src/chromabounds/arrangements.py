@@ -244,15 +244,18 @@ def intersection_poset(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> I
 
     The Moebius function follows from the covers alone: mu(V) = 1 and
     mu(X) = -sum of mu over the flats strictly containing X, which are the
-    flats reached from X by a chain of covers upwards.
+    flats reached from X by a chain of covers upwards. Those sets are built
+    from the covers' sets and kept until the next rank is built.
     """
     _check_guard(arr, guard)
     n = arr.dim
     flats = [Flat(n, 0)]
     mobius = [1]
-    above: list[frozenset[int]] = [frozenset()]  # indices of the flats strictly containing each flat
     # each flat of the current rank as (flat index, closure, sections as (mask, pivot, row))
     layer = [(0, 0, [(1 << j, *residual(h.row, ())) for j, h in enumerate(arr.hyperplanes)])]
+    # per flat of the current rank, the indices of the flats strictly containing it; a flat's
+    # covers all lie in the rank above it, so no older rank's sets are kept
+    above: list[frozenset[int]] = [frozenset()]
     dim = n
     while layer:
         dim -= 1
@@ -274,10 +277,11 @@ def intersection_poset(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> I
                             cut = cut[0], tuple([-x for x in cut[1]])
                         grouped[cut] = grouped.get(cut, 0) | other_bits
                 found[closure] = ([index], [(b, *cut) for cut, b in grouped.items()])
-        layer = []
+        first = layer[0][0]
+        layer, previous, above = [], above, []
         for closure in sorted(found):
             covers, sections = found[closure]
-            up = frozenset(covers).union(*[above[k] for k in covers])
+            up = frozenset(covers).union(*[previous[k - first] for k in covers])
             layer.append((len(flats), closure, sections))
             flats.append(Flat(dim, closure))
             above.append(up)
@@ -319,25 +323,24 @@ def delete(arr: Arrangement, h: int) -> Arrangement:
 def _restrict_rows(rows: Iterable[Row], target: Row) -> Arrangement:
     """Intersect each row's hyperplane with the hyperplane of `target`, one dimension down.
 
-    With j0 the first nonzero normal entry of `target`, the step
-    target[j0] * row - row[j0] * target clears column j0; the other columns,
-    in increasing order, are the coordinates on the target hyperplane, and
-    `Hyperplane` makes the result primitive. A result with a zero normal is parallel to the target and misses it, so it
-    is dropped; coincident restrictions collapse through Arrangement
-    deduplication.
+    With j0 the first nonzero normal entry of `target`, each row's residual
+    against `target` clears column j0; the other columns, in increasing
+    order, are the coordinates on the target hyperplane. A residual with its
+    pivot in the offset column (a zero normal) is parallel to the target and
+    misses it, so it is dropped; coincident restrictions collapse through
+    Arrangement deduplication.
     """
     j0 = next(j for j, x in enumerate(target) if x)
-    p = target[j0]
+    basis = ((j0, target),)
+    n = len(target) - 1
     restricted: list[Hyperplane] = []
     for row in rows:
-        f = row[j0]
-        out = [p * x - f * y for x, y in zip(row, target)]
-        del out[j0]
-        if any(out[:-1]):
-            restricted.append(Hyperplane(out))
+        lead, out = residual(row, basis)
+        if lead < n:
+            restricted.append(Hyperplane(out[:j0] + out[j0 + 1:]))
         else:
-            assert out[-1], "coincident hyperplane slipped past deduplication"
-    return Arrangement(len(target) - 2, tuple(restricted))
+            assert lead == n, "coincident hyperplane slipped past deduplication"
+    return Arrangement(n - 1, tuple(restricted))
 
 
 def restrict(arr: Arrangement, h: int) -> Arrangement:

@@ -36,13 +36,14 @@ def residual(row: Sequence[int], basis: Iterable[Pivoted]) -> Pivoted:
         if f:
             p = b[lead]
             out = [p * x - f * y for x, y in zip(out, b)]
-    for lead, x in enumerate(out):
-        if x:
-            break
-    else:
-        return len(out), tuple(out)
     g = gcd(*out)
-    return lead, tuple([x // g for x in out]) if g > 1 else tuple(out)
+    if not g:  # a zero residual: no pivot to find
+        return len(out), tuple(out)
+    out = tuple([x // g for x in out]) if g > 1 else tuple(out)
+    lead = 0
+    while not out[lead]:
+        lead += 1
+    return lead, out
 
 
 def echelon(rows: Iterable[Sequence[int]]) -> list[Pivoted]:
