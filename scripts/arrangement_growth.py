@@ -3,10 +3,11 @@
 
 For each seed 1-3, each m in --sizes (default 8..14) and each family, one
 arrangement of m distinct hyperplanes in dimension 4 is drawn from
-random.Random(f"arrangement-growth:{family}:{seed}:{m}"): normal entries in
--3..3, and for the affine family an offset with numerator in -2..2 over a
-denominator in 1..3, the distribution of the benchmark's arr-growth
-inputs. The linear family has every offset 0.
+random.Random(f"arrangement-growth:{family}:{seed}:{m}") by
+`corpus.random_hyperplane`: normal entries in -3..3, and for the affine
+family an offset with numerator in -2..2 over a denominator in 1..3, the
+distribution of the benchmark's arr-growth inputs. The linear family has
+every offset 0.
 
 Four computations are timed on each arrangement, each the median of three
 runs: `intersection_poset` (with its flat count), `circuits`, `nbc_counts`
@@ -26,7 +27,8 @@ import statistics
 import time
 from collections import defaultdict
 
-from chromabounds import Arrangement, Hyperplane, char_poly_whitney, circuits, intersection_poset, nbc_counts
+from chromabounds import Arrangement, char_poly_whitney, circuits, intersection_poset, nbc_counts
+from chromabounds.corpus import random_hyperplane
 
 REPEATS = 3
 DIM = 4
@@ -36,18 +38,11 @@ STAGES = ("poset", "circuits", "nbc", "whitney")
 
 
 def random_arrangement(rng, dim, m, linear):
-    """m distinct hyperplanes with normal entries in -3..3 and small rational offsets."""
+    """m distinct hyperplanes drawn as the verify corpus draws them."""
     hyps = []
     while len(hyps) < m:
-        normal = [rng.randint(-3, 3) for _ in range(dim)]
-        if not any(normal):
-            continue
-        if linear:
-            h = Hyperplane(normal + [0])
-        else:
-            numerator, denominator = rng.randint(-2, 2), rng.choice([1, 2, 3])
-            h = Hyperplane([denominator * x for x in normal] + [numerator])
-        if h not in hyps:
+        h = random_hyperplane(rng, dim, linear)
+        if h is not None and h not in hyps:
             hyps.append(h)
     return Arrangement(dim, tuple(hyps))
 

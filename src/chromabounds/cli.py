@@ -1,11 +1,16 @@
 """Command-line front end: parse inputs, run computations, emit text or JSON.
 
+Each subcommand declares only the flags it reads and names its handler and
+text printer. A handler returns (results, violations); the JSON `config`
+echoes the command, its input file and the shared flags it takes.
+
 Each command imports the modules it runs when it runs them: a graph
 command never loads `arrangements`, `linalg` or `nbc`, and only `verify`
 loads `checks` and `corpus`.
 
-Exit codes: 0 success, 1 verification failure, 2 input error, 3 resource
-cap exceeded; a reader closing stdout early is not a failure (exit 0).
+Exit codes: 0 success, 1 verification failure (the report's violations or
+a broken internal invariant), 2 input or usage error, 3 resource cap
+exceeded; a reader closing stdout early is not a failure (exit 0).
 JSON reports keep every potentially large integer as a decimal string so
 arbitrary precision survives serialization.
 """
@@ -18,7 +23,7 @@ import os
 import random
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from . import bounds as bnd
 from .errors import DEFAULT_COLORING_CAP, DEFAULT_SUBSET_GUARD, InputError, InvariantError, ResourceLimitError
@@ -30,20 +35,6 @@ if TYPE_CHECKING:
     from .checks import Check
     from .exactmath import IntPolynomial
     from .graphs import SimpleGraph
-
-DEFAULT_Q_MIN = -3
-DEFAULT_Q_MAX = 3
-
-
-class RunConfig(NamedTuple):
-    command: str
-    inputs: tuple[str, ...]
-    q_min: int = DEFAULT_Q_MIN
-    q_max: int = DEFAULT_Q_MAX
-    cap_subsets: int = DEFAULT_SUBSET_GUARD
-    cap_colorings: int = DEFAULT_COLORING_CAP
-    seed: int | None = None
-    output_format: str = "text"
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +266,10 @@ def build_chromatic_report(g: SimpleGraph) -> dict:
     }
 
 
-def build_bounds_report(obj: SimpleGraph | Arrangement, config: RunConfig) -> dict:
-    poly = _polynomial(obj, config.cap_subsets)
+def build_bounds_report(obj: SimpleGraph | Arrangement, *, q_min: int, q_max: int, cap_subsets: int) -> dict:
+    poly = _polynomial(obj, cap_subsets)
     seq = bnd.coeff_sequence(poly, obj.m)
-    report = bnd.verify_bounds(seq, config.q_min, config.q_max)
+    report = bnd.verify_bounds(seq, q_min, q_max)
     return {
         "polynomial": str(poly),
         "sequence": _seq_json(seq),
@@ -289,14 +280,12 @@ def build_bounds_report(obj: SimpleGraph | Arrangement, config: RunConfig) -> di
     }
 
 
-def build_nbc_report(
-    obj: SimpleGraph | Arrangement, order: tuple[int, ...] | None, config: RunConfig
-) -> dict:
+def build_nbc_report(obj: SimpleGraph | Arrangement, order: tuple[int, ...] | None, *, cap_subsets: int) -> dict:
     from .nbc import nbc_counts
 
     # The counts first: their subset guard depends only on m and trips before any polynomial is built.
-    counts = nbc_counts(_as_arrangement(obj), order=order, guard=config.cap_subsets)
-    poly = _polynomial(obj, config.cap_subsets)
+    counts = nbc_counts(_as_arrangement(obj), order=order, guard=cap_subsets)
+    poly = _polynomial(obj, cap_subsets)
     seq = bnd.coeff_sequence(poly, obj.m)
     rows = [{"k": k, "nbc_count": str(counts[k]), "abs_coefficient": str(seq.a[k]),
              "match": counts[k] == seq.a[k]} for k in range(seq.r + 1)]
@@ -308,15 +297,15 @@ def build_nbc_report(
     }
 
 
-def build_decone_report(obj: SimpleGraph | Arrangement, k0: int, config: RunConfig) -> dict:
+def build_decone_report(obj: SimpleGraph | Arrangement, k0: int, *, cap_subsets: int) -> dict:
     from .arrangements import char_poly, decone
 
     arr = _as_arrangement(obj)
     if not 0 <= k0 < arr.m:
         raise InputError(f"hyperplane index {k0} out of range for m={arr.m}")
     deconed = decone(arr, k0)
-    chi = char_poly(arr, guard=config.cap_subsets)
-    chi_deconed = char_poly(deconed, guard=config.cap_subsets)
+    chi = char_poly(arr, guard=cap_subsets)
+    chi_deconed = char_poly(deconed, guard=cap_subsets)
     expected = bnd.divided_difference(chi)
     return {
         "deconed": format_arrangement(deconed),
@@ -332,18 +321,19 @@ def build_decone_report(obj: SimpleGraph | Arrangement, k0: int, config: RunConf
 # ---------------------------------------------------------------------------
 
 
-def build_verify_report(config: RunConfig, num_graphs: int, max_vertices: int,
-                        num_arrangements: int, max_dim: int, max_hyperplanes: int) -> tuple[dict, list[dict]]:
+def build_verify_report(*, seed: int | None, q_min: int, q_max: int, cap_subsets: int, cap_colorings: int,
+                        num_graphs: int, max_vertices: int, num_arrangements: int, max_dim: int,
+                        max_hyperplanes: int) -> tuple[dict, list[dict]]:
     from .checks import ARRANGEMENT_CHECKS, GRAPH_CHECKS, LINEAR_CENTRAL_CHECKS, Case, run_checks
     from .corpus import linear_central_corpus, named_graphs, random_arrangements, random_graphs, random_order
 
-    rng = random.Random(config.seed if config.seed is not None else 0)
+    rng = random.Random(seed if seed is not None else 0)
     outcomes: list[tuple[str, str, bool, str]] = []
 
     def verify(table: tuple[Check, ...], label: str, obj: SimpleGraph | Arrangement) -> dict:
-        case = Case(label, obj, config.q_min, config.q_max,
+        case = Case(label, obj, q_min, q_max,
                     orders=lambda m: [None] + [random_order(rng, m) for _ in range(2)],
-                    cap_subsets=config.cap_subsets, cap_colorings=config.cap_colorings)
+                    cap_subsets=cap_subsets, cap_colorings=cap_colorings)
         outcomes.extend((name, label, ok, detail) for name, ok, detail in run_checks(table, case))
         return case.row
 
@@ -366,22 +356,50 @@ def build_verify_report(config: RunConfig, num_graphs: int, max_vertices: int,
 
 
 # ---------------------------------------------------------------------------
-# rendering and entry point
+# commands, text rendering and the entry point
 # ---------------------------------------------------------------------------
 
 
-def _emit(command: str, config: RunConfig, results: dict, violations: list) -> str:
-    payload = {
-        "command": command,
-        "config": config._asdict(),
-        "results": results,
-        "violations": violations,
-    }
-    payload["config"]["inputs"] = list(config.inputs)
-    return json.dumps(payload, indent=2, sort_keys=True)
+def _run_chromatic(args: argparse.Namespace) -> tuple[dict, list]:
+    obj = parse_input_file(args.file)
+    if not _is_graph(obj):
+        raise InputError(f"{args.file}: 'chromatic' expects a graph file")
+    return build_chromatic_report(obj), []
 
 
-def _print_text_chromatic(results: dict) -> None:
+def _run_bounds(args: argparse.Namespace) -> tuple[dict, list]:
+    results = build_bounds_report(parse_input_file(args.file), q_min=args.q_min, q_max=args.q_max,
+                                  cap_subsets=args.cap_subsets)
+    return results, results["violations"]
+
+
+def _run_nbc(args: argparse.Namespace) -> tuple[dict, list]:
+    obj = parse_input_file(args.file)
+    try:  # `nbc.broken_circuits` checks that they are a permutation
+        order = None if args.order is None else tuple(int(tok) for tok in args.order.split(","))
+    except ValueError:
+        raise InputError(f"--order '{args.order}' is not a comma-separated integer list")
+    results = build_nbc_report(obj, order, cap_subsets=args.cap_subsets)
+    return results, [row for row in results["rows"] if not row["match"]]
+
+
+def _run_decone(args: argparse.Namespace) -> tuple[dict, list]:
+    results = build_decone_report(parse_input_file(args.file), args.k0, cap_subsets=args.cap_subsets)
+    return results, [] if results["ok"] else [{"check": "decone-divided-difference", "k0": args.k0}]
+
+
+def _run_verify(args: argparse.Namespace) -> tuple[dict, list]:
+    for flag, value, least in (("--max-n", args.max_n, 1), ("--max-dim", args.max_dim, 1),
+                               ("--max-m", args.max_m, 1), ("--graphs", args.graphs, 0),
+                               ("--arrangements", args.arrangements, 0)):
+        if value < least:
+            raise InputError(f"{flag} must be at least {least}, got {value}")
+    return build_verify_report(seed=args.seed, q_min=args.q_min, q_max=args.q_max, cap_subsets=args.cap_subsets,
+                               cap_colorings=args.cap_colorings, num_graphs=args.graphs, max_vertices=args.max_n,
+                               num_arrangements=args.arrangements, max_dim=args.max_dim, max_hyperplanes=args.max_m)
+
+
+def _print_text_chromatic(results: dict, violations: list) -> None:
     print(f"chromatic polynomial: {results['polynomial']}")
     print(f"n = {results['n']}, m = {results['m']}, "
           f"components = {results['components']}, rank = {results['rank']}")
@@ -389,7 +407,7 @@ def _print_text_chromatic(results: dict) -> None:
     print(f"coefficient sequence a_0..a_r: {a}")
 
 
-def _print_text_bounds(results: dict) -> None:
+def _print_text_bounds(results: dict, violations: list) -> None:
     print(f"polynomial: {results['polynomial']}")
     seq = results["sequence"]
     print(f"n = {seq['n']}, m = {seq['m']}, r = {seq['r']}, a = [{', '.join(seq['a'])}]")
@@ -400,7 +418,7 @@ def _print_text_bounds(results: dict) -> None:
     print(f"all ok: {results['all_ok']}; all tight: {results['all_tight']}")
 
 
-def _print_text_nbc(results: dict) -> None:
+def _print_text_nbc(results: dict, violations: list) -> None:
     print(f"polynomial: {results['polynomial']}")
     print(f"order: {','.join(str(i) for i in results['order'])}")
     print(f"{'k':>3} {'nbc':>12} {'|a_k|':>12}  match")
@@ -410,7 +428,7 @@ def _print_text_nbc(results: dict) -> None:
     print(f"all match: {results['all_match']}")
 
 
-def _print_text_decone(results: dict) -> None:
+def _print_text_decone(results: dict, violations: list) -> None:
     print("deconed arrangement:")
     print(results["deconed"])
     print(f"char poly of input:    {results['char_poly']}")
@@ -427,16 +445,16 @@ def _print_text_verify(results: dict, violations: list[dict]) -> None:
         print(f"  VIOLATION {v['check']} on {v['instance']}: {v['detail']}")
 
 
-def _parse_order_flag(raw: str | None, m: int) -> tuple[int, ...] | None:
-    if raw is None:
-        return None
-    try:
-        order = tuple(int(tok) for tok in raw.split(","))
-    except ValueError:
-        raise InputError(f"--order '{raw}' is not a comma-separated integer list")
-    from .nbc import _validate_order
-
-    return _validate_order(order, m)
+# The flags whose values a JSON report's `config` echoes; each command declares
+# only the ones it reads.
+_SHARED_FLAGS = {
+    "--format": {"dest": "output_format", "choices": ["text", "json"], "default": "text"},
+    "--q-min": {"dest": "q_min", "type": int, "default": -3},
+    "--q-max": {"dest": "q_max", "type": int, "default": 3},
+    "--seed": {"dest": "seed", "type": int, "default": None},
+    "--cap-subsets": {"dest": "cap_subsets", "type": int, "default": DEFAULT_SUBSET_GUARD},
+    "--cap-colorings": {"dest": "cap_colorings", "type": int, "default": DEFAULT_COLORING_CAP},
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -446,111 +464,53 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("--q-min", type=int, default=DEFAULT_Q_MIN)
-        p.add_argument("--q-max", type=int, default=DEFAULT_Q_MAX)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--cap-subsets", type=int, default=DEFAULT_SUBSET_GUARD)
-        p.add_argument("--cap-colorings", type=int, default=DEFAULT_COLORING_CAP)
+    def command(name: str, help: str, handler, printer, *arguments: str) -> argparse.ArgumentParser:
+        """A subcommand running `handler`, with its positional arguments and the shared flags it reads."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler, printer=printer)
+        for argument in arguments:
+            p.add_argument(argument, **_SHARED_FLAGS.get(argument, {}))
+        return p
 
-    p = sub.add_parser("chromatic", help="chromatic polynomial of a graph file")
-    p.add_argument("file")
-    add_common(p)
-
-    p = sub.add_parser("bounds", help="two-sided bound grid for a graph or arrangement file")
-    p.add_argument("file")
-    add_common(p)
-
-    p = sub.add_parser("nbc", help="no-broken-circuit counts vs. coefficients")
-    p.add_argument("file")
+    command("chromatic", "chromatic polynomial of a graph file", _run_chromatic, _print_text_chromatic,
+            "file", "--format")
+    command("bounds", "two-sided bound grid for a graph or arrangement file", _run_bounds, _print_text_bounds,
+            "file", "--format", "--q-min", "--q-max", "--cap-subsets")
+    p = command("nbc", "no-broken-circuit counts vs. coefficients", _run_nbc, _print_text_nbc,
+                "file", "--format", "--cap-subsets")
     p.add_argument("--order", default=None, help="comma-separated permutation of 0..m-1")
-    add_common(p)
-
-    p = sub.add_parser("decone", help="decone a linear arrangement at an index")
-    p.add_argument("file")
+    p = command("decone", "decone a linear arrangement at an index", _run_decone, _print_text_decone,
+                "file", "--format", "--cap-subsets")
     p.add_argument("k0", type=int)
-    add_common(p)
-
-    p = sub.add_parser("verify", help="run the full invariant suite on a seeded corpus")
+    p = command("verify", "run the full invariant suite on a seeded corpus", _run_verify, _print_text_verify,
+                *_SHARED_FLAGS)
     p.add_argument("--graphs", type=int, default=200)
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--arrangements", type=int, default=50)
     p.add_argument("--max-dim", type=int, default=4)
     p.add_argument("--max-m", type=int, default=7)
-    add_common(p)
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.q_min > args.q_max:
+    """Parse argv, run the command and print its report; 1 exactly when it has violations."""
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage or the help
+        return exc.code
+    config = {spec["dest"]: getattr(args, spec["dest"]) for spec in _SHARED_FLAGS.values() if spec["dest"] in args}
+    if config.get("q_min", 0) > config.get("q_max", 0):
         raise InputError("q window is empty (q_min > q_max)")
-    if args.cap_subsets <= 0 or args.cap_colorings <= 0:
+    if min(config.get("cap_subsets", 1), config.get("cap_colorings", 1)) <= 0:
         raise InputError("caps must be positive")
-    config = RunConfig(
-        command=args.command,
-        inputs=tuple([args.file] if hasattr(args, "file") else []),
-        q_min=args.q_min,
-        q_max=args.q_max,
-        cap_subsets=args.cap_subsets,
-        cap_colorings=args.cap_colorings,
-        seed=args.seed,
-        output_format=args.format,
-    )
-
-    violations: list = []
-    if args.command == "chromatic":
-        obj = parse_input_file(args.file)
-        if not _is_graph(obj):
-            raise InputError(f"{args.file}: 'chromatic' expects a graph file")
-        results = build_chromatic_report(obj)
-        printer = _print_text_chromatic
-        failed = False
-    elif args.command == "bounds":
-        obj = parse_input_file(args.file)
-        results = build_bounds_report(obj, config)
-        violations = results["violations"]
-        printer = _print_text_bounds
-        failed = not results["all_ok"]
-    elif args.command == "nbc":
-        obj = parse_input_file(args.file)
-        order = _parse_order_flag(args.order, obj.m)
-        results = build_nbc_report(obj, order, config)
-        violations = [row for row in results["rows"] if not row["match"]]
-        printer = _print_text_nbc
-        failed = not results["all_match"]
-    elif args.command == "decone":
-        obj = parse_input_file(args.file)
-        results = build_decone_report(obj, args.k0, config)
-        printer = _print_text_decone
-        failed = not results["ok"]
-    elif args.command == "verify":
-        for flag, value, least in (("--max-n", args.max_n, 1), ("--max-dim", args.max_dim, 1),
-                                   ("--max-m", args.max_m, 1), ("--graphs", args.graphs, 0),
-                                   ("--arrangements", args.arrangements, 0)):
-            if value < least:
-                raise InputError(f"{flag} must be at least {least}, got {value}")
-        results, violations = build_verify_report(
-            config,
-            num_graphs=args.graphs,
-            max_vertices=args.max_n,
-            num_arrangements=args.arrangements,
-            max_dim=args.max_dim,
-            max_hyperplanes=args.max_m,
-        )
-        printer = None
-        failed = bool(violations)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise InputError(f"unknown command {args.command}")
-
-    if config.output_format == "json":
-        print(_emit(args.command, config, results, violations))
-    elif printer is None:
-        _print_text_verify(results, violations)
+    results, violations = args.handler(args)
+    if args.output_format == "json":
+        config.update(command=args.command, inputs=[args.file] if "file" in args else [])
+        payload = {"command": args.command, "config": config, "results": results, "violations": violations}
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        printer(results)
-    return 1 if failed else 0
+        args.printer(results, violations)
+    return 1 if violations else 0
 
 
 def main(argv: list[str] | None = None) -> int:

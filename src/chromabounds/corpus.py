@@ -49,7 +49,7 @@ def random_graphs(rng: random.Random, count: int, max_n: int) -> list[SimpleGrap
     return [random_graph(rng, max_n) for _ in range(count)]
 
 
-def _random_hyperplane(rng: random.Random, dim: int, linear: bool) -> Hyperplane | None:
+def random_hyperplane(rng: random.Random, dim: int, linear: bool) -> Hyperplane | None:
     """Normal entries in -3..3; the offset 0, or a numerator in -2..2 over a denominator in 1..3."""
     normal = [rng.randint(-3, 3) for _ in range(dim)]
     if all(x == 0 for x in normal):
@@ -70,7 +70,7 @@ def random_arrangement(
     attempts = 0
     while len(hyps) < m and attempts < 50 * m:
         attempts += 1
-        h = _random_hyperplane(rng, dim, linear)
+        h = random_hyperplane(rng, dim, linear)
         if h is not None and h not in hyps:
             hyps.append(h)
     return Arrangement(dim, tuple(hyps))

@@ -35,7 +35,7 @@ from chromabounds import (
     restrict,
 )
 from chromabounds.arrangements import Flat, IntersectionPoset
-from chromabounds.corpus import _random_hyperplane, coordinate_arrangement, named_graphs
+from chromabounds.corpus import coordinate_arrangement, named_graphs, random_hyperplane
 from chromabounds.linalg import echelon, residual
 from strategies import (
     dense_graphs,
@@ -504,7 +504,7 @@ def test_random_hyperplanes_match_the_fraction_generator(seed, dim, linear):
     # the same hyperplanes from the same random calls, so every seeded corpus stays the same
     rng, ref = random.Random(seed), random.Random(seed)
     for _ in range(20):
-        assert _random_hyperplane(rng, dim, linear) == reference_random_hyperplane(ref, dim, linear)
+        assert random_hyperplane(rng, dim, linear) == reference_random_hyperplane(ref, dim, linear)
     assert rng.getstate() == ref.getstate()
 
 

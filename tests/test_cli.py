@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -11,11 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromabounds import (
-    Arrangement, InputError, IntPolynomial, SimpleGraph, arrangements, checks, graphic_arrangement, graphs,
+    Arrangement, InputError, IntPolynomial, SimpleGraph, arrangements, bounds, checks, graphic_arrangement, graphs,
     nbc_counts,
 )
 from chromabounds.cli import (
-    RunConfig,
     _rational,
     _record_json,
     _seq_json,
@@ -26,6 +26,7 @@ from chromabounds.cli import (
     parse_graph_text,
     parse_input_file,
 )
+from chromabounds.errors import DEFAULT_COLORING_CAP, DEFAULT_SUBSET_GUARD
 from strategies import small_graphs, walk_arrangements
 
 K3_TEXT = "n 3\n0 1\n0 2\n1 2\n"
@@ -230,6 +231,52 @@ def test_each_command_loads_only_the_modules_it_runs(write, text, commands, abse
     assert "cli" in loaded and not absent & set(loaded)
 
 
+# sha256 of the text stdout, and of the JSON `results` and `violations`, for each
+# file command on the fixed texts above; any change to what a command reports shows up here
+GOLDEN = {
+    ("chromatic", "K4"): ("d04436a8c95bf6275b12a2a0a2d7a22c45c39b690e3f63d2271c6796725314de",
+                          "a7aa0110d7fb2042cd3678c1184eb249be713508efc2e2ce977829a1af8d9bc4"),
+    ("chromatic", "DIMACS"): ("bcd213e80bf910900d8ff635bef0b58f4609d358f7e9d04b0c8de45895a99b93",
+                              "ff69a41cd84ce8e778822469313d7fd0625a9d2959f8e46dab94a6a68293fdfc"),
+    ("bounds", "K4"): ("e9dc3789c4b395936f69f779637da07c23e8ca4a294fa69aa562b03f7974596f",
+                       "8bf63cbe8562ccb0e2d61c001b2c9cebaa01d84d1e3d4bd71bc2fd779e259ab0"),
+    ("bounds", "DIMACS"): ("7b2a569bed279690cc9e99393f6b2cc1db14cb57d69a3958538d47a98c6929b8",
+                           "7f5deb8de0a28d7a80c1d6e2a1b4def541273ffe793152bf2d4c883670caa1b4"),
+    ("bounds", "LINEAR_LINES"): ("af326b8b7ed5998ac421b9787ab39f6793c7cde0cfcd6dc206f4fb493b393e2c",
+                                 "cd45ea6eb1ac843ca64a3f62017794d64c3c155761e7d5bb06492de06b99067a"),
+    ("bounds", "GENERIC_LINES"): ("271293e16d14d0d369cb49ed73883467434a95777e47cb7c5cc83b6dd314df2e",
+                                  "713a6eccb1392000faa7c13a493f4cdbc869f3bc6d9cf6aa24534d9208397222"),
+    ("nbc", "K4"): ("5f1c10f4acb39bb87b4f278706d68e3e0e1f6c88ab36ce4dff85f444edde5b01",
+                    "5c9c137840d15309dafac97c089e1fc89a5bf3664c80f36944f12bc4cf5026d9"),
+    ("nbc", "DIMACS"): ("4843aec893693966d16ed115739398472adb3f38f06fc243220b668499244d49",
+                        "ce22b23d1bf473f0b3f61f2f8d8b3ce8042b19fe9cef3d2c167adc9e30433ae6"),
+    ("nbc", "LINEAR_LINES"): ("279cbb067b340e500abe1fe7e9ca6114ca30b7b08969cd0f6162e4123940da8d",
+                              "882bf17f454b2a4cb8422da5624ef1227885ce5708d6538830c33b9240831dab"),
+    ("nbc", "GENERIC_LINES"): ("7345a606acc34f61918e9f3c5d79e5b25e0c66bfef0d858d39ba1ac9508cfcd1",
+                               "d4d007f9f6e025f460093a80dd4361950e0c29e7cfa9e1721f47712d6a89265e"),
+    ("decone", "K4"): ("8f56daf287d95da4fb830e9aeb83fb8ceb2108df01ad8d65fed2b333fd8af129",
+                       "d738861a608ce35b9d7a262aad067a6e519a54990b9dadc503169bbe11a5d077"),
+    ("decone", "DIMACS"): ("a8c9cc9b25c7f00cd3e84ecb445d5cef48a60a02a6e902874a3b2f76fbb1881a",
+                           "fc0110b673ce4126642637e271f75be6f8cf305a607a0de8ca6316908897e09d"),
+    ("decone", "LINEAR_LINES"): ("9331566606c64b7140304cf3c63403b9eba759efe51e09f7fa4aa0dfcc678390",
+                                 "c9b4924040646f6fb0fdd6976682dc3b7034e90fecef0981326c22184a04a8af"),
+}
+GOLDEN_TEXTS = {"K4": K4_TEXT, "DIMACS": DIMACS_TEXT, "LINEAR_LINES": LINEAR_LINES_TEXT,
+                "GENERIC_LINES": GENERIC_LINES_TEXT}
+
+
+@pytest.mark.parametrize("command, text", sorted(GOLDEN))
+def test_pinned_file_command_outputs(write, capsys, command, text):
+    argv = [command, write("input.txt", GOLDEN_TEXTS[text]), *(["0"] if command == "decone" else [])]
+    assert main(argv) == 0
+    text_out = capsys.readouterr().out
+    assert main([*argv, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    report = json.dumps([payload["results"], payload["violations"]], sort_keys=True)
+    digests = tuple(hashlib.sha256(out.encode()).hexdigest() for out in (text_out, report))
+    assert digests == GOLDEN[command, text]
+
+
 class TestBoundsCommand:
     def test_k4_all_ok(self, write, capsys):
         assert main(["bounds", write("k4.txt", K4_TEXT)]) == 0
@@ -276,9 +323,9 @@ class TestBoundsCommand:
         assert len(calls) == builds
 
 
-def case_bounds_report(obj, config):
+def case_bounds_report(obj, q_min, q_max):
     """`build_bounds_report` as it was built on `checks.Case`, the reference for the direct path."""
-    case = checks.Case(config.inputs[0], obj, config.q_min, config.q_max, cap_subsets=config.cap_subsets)
+    case = checks.Case("<input>", obj, q_min, q_max)
     return {
         "polynomial": str(case.poly),
         "sequence": _seq_json(case.seq),
@@ -289,10 +336,10 @@ def case_bounds_report(obj, config):
     }
 
 
-def case_nbc_report(obj, order, config):
+def case_nbc_report(obj, order):
     """`build_nbc_report` as it was built on `checks.Case`, the reference for the direct path."""
-    case = checks.Case(config.inputs[0], obj, config.q_min, config.q_max, cap_subsets=config.cap_subsets)
-    counts = nbc_counts(case.arrangement, order=order, guard=config.cap_subsets)
+    case = checks.Case("<input>", obj, -3, 3)
+    counts = nbc_counts(case.arrangement, order=order)
     rows = [{"k": k, "nbc_count": str(counts[k]), "abs_coefficient": str(case.seq.a[k]),
              "match": counts[k] == case.seq.a[k]} for k in range(case.seq.r + 1)]
     return {
@@ -309,11 +356,12 @@ class TestDirectReports:
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(small_graphs(), walk_arrangements), st.integers(-4, 2), st.integers(0, 4), st.randoms())
     def test_same_reports_as_through_case(self, obj, q_min, width, rng):
-        config = RunConfig(command="bounds", inputs=("<input>",), q_min=q_min, q_max=q_min + width)
-        assert build_bounds_report(obj, config) == case_bounds_report(obj, config)
+        q_max = q_min + width
+        report = build_bounds_report(obj, q_min=q_min, q_max=q_max, cap_subsets=DEFAULT_SUBSET_GUARD)
+        assert report == case_bounds_report(obj, q_min, q_max)
         order = tuple(rng.sample(range(obj.m), obj.m))
         for chosen in (None, order):
-            assert build_nbc_report(obj, chosen, config) == case_nbc_report(obj, chosen, config)
+            assert build_nbc_report(obj, chosen, cap_subsets=DEFAULT_SUBSET_GUARD) == case_nbc_report(obj, chosen)
 
 
 class TestNbcCommand:
@@ -355,6 +403,38 @@ class TestDeconeCommand:
     def test_index_out_of_range(self, write):
         assert main(["decone", write("k3.txt", K3_TEXT), "7"]) == 2
 
+    def test_failed_identity_reports_a_violation(self, write, monkeypatch, capsys):
+        monkeypatch.setattr(bounds, "divided_difference", lambda p: IntPolynomial((7,)))
+        assert main(["decone", write("k3.txt", K3_TEXT), "1", "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["results"]["ok"] is False
+        assert payload["violations"] == [{"check": "decone-divided-difference", "k0": 1}]
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["bounds"], 2),
+    (["verify", "--graphs", "x"], 2),
+    (["nosuch"], 2),
+    (["--help"], 0),
+    (["decone", "--help"], 0),
+], ids=["missing-file", "non-integer", "unknown-command", "help", "command-help"])
+def test_argparse_status_is_returned(capsys, argv, status):
+    # in-process callers get every exit code from the return value, usage errors included
+    assert main(argv) == status
+    captured = capsys.readouterr()
+    assert "usage: " in (captured.err if status else captured.out)
+
+
+SHARED_FLAGS = ("--format", "--q-min", "--q-max", "--seed", "--cap-subsets", "--cap-colorings")
+# the shared flags each file command reads; `verify` reads all of them
+FLAGS_READ = {
+    "chromatic": {"--format"},
+    "bounds": {"--format", "--q-min", "--q-max", "--cap-subsets"},
+    "nbc": {"--format", "--cap-subsets"},
+    "decone": {"--format", "--cap-subsets"},
+}
+UNREAD_FLAGS = [(command, flag) for command, read in FLAGS_READ.items() for flag in SHARED_FLAGS if flag not in read]
+
 
 class TestResourceCaps:
     def test_subset_cap_exit_code(self, write):
@@ -376,13 +456,23 @@ class TestResourceCaps:
         assert "39 hyperplanes; subset enumeration guard is 5" in capsys.readouterr().err
         assert calls == []
 
-    @pytest.mark.parametrize("flag", ["--cap-subsets", "--cap-colorings"])
-    def test_nonpositive_cap_rejected(self, write, capsys, flag):
-        assert main(["bounds", write("k3.txt", K3_TEXT), flag, "0"]) == 2
+    @pytest.mark.parametrize("command, flag", [
+        pytest.param("bounds", "--cap-subsets", id="--cap-subsets"),
+        pytest.param("verify", "--cap-colorings", id="--cap-colorings"),
+    ])
+    def test_nonpositive_cap_rejected(self, write, capsys, command, flag):
+        file = [write("k3.txt", K3_TEXT)] if command == "bounds" else []
+        assert main([command, *file, flag, "0"]) == 2
         assert "caps must be positive" in capsys.readouterr().err
 
-    def test_coloring_cap_flag_accepted(self, write):
-        assert main(["chromatic", write("k3.txt", K3_TEXT), "--cap-colorings", "100"]) == 0
+    @pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+    def test_unread_shared_flag_rejected(self, write, capsys, command, flag):
+        # a flag that would change nothing but the JSON `config` echo is a usage error
+        argv = [command, write("k3.txt", K3_TEXT), *(["0"] if command == "decone" else []), flag, "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and f"unrecognized arguments: {flag} 1" in err
+        assert "Traceback" not in err
 
     def test_coloring_cap_bounds_the_oracle_work(self, capsys):
         # the named graphs start P1, P2, P3, P4: n^2 2^n first exceeds 100 at n = 4
@@ -441,14 +531,13 @@ class TestVerifyCommand:
         assert first == second
 
     def test_json_round_trips(self, capsys):
-        from chromabounds.cli import RunConfig, build_verify_report
+        from chromabounds.cli import build_verify_report
 
         assert main(VERIFY_ARGS) == 0
         parsed = json.loads(capsys.readouterr().out)
-        config = RunConfig(command="verify", inputs=(), seed=11, output_format="json")
         results, violations = build_verify_report(
-            config, num_graphs=8, max_vertices=5,
-            num_arrangements=4, max_dim=4, max_hyperplanes=7,
+            seed=11, q_min=-3, q_max=3, cap_subsets=DEFAULT_SUBSET_GUARD, cap_colorings=DEFAULT_COLORING_CAP,
+            num_graphs=8, max_vertices=5, num_arrangements=4, max_dim=4, max_hyperplanes=7,
         )
         assert parsed["results"] == results
         assert parsed["violations"] == violations
@@ -472,3 +561,8 @@ class TestVerifyCommand:
         assert main(["verify", "--seed", "42", "--format", "json"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "96b8917209dbcf07eab37db83eb48972e6f0488af9f1c80b942a9658c10d2e87"
+
+    def test_pinned_headline_text_hash(self, capsys):
+        assert main(["verify", "--seed", "42"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "54ad0f4031bebd0892e0ed5df80d1d2aba9d3b1bc83271a88518b54051d80a13"
