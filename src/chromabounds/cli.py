@@ -321,13 +321,13 @@ def build_decone_report(obj: SimpleGraph | Arrangement, k0: int, *, cap_subsets:
 # ---------------------------------------------------------------------------
 
 
-def build_verify_report(*, seed: int | None, q_min: int, q_max: int, cap_subsets: int, cap_colorings: int,
+def build_verify_report(*, seed: int, q_min: int, q_max: int, cap_subsets: int, cap_colorings: int,
                         num_graphs: int, max_vertices: int, num_arrangements: int, max_dim: int,
                         max_hyperplanes: int) -> tuple[dict, list[dict]]:
     from .checks import ARRANGEMENT_CHECKS, GRAPH_CHECKS, LINEAR_CENTRAL_CHECKS, Case, run_checks
     from .corpus import linear_central_corpus, named_graphs, random_arrangements, random_graphs, random_order
 
-    rng = random.Random(seed if seed is not None else 0)
+    rng = random.Random(seed)
     outcomes: list[tuple[str, str, bool, str]] = []
 
     def verify(table: tuple[Check, ...], label: str, obj: SimpleGraph | Arrangement) -> dict:
@@ -451,7 +451,7 @@ _SHARED_FLAGS = {
     "--format": {"dest": "output_format", "choices": ["text", "json"], "default": "text"},
     "--q-min": {"dest": "q_min", "type": int, "default": -3},
     "--q-max": {"dest": "q_max", "type": int, "default": 3},
-    "--seed": {"dest": "seed", "type": int, "default": None},
+    "--seed": {"dest": "seed", "type": int, "default": 0},
     "--cap-subsets": {"dest": "cap_subsets", "type": int, "default": DEFAULT_SUBSET_GUARD},
     "--cap-colorings": {"dest": "cap_colorings", "type": int, "default": DEFAULT_COLORING_CAP},
 }
@@ -467,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def command(name: str, help: str, handler, printer, *arguments: str) -> argparse.ArgumentParser:
         """A subcommand running `handler`, with its positional arguments and the shared flags it reads."""
         p = sub.add_parser(name, help=help)
-        p.set_defaults(handler=handler, printer=printer)
+        p.set_defaults(handler=handler, printer=printer, parser=p)
         for argument in arguments:
             p.add_argument(argument, **_SHARED_FLAGS.get(argument, {}))
         return p
@@ -495,7 +495,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     """Parse argv, run the command and print its report; 1 exactly when it has violations."""
     try:
-        args = _build_parser().parse_args(argv)
+        args, extras = _build_parser().parse_known_args(argv)
+        if extras:  # with the subcommand's usage, which lists the flags it takes
+            args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:  # argparse has printed the usage or the help
         return exc.code
     config = {spec["dest"]: getattr(args, spec["dest"]) for spec in _SHARED_FLAGS.values() if spec["dest"] in args}

@@ -17,13 +17,16 @@ deletion-contraction kernel share only the exact-arithmetic primitives of
 `exactmath`.
 
 `chromatic_poly` reduces a graph exactly before it branches: simplicial
-vertices are peeled off with a linear factor each, and what is left
-factors over its connected components. Each component is memoized under
+vertices are peeled off with a linear factor each, what is left factors
+over its connected components, and the vertices adjacent to all others
+in a component come off with a falling factorial and an argument shift,
+P(K_u + H)(t) = t(t-1)...(t-u+1) P(H)(t - u). So no memoized component
+has a simplicial or a universal vertex. Each component is memoized under
 a canonical relabelling of its adjacency bitmasks and expanded with an
 explicit stack; `SimpleGraph` and `IntPolynomial` appear only at its
 boundary. A sparse component is expanded by deletion-contraction on an
 edge, a dense one by Zykov's addition-contraction on a non-edge, which
-drives it toward cliques that the peeling settles at once.
+drives it toward cliques that the reduction settles at once.
 `delete_edge` and `contract_edge` stay for the callers that check the
 recurrence itself.
 """
@@ -38,9 +41,12 @@ from .exactmath import IntPolynomial, Value
 
 # A component expands by addition-contraction when at least this share of
 # its vertex pairs, as (numerator, denominator), are adjacent, and by
-# deletion-contraction below it: at 1/2, whichever of edges and non-edges
-# is scarcer is the one that gets used up.
-ZYKOV_DENSITY = (1, 2)
+# deletion-contraction below it. Adding edges makes universal vertices,
+# which the reduction strips without branching, so addition pays off below
+# half density too: on the 30 random 6-regular graphs of
+# scripts/chromatic_growth.py the memo holds 10177 entries at 1/2 and 6551
+# at 1/3.
+ZYKOV_DENSITY = (1, 3)
 
 Edge = tuple[int, int]
 
@@ -162,11 +168,12 @@ def contract_edge(g: SimpleGraph, e: Edge) -> SimpleGraph:
 
 # The deletion-contraction kernel works on adjacency bitmasks: a graph is a
 # tuple (or list) of neighbour masks on vertices 0..k-1 and a polynomial is a
-# list of ints, ascending by power of t. A reduced graph is a Term: the clique
-# sizes of the simplicial vertices peeled from it, each contributing a factor
-# (t - d), and the canonical keys of the components left over.
+# list of ints, ascending by power of t. A reduced graph is a Term: the
+# offsets d of its linear factors (t - d), one per peeled simplicial vertex
+# and per stripped universal vertex, and the components left over, each as
+# (shift, canonical key), contributing its polynomial at t - shift.
 Adjacency = tuple[int, ...]
-Term = tuple[list[int], list[Adjacency]]
+Term = tuple[list[int], list[tuple[int, Adjacency]]]
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -195,15 +202,35 @@ def _linear_power(d: int, e: int) -> list[int]:
     return out
 
 
-def _evaluate(term: Term, memo: dict) -> list[int]:
-    """The polynomial of a reduced graph, once `memo` holds all of its components."""
-    sizes, comps = term
-    factors = [_linear_power(d, e) for d, e in Counter(sizes).items()]
-    factors += (memo[key] for key in comps)
+def _shift(p: Sequence[int], s: int) -> list[int]:
+    """p(t - s): the Taylor shift, by Horner's rule from the top coefficient down."""
+    out = list(p)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] -= s * out[j + 1]
+    return out
+
+
+def _product(factors: list[Sequence[int]]) -> list[int]:
     out = list(factors.pop()) if factors else [1]
     for f in factors:
         out = _mul(out, f)
     return out
+
+
+def _evaluate(term: Term, memo: dict) -> list[int]:
+    """The polynomial of a reduced graph, once `memo` holds all of its components.
+
+    The components that share a shift are multiplied first, so each
+    product is shifted once.
+    """
+    offsets, comps = term
+    factors = [_linear_power(d, e) for d, e in Counter(offsets).items()]
+    shifted: dict[int, list[Sequence[int]]] = {}
+    for s, key in comps:
+        shifted.setdefault(s, []).append(memo[key])
+    factors += (_shift(_product(fs), s) if s else _product(fs) for s, fs in shifted.items())
+    return _product(factors)
 
 
 def _canonical(adj: Sequence[int], comp: int) -> Adjacency:
@@ -216,36 +243,62 @@ def _canonical(adj: Sequence[int], comp: int) -> Adjacency:
 
 
 def _reduce(adj: list[int], live: int, todo: int) -> Term:
-    """Peel simplicial vertices off the graph on `live`, then split it into components.
+    """Peel simplicial vertices off the graph on `live`, split it, strip universal vertices.
 
     P(G) = (t - d) P(G - v) when N(v) is a clique of size d. Only vertices
     in `todo` are tested at first; removing v can only make its neighbours
-    simplicial. Mutates `adj`.
+    simplicial. A component C whose universal vertices form U, |U| = u, has
+    P(C)(t) = t(t - 1)...(t - u + 1) P(C - U)(t - u), and C - U is split and
+    stripped again at the shifted argument. Stripping makes no vertex
+    simplicial: U is a clique joined to every other vertex, so N(x) is a
+    clique exactly when N(x) - U is one. Mutates `adj`.
     """
-    sizes: list[int] = []
+    offsets: list[int] = []
     while todo:
         low = todo & -todo
         todo ^= low
         v = low.bit_length() - 1
         nb = adj[v]
         if nb & (nb - 1) == 0 or all(nb & ~adj[x] == 1 << x for x in _bits(nb)):
-            sizes.append(nb.bit_count())
+            offsets.append(nb.bit_count())
             live ^= low
             for x in _bits(nb):
                 adj[x] ^= low
             todo |= nb
     comps = []
-    while live:
-        comp = frontier = live & -live
-        while frontier:
-            reach = 0
-            for v in _bits(frontier):
-                reach |= adj[v]
-            frontier = reach & ~comp
-            comp |= frontier
-        live ^= comp
-        comps.append(_canonical(adj, comp))
-    return sizes, comps
+    parts = [(0, live)]
+    while parts:
+        shift, live = parts.pop()
+        while live:
+            start = live & -live
+            comp = frontier = start
+            rounds = 0
+            while frontier:
+                reach = 0
+                for v in _bits(frontier):
+                    reach |= adj[v]
+                frontier = reach & ~comp
+                comp |= frontier
+                rounds += 1
+            live ^= comp
+            universal = 0
+            # A universal vertex is adjacent to `start`, so the search from
+            # `start` found the whole component in two rounds and ended on
+            # the third.
+            if rounds <= 3:
+                for v in _bits(comp & (adj[start.bit_length() - 1] | start)):
+                    if adj[v] | 1 << v == comp:
+                        universal |= 1 << v
+            if universal:
+                u = universal.bit_count()
+                offsets.extend(range(shift, shift + u))
+                rest = comp ^ universal
+                for x in _bits(rest):
+                    adj[x] ^= universal
+                parts.append((shift + u, rest))
+            else:
+                comps.append((shift, _canonical(adj, comp)))
+    return offsets, comps
 
 
 def _branch(adj: Adjacency) -> tuple[Term, Term, int]:
@@ -266,7 +319,8 @@ def _branch(adj: Adjacency) -> tuple[Term, Term, int]:
         # A key has no simplicial vertex; deleting uw can make only u or w one.
         retest = 1 << u | 1 << w
     else:
-        u = max((v for v in range(k) if deg[v] < k - 1), key=deg.__getitem__)
+        # A key has no universal vertex, so every u has a non-neighbour.
+        u = max(range(k), key=deg.__getitem__)
         w = max(_bits(everyone & ~adj[u] & ~(1 << u)),
                 key=lambda x: ((adj[u] & adj[x]).bit_count(), deg[x]))
         sign = 1
@@ -293,27 +347,37 @@ def chromatic_poly(g: SimpleGraph, memo: dict | None = None) -> IntPolynomial:
     v, whose neighbourhood is a clique of size d, is peeled off with a
     factor (t - d), which covers isolated and pendant vertices, cliques,
     trees and chordal graphs; what is left is split into connected
-    components, whose polynomials multiply. A component on k vertices with
-    m edges is expanded with an explicit stack, so no input is limited by
-    the interpreter's recursion depth, and by one of two forms of the same
-    recurrence:
+    components, whose polynomials multiply. The set U of a component's
+    universal vertices (adjacent to all its other vertices), u = |U|, is
+    stripped: P(G)(t) = t(t - 1)...(t - u + 1) P(G - U)(t - u), since each
+    vertex of U needs a colour of its own that no other vertex may use.
+    G - U is split and stripped again at the shifted argument, and the
+    shift is applied to the product of its components' polynomials by a
+    Taylor shift. Stripping makes no vertex simplicial, so no component
+    that is memoized or branched on has a simplicial or a universal
+    vertex. A component on k vertices with m edges is expanded with an
+    explicit stack, so no input is limited by the interpreter's recursion
+    depth, and by one of two forms of the same recurrence:
 
-    - below ZYKOV_DENSITY (2m < C(k, 2) at 1/2), by deletion-contraction,
+    - below ZYKOV_DENSITY (3m < C(k, 2) at 1/3), by deletion-contraction,
       P(G) = P(G - e) - P(G / e), for e from a minimum-degree vertex to its
       highest-degree neighbour;
     - otherwise by Zykov's addition-contraction, P(G) = P(G + e) + P(G / e),
-      for a non-edge e = uw, where u is a non-universal vertex of maximum
-      degree and w its non-neighbour with the most common neighbours, ties
-      broken by degree. On dense components this reaches cliques in a few
-      steps, where deletion would have to remove most of the edges.
+      for a non-edge e = uw, where u is a vertex of maximum degree and w
+      its non-neighbour with the most common neighbours, ties broken by
+      degree. Adding edges soon makes vertices universal, and the strip
+      removes them without branching; deletion would have to remove most
+      of the edges. The switch sits at 1/3, not at 1/2, because with the
+      strip addition-contraction also wins on components of density
+      between 1/3 and 1/2, where deletion-contraction used to run.
 
-    The walk terminates. Contraction removes a vertex. At a fixed vertex
-    count, deletion-contraction only removes edges, so its first branch
-    stays below the switch, and addition-contraction only adds them, so
-    its first branch stays above it; a component can change mode only
-    after it has lost vertices. No component is therefore its own
-    descendant, and every chain of first branches ends in a graph that the
-    peeling settles.
+    The walk terminates. Contraction, peeling, splitting and stripping only
+    remove vertices. At a fixed vertex count, deletion-contraction only
+    removes edges, so its first branch stays below the switch, and
+    addition-contraction only adds them, so its first branch stays above
+    it; a component can change mode only after it has lost vertices. No
+    component is therefore its own descendant, and every chain of first
+    branches ends in a graph that the reduction settles.
 
     `memo` is an opaque dict owned by the caller and may be shared across
     calls; it never changes results. Its keys are components as tuples of
@@ -329,7 +393,7 @@ def chromatic_poly(g: SimpleGraph, memo: dict | None = None) -> IntPolynomial:
     root = _reduce(adj, everyone, everyone)
     # Each component waits on the stack until the components of both of its
     # branches are in the memo; it is never its own descendant (see above).
-    stack = list(root[1])
+    stack = [key for _, key in root[1]]
     branches: dict[Adjacency, tuple[Term, Term, int]] = {}
     while stack:
         key = stack[-1]
@@ -344,7 +408,7 @@ def chromatic_poly(g: SimpleGraph, memo: dict | None = None) -> IntPolynomial:
             stack.pop()
         else:
             branches[key] = terms = _branch(key)
-            stack.extend(k for term in terms[:2] for k in term[1] if k not in memo)
+            stack.extend(k for term in terms[:2] for _, k in term[1] if k not in memo)
     return IntPolynomial(tuple(_evaluate(root, memo)))
 
 

@@ -471,7 +471,8 @@ class TestResourceCaps:
         argv = [command, write("k3.txt", K3_TEXT), *(["0"] if command == "decone" else []), flag, "1"]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("usage: ") and f"unrecognized arguments: {flag} 1" in err
+        # the usage of the command, which lists the flags it takes, not the top-level one
+        assert err.startswith(f"usage: chromabounds {command} ") and f"unrecognized arguments: {flag} 1" in err
         assert "Traceback" not in err
 
     def test_coloring_cap_bounds_the_oracle_work(self, capsys):
@@ -494,6 +495,15 @@ class TestVerifyCommand:
     def test_zero_sizes_pass(self, capsys):
         assert main(["verify", "--graphs", "0", "--arrangements", "0", "--seed", "1"]) == 0
         assert "0 violations" in capsys.readouterr().out
+
+    def test_default_seed_is_echoed(self, capsys):
+        # without --seed the corpus is drawn from seed 0, and the config says so
+        args = ["verify", "--graphs", "2", "--arrangements", "1", "--format", "json"]
+        assert main(args) == 0
+        default = json.loads(capsys.readouterr().out)
+        assert main([*args, "--seed", "0"]) == 0
+        assert default["config"]["seed"] == 0
+        assert default == json.loads(capsys.readouterr().out)
 
     @pytest.mark.parametrize("flag", ["--max-n", "--max-dim", "--max-m", "--graphs", "--arrangements"])
     def test_nonpositive_corpus_size_rejected(self, flag, capsys):

@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,33 @@ from chromabounds import (
 )
 from chromabounds import graphs
 from chromabounds.corpus import random_graph
+from chromabounds.graphs import disjoint_union
 from strategies import dense_graphs, small_graphs
+
+
+def join(g, h):
+    """g and h side by side, with every vertex of g adjacent to every vertex of h."""
+    union = disjoint_union(g, h)
+    return SimpleGraph(union.n, union.edges | {(u, g.n + v) for u in range(g.n) for v in range(h.n)})
+
+
+# K_u joined to a disconnected H: the u clique vertices are universal, and
+# stripping them leaves at least two components
+universal_joins = st.builds(
+    lambda u, h1, h2: join(complete(u), disjoint_union(h1, h2)),
+    st.integers(1, 2), small_graphs(max_n=3), small_graphs(max_n=3) | dense_graphs(max_n=3),
+)
+# joins of edgeless parts; a part of one vertex is universal
+complete_multipartite = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
+    lambda parts: reduce(join, map(SimpleGraph, parts))
+)
+# built from K_1 by disjoint unions and joins; stripping and splitting take
+# a connected one apart down to single vertices
+cographs = st.recursive(
+    st.just(SimpleGraph(1)),
+    lambda parts: st.builds(lambda op, g, h: op(g, h), st.sampled_from([disjoint_union, join]), parts, parts),
+    max_leaves=9,
+)
 
 K4_POLY = IntPolynomial((0, -6, 11, -6, 1))
 C4_POLY = IntPolynomial((0, -3, 6, -4, 1))
@@ -89,8 +116,6 @@ class TestRankInfo:
         assert (info.components, info.rank) == (1, 4)
 
     def test_two_triangles(self):
-        from chromabounds.graphs import disjoint_union
-
         info = rank_info(disjoint_union(complete(3), complete(3)))
         assert (info.components, info.rank) == (2, 4)
 
@@ -262,13 +287,44 @@ class TestAdditionContraction:
     @given(small_graphs(max_n=9) | dense_graphs(max_n=9))
     def test_every_memoized_component_is_reduced(self, g):
         # each branch re-tests only the vertices that can have become
-        # simplicial; one it missed would reach the memo unpeeled
+        # simplicial; one it missed would reach the memo unpeeled. No key
+        # holds a universal vertex either: those are stripped before it.
         memo = {}
         chromatic_poly(g, memo)
         for key in memo:
+            everyone = (1 << len(key)) - 1
             for v, nb in enumerate(key):
                 clique = all(nb & ~key[x] == 1 << x for x in range(len(key)) if nb >> x & 1)
                 assert nb & (nb - 1) and not clique, (key, v)
+                assert nb != everyone ^ 1 << v, (key, v)
+
+
+class TestUniversalVertices:
+    """A component's universal vertices U come off as P(G)(t) = t(t-1)...(t-|U|+1) P(G - U)(t - |U|)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(universal_joins | complete_multipartite | cographs)
+    def test_matches_the_labelled_recurrence_and_the_oracle(self, g):
+        p = chromatic_poly(g)
+        assert p == reference_chromatic_poly(g, {})
+        assert p == chromatic_poly_interpolated(g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), small_graphs(max_n=8) | dense_graphs(max_n=8))
+    def test_joined_clique_adds_no_memo_entry(self, u, h):
+        # a vertex of H is simplicial in K_u + H exactly when it is in H, and
+        # the clique is stripped, so both expand the same components
+        joined, alone = {}, {}
+        chromatic_poly(join(complete(u), h), joined)
+        chromatic_poly(h, alone)
+        assert joined.keys() == alone.keys()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=9), st.integers(-6, 6))
+    def test_argument_shift_matches_evaluation(self, coeffs, s):
+        shifted = graphs._shift(coeffs, s)
+        for t in range(-3, 11):
+            assert IntPolynomial(tuple(shifted))(t) == IntPolynomial(tuple(coeffs))(t - s)
 
 
 class TestOracleExpansion:
