@@ -12,20 +12,33 @@ expansion (`char_poly_whitney`) as a cross-check.
 The intersection poset is built rank by rank. Each flat groups the
 hyperplanes that cut it by their cut, in one dict pass keyed by the
 sign-normalised residual row, so each child flat is produced once, and
-hyperplanes parallel to the flat are dropped. Every parent -> child cover
-is recorded, and each Moebius value is summed over the flats above, found
-through those covers.
+hyperplanes parallel to the flat are dropped. Each Moebius value comes
+from the flat's covers by Weisner's theorem (L. Weisner, Trans. AMS 38,
+1935; R. Stanley, Enumerative Combinatorics I, Cor. 3.9.3): in a finite
+lattice with bottom 0 and top 1, for any a != 0, the sum of mu(0, x) over
+the x with x v a = 1 is 0. The flats containing a flat X form the
+intersection lattice of the central arrangement of the hyperplanes
+through X, a geometric lattice with X on top. Take for a the lowest
+hyperplane H through X; the join Y v H is the intersection of Y with H.
+By semimodularity a flat Y with Y v H = X is X itself or a cover of X,
+and a cover Y of X has Y v H = X exactly when Y does not lie in H. So
+mu(X) = -(sum of mu(Y) over the covers Y of X that do not lie in H), and
+each Moebius value is summed as the covers are found, with no set of the
+flats above X.
 
 The sweeps over subsets of hyperplanes (`char_poly_whitney`,
 `is_general_position`, and the circuit and NBC sweeps of the nbc module)
 share one depth-first walk, `_subset_walk`. It grows each subset by larger
-indices only and carries the subset's echelon basis, each row with its
-pivot, down to its children, so a child costs one residual and its pivot
-classifies it. A residual with its pivot in the offset column means the
-child's hyperplanes have no common point; the walk does not descend from
-it, since every superset of an empty intersection is empty. The walk
-shares only the elimination primitive `linalg.residual` with
-`intersection_poset`, so the Moebius and Whitney routes stay independent.
+indices only. Each subset carries the residuals of the rows it can still
+add against its echelon basis, so the pivot of a child's entry
+classifies the child with no elimination. A child of higher rank derives
+its own table from its parent's, one elimination step for each later row
+that is nonzero at the new pivot; a dependent child shares its parent's.
+A pivot in the offset column means the child's hyperplanes have no common
+point; the walk does not descend from it, since every superset of an
+empty intersection is empty. The walk shares only the elimination
+primitive `linalg.residual` with `intersection_poset`, so the Moebius and
+Whitney routes stay independent.
 """
 
 from __future__ import annotations
@@ -140,36 +153,52 @@ def _subset_walk(
     """Depth-first over nonempty subsets grown by larger indices; yields (mask, size, rank).
 
     Bit i of `mask` is set when hyperplane i is in the subset; `rank` is None
-    when the subset has no common point. Each child costs one residual of
-    the added hyperplane against its parent's echelon basis, and the
-    residual's pivot classifies the child. A zero residual (pivot past the
-    last column) means the child is dependent (central, rank unchanged), a
-    pivot in the offset column means an empty intersection, and a pivot in
-    the normal raises the rank by one. The walk descends from independent central subsets,
-    from dependent ones too when `expand_dependent`, and never from those
-    with an empty intersection. `admit(mask, i)`, when given, is asked
-    before the residual whether the child `mask` grown by index i is
-    visited at all.
+    when the subset has no common point. Each subset carries a table: for
+    every hyperplane it can still add, the (pivot, primitive residual) of
+    its row against the subset's echelon basis. The pivot of the added
+    row's entry classifies a child with no elimination. A zero residual
+    (pivot past the last column) means the child is dependent (central,
+    rank unchanged), a pivot in the offset column means an empty
+    intersection, and a pivot in the normal raises the rank by one. The
+    walk descends from independent central subsets, from dependent ones
+    too when `expand_dependent`, and never from those with an empty
+    intersection. A dependent child spans what its parent spans, so it
+    shares its parent's table. A child that raises the rank derives its
+    table when it is popped: each later entry that is nonzero at the new
+    pivot takes one elimination step against the child's residual row, and
+    the others are kept. So the stack holds one table per depth.
+    `admit(mask, i)`, when given, is asked whether the child `mask` grown
+    by index i is visited at all; a child it refuses is neither yielded
+    nor descended from. It is asked about the children of one subset in a
+    row, by increasing i, and the subsets are expanded depth-first: the
+    latest child pushed is expanded next.
     """
-    rows = [h.row for h in arr.hyperplanes]
-    m, n = arr.m, arr.dim
-    stack: list[tuple[int, int, int, tuple[Pivoted, ...]]] = [(0, 0, 0, ())]  # mask, next index, size, basis
+    n, m = arr.dim, arr.m
+    # mask, next index, size, rank, table, index of the table's first entry, and the pivoted
+    # row that the table has yet to be reduced by (None when the table is the subset's own)
+    stack: list[tuple[int, int, int, int, list[Pivoted], int, Pivoted | None]] = [
+        (0, 0, 0, 0, [residual(h.row, ()) for h in arr.hyperplanes], 0, None)
+    ]
     while stack:
-        mask, start, size, basis = stack.pop()
+        mask, start, size, r, table, first, pivot = stack.pop()
+        if pivot is not None:
+            col = pivot[0]
+            table = [residual(e[1], (pivot,)) if e[1][col] else e for e in table[start - first:]]
+            first = start
         for i in range(start, m):
             grown = mask | 1 << i
             if admit is not None and not admit(grown, i):
                 continue
-            lead, res = residual(rows[i], basis)
+            lead, row = table[i - first]
             if lead < n:
-                yield grown, size + 1, len(basis) + 1
-                stack.append((grown, i + 1, size + 1, basis + ((lead, res),)))
+                yield grown, size + 1, r + 1
+                stack.append((grown, i + 1, size + 1, r + 1, table, first, (lead, row)))
             elif lead == n:
                 yield grown, size + 1, None
             else:
-                yield grown, size + 1, len(basis)
+                yield grown, size + 1, r
                 if expand_dependent:
-                    stack.append((grown, i + 1, size + 1, basis))
+                    stack.append((grown, i + 1, size + 1, r, table, first, None))
 
 
 def rank(arr: Arrangement) -> int:
@@ -240,52 +269,47 @@ def intersection_poset(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> I
     each (none when the row already vanishes at the pivot), and regroups
     them in one dict pass keyed by the sign-normalised residual. A point
     has no sections, so none are computed for it. Every parent that
-    reaches a child is recorded as a cover.
+    reaches a child is a cover of the child.
 
-    The Moebius function follows from the covers alone: mu(V) = 1 and
-    mu(X) = -sum of mu over the flats strictly containing X, which are the
-    flats reached from X by a chain of covers upwards. Those sets are built
-    from the covers' sets and kept until the next rank is built.
+    The Moebius function follows from the covers alone, by Weisner's
+    theorem (see the module docstring): mu(V) = 1, and mu(X) = -sum of
+    mu(Y) over the covers Y of X whose closure lacks the lowest set bit of
+    X's closure. Each cover adds its term as it reaches the child, so a
+    rank keeps only its flats' values and sections.
     """
     _check_guard(arr, guard)
     n = arr.dim
     flats = [Flat(n, 0)]
     mobius = [1]
-    # each flat of the current rank as (flat index, closure, sections as (mask, pivot, row))
-    layer = [(0, 0, [(1 << j, *residual(h.row, ())) for j, h in enumerate(arr.hyperplanes)])]
-    # per flat of the current rank, the indices of the flats strictly containing it; a flat's
-    # covers all lie in the rank above it, so no older rank's sets are kept
-    above: list[frozenset[int]] = [frozenset()]
+    # each flat of the current rank as (Moebius value, closure, sections as (mask, pivot, row))
+    layer = [(1, 0, [(1 << j, *residual(h.row, ())) for j, h in enumerate(arr.hyperplanes)])]
     dim = n
     while layer:
         dim -= 1
-        found: dict[int, tuple[list[int], list]] = {}  # closure -> (covering flat indices, sections)
-        for index, mask, sections in layer:
+        found: dict[int, list] = {}  # closure -> [mu summed over the covers so far, sections]
+        for mu, mask, sections in layer:
             for bits, lead, row in sections:
                 closure = mask | bits
                 child = found.get(closure)
-                if child is not None:
-                    child[0].append(index)
-                    continue
-                grouped: dict[Pivoted, int] = {}
-                for other_bits, other_lead, other in sections if dim else ():
-                    if other_bits == bits:
-                        continue
-                    cut = residual(other, ((lead, row),)) if other[lead] else (other_lead, other)
-                    if cut[0] < n:
-                        if cut[1][cut[0]] < 0:
-                            cut = cut[0], tuple([-x for x in cut[1]])
-                        grouped[cut] = grouped.get(cut, 0) | other_bits
-                found[closure] = ([index], [(b, *cut) for cut, b in grouped.items()])
-        first = layer[0][0]
-        layer, previous, above = [], above, []
+                if child is None:
+                    grouped: dict[Pivoted, int] = {}
+                    for other_bits, other_lead, other in sections if dim else ():
+                        if other_bits == bits:
+                            continue
+                        cut = residual(other, ((lead, row),)) if other[lead] else (other_lead, other)
+                        if cut[0] < n:
+                            if cut[1][cut[0]] < 0:
+                                cut = cut[0], tuple([-x for x in cut[1]])
+                            grouped[cut] = grouped.get(cut, 0) | other_bits
+                    child = found[closure] = [0, [(b, *cut) for cut, b in grouped.items()]]
+                if not mask & closure & -closure:  # the cover misses the child's lowest hyperplane
+                    child[0] -= mu
+        layer = []
         for closure in sorted(found):
-            covers, sections = found[closure]
-            up = frozenset(covers).union(*[previous[k - first] for k in covers])
-            layer.append((len(flats), closure, sections))
+            mu, sections = found[closure]
+            layer.append((mu, closure, sections))
             flats.append(Flat(dim, closure))
-            above.append(up)
-            mobius.append(-sum(map(mobius.__getitem__, up)))
+            mobius.append(mu)
     return IntersectionPoset(tuple(flats), tuple(mobius))
 
 

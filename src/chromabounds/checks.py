@@ -72,6 +72,14 @@ class Case:
     def arrangement(self) -> Arrangement:
         return graphic_arrangement(self.obj) if isinstance(self.obj, SimpleGraph) else self.obj
 
+    @cached_property
+    def general_position(self) -> bool:
+        return is_general_position(self.obj, guard=self.cap_subsets)
+
+    @cached_property
+    def essential(self) -> Arrangement:
+        return essentialize(self.obj)
+
 
 class Check(NamedTuple):
     name: str
@@ -113,7 +121,7 @@ def _nbc_counts(c: Case) -> Iterator[tuple[bool, str]]:
 
 
 def _divided_difference_closed_form(c: Case) -> Iterator[tuple[bool, str]]:
-    essential = char_poly(essentialize(c.obj), guard=c.cap_subsets)
+    essential = char_poly(c.essential, guard=c.cap_subsets)
     s = coeff_sequence(essential, c.m)
     for j in range(s.r + 1):
         yield divided_difference_iter(essential, j) == divided_difference_formula(s, j), f"j={j}"
@@ -150,13 +158,12 @@ ARRANGEMENT_CHECKS: tuple[Check, ...] = (
     Check("deletion-restriction", _deletion_restriction),
     _once("boolean-formula", lambda c: c.poly == boolean_char_poly(c.obj.dim, c.m),
           lambda c: is_boolean(c.obj)),
-    _once("general-position-iff-shape", lambda c: is_general_position(c.obj, guard=c.cap_subsets)
-          == (c.poly == general_position_char_poly(c.obj.dim, c.m, c.rank))),
-    _once("central-gp-iff-boolean",
-          lambda c: is_general_position(c.obj, guard=c.cap_subsets) == is_boolean(c.obj), lambda c: is_central(c.obj)),
-    _once("essentialize-count", lambda c: essentialize(c.obj).m == c.m),
+    _once("general-position-iff-shape",
+          lambda c: c.general_position == (c.poly == general_position_char_poly(c.obj.dim, c.m, c.rank))),
+    _once("central-gp-iff-boolean", lambda c: c.general_position == is_boolean(c.obj), lambda c: is_central(c.obj)),
+    _once("essentialize-count", lambda c: c.essential.m == c.m),
     _once("essentialize-coefficients",
-          lambda c: char_poly(essentialize(c.obj), guard=c.cap_subsets).shift(c.obj.dim - c.rank) == c.poly),
+          lambda c: char_poly(c.essential, guard=c.cap_subsets).shift(c.obj.dim - c.rank) == c.poly),
     *_sequence_tail("bounds-tight-iff-boolean", None),
 )
 

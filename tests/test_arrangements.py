@@ -34,7 +34,8 @@ from chromabounds import (
     rank,
     restrict,
 )
-from chromabounds.arrangements import Flat, IntersectionPoset
+from chromabounds import arrangements
+from chromabounds.arrangements import Flat, IntersectionPoset, _subset_walk
 from chromabounds.corpus import coordinate_arrangement, named_graphs, random_hyperplane
 from chromabounds.linalg import echelon, residual
 from strategies import (
@@ -227,6 +228,20 @@ class TestIntersectionPoset:
     def test_matches_the_pairwise_scan(self, arr):
         assert intersection_poset(arr) == reference_intersection_poset(arr)
 
+    def test_braid_arrangement_of_k6(self):
+        # the partition lattice of six elements, where most intervals are not boolean
+        arr = graphic_arrangement(complete(6))
+        poset = intersection_poset(arr)
+        assert len(poset.flats) == 203
+        assert poset == reference_intersection_poset(arr)
+
+    def test_affine_arrangements_with_parallels(self):
+        # an affine poset is not a lattice, but each interval below a flat is one
+        rng = random.Random(1935)
+        for _ in range(60):
+            arr = random_affine_with_parallels(rng)
+            assert intersection_poset(arr) == reference_intersection_poset(arr)
+
     def test_flats_are_the_subset_intersections(self, arrangement_corpus):
         rng = random.Random(2718)
         samples = [arr for _, arr in arrangement_corpus]
@@ -353,7 +368,63 @@ def reference_is_general_position(arr):
     )
 
 
+def reference_subset_walk(arr, expand_dependent=False, admit=None):
+    """The walk as it was before subsets carried residual tables: each subset carries its
+    echelon basis, and each child reduces its added row against that whole basis."""
+    rows = [h.row for h in arr.hyperplanes]
+    stack = [(0, 0, 0, ())]  # mask, next index, size, basis
+    while stack:
+        mask, start, size, basis = stack.pop()
+        for i in range(start, arr.m):
+            grown = mask | 1 << i
+            if admit is not None and not admit(grown, i):
+                continue
+            lead, res = residual(rows[i], basis)
+            if lead < arr.dim:
+                yield grown, size + 1, len(basis) + 1
+                stack.append((grown, i + 1, size + 1, basis + ((lead, res),)))
+            elif lead == arr.dim:
+                yield grown, size + 1, None
+            else:
+                yield grown, size + 1, len(basis)
+                if expand_dependent:
+                    stack.append((grown, i + 1, size + 1, basis))
+
+
+def recording_admit(seed, asked):
+    """Refuse about one child in four, as a fixed function of (seed, mask, i); log every question."""
+    def admit(mask, i):
+        asked.append((mask, i))
+        return hash((seed, mask, i)) % 4 != 0
+    return admit
+
+
 class TestSubsetWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(walk_arrangements, linear_arrangements(), dense_graphs().map(graphic_arrangement)),
+           st.integers(0, 2**32 - 1))
+    def test_matches_the_reference_walk(self, arr, seed):
+        for expand_dependent in (False, True):
+            expected = list(reference_subset_walk(arr, expand_dependent))
+            assert list(_subset_walk(arr, expand_dependent)) == expected
+            asked, expected_asked = [], []
+            expected = list(reference_subset_walk(arr, expand_dependent, recording_admit(seed, expected_asked)))
+            assert list(_subset_walk(arr, expand_dependent, recording_admit(seed, asked))) == expected
+            assert asked == expected_asked
+
+    def test_boolean_whitney_reduces_each_row_once(self, monkeypatch):
+        # every later row vanishes at a coordinate hyperplane's pivot, so no child eliminates
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return residual(*args)
+
+        monkeypatch.setattr(arrangements, "residual", counting)
+        assert char_poly_whitney(coordinate_arrangement(8)) == boolean_char_poly(8, 8)
+        assert calls <= 8
+
     @settings(max_examples=150, deadline=None)
     @given(walk_arrangements)
     def test_whitney_matches_per_subset_sweep(self, arr):

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -213,6 +213,14 @@ class TestNbcCoefficient:
             patch.setattr(linalg, "residual", no_elimination)
             patch.setattr(arrangements, "residual", no_elimination)
             assert nbc_counts(arr, order, found=found) == expected
+
+    def test_every_ground_order_of_k4(self):
+        # the broken circuits, and so the forbidden sets, change with the ground order
+        found = circuits(K4_ARR)
+        orders = list(permutations(range(K4_ARR.m)))
+        assert len(orders) == 720
+        for order in orders:
+            assert nbc_counts(K4_ARR, order, found=found) == reference_nbc_counts(K4_ARR, order)
 
     def test_matches_subset_sweep(self):
         # the depth-first sweep against a direct sweep over all 2^m subsets
