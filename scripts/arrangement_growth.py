@@ -11,10 +11,9 @@ every offset 0.
 
 Four computations are timed on each arrangement, each the median of three
 runs: `intersection_poset` (with its flat count), `circuits`, `nbc_counts`
-in the natural order given the circuits (so the circuit sweep is not
-counted twice) and `char_poly_whitney`. One row per arrangement is
-printed, then one total per family and size; --out also writes them as
-JSON.
+in the natural order (one pruned walk, which needs no circuits) and
+`char_poly_whitney`. One row per arrangement is printed, then one total
+per family and size; --out also writes them as JSON.
 
     PYTHONPATH=src python scripts/arrangement_growth.py [--out FILE]
 """
@@ -58,8 +57,8 @@ def median_time(fn):
 
 def measure(arr):
     poset_s, poset = median_time(lambda: intersection_poset(arr))
-    circuits_s, found = median_time(lambda: circuits(arr))
-    nbc_s, _ = median_time(lambda: nbc_counts(arr, found=found))
+    circuits_s, _ = median_time(lambda: circuits(arr))
+    nbc_s, _ = median_time(lambda: nbc_counts(arr))
     whitney_s, _ = median_time(lambda: char_poly_whitney(arr))
     seconds = {"poset": poset_s, "circuits": circuits_s, "nbc": nbc_s, "whitney": whitney_s}
     return len(poset.flats), seconds

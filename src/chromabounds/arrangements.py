@@ -11,8 +11,8 @@ expansion (`char_poly_whitney`) as a cross-check.
 
 The intersection poset is built rank by rank. Each flat groups the
 hyperplanes that cut it by their cut, in one dict pass keyed by the
-sign-normalised residual row, so each child flat is produced once, and
-hyperplanes parallel to the flat are dropped. Each Moebius value comes
+residual row, so each child flat is produced once, and hyperplanes
+parallel to the flat are dropped. Each Moebius value comes
 from the flat's covers by Weisner's theorem (L. Weisner, Trans. AMS 38,
 1935; R. Stanley, Enumerative Combinatorics I, Cor. 3.9.3): in a finite
 lattice with bottom 0 and top 1, for any a != 0, the sum of mu(0, x) over
@@ -36,15 +36,16 @@ its own table from its parent's, one elimination step for each later row
 that is nonzero at the new pivot; a dependent child shares its parent's.
 A pivot in the offset column means the child's hyperplanes have no common
 point; the walk does not descend from it, since every superset of an
-empty intersection is empty. The walk shares only the elimination
-primitive `linalg.residual` with `intersection_poset`, so the Moebius and
-Whitney routes stay independent.
+empty intersection is empty. For the NBC count the walk also refuses
+each child that holds a broken circuit, read off the same table. The walk
+shares only the elimination primitive `linalg.residual` with
+`intersection_poset`, so the Moebius and Whitney routes stay independent.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DEFAULT_SUBSET_GUARD, InputError, ResourceLimitError
 from .exactmath import IntPolynomial, Value, binom
@@ -148,7 +149,7 @@ class Flat(NamedTuple):
 def _subset_walk(
     arr: Arrangement,
     expand_dependent: bool = False,
-    admit: Callable[[int, int], bool] | None = None,
+    nbc: bool = False,
 ) -> Iterator[tuple[int, int, int | None]]:
     """Depth-first over nonempty subsets grown by larger indices; yields (mask, size, rank).
 
@@ -162,16 +163,20 @@ def _subset_walk(
     intersection, and a pivot in the normal raises the rank by one. The
     walk descends from independent central subsets, from dependent ones
     too when `expand_dependent`, and never from those with an empty
-    intersection. A dependent child spans what its parent spans, so it
-    shares its parent's table. A child that raises the rank derives its
-    table when it is popped: each later entry that is nonzero at the new
-    pivot takes one elimination step against the child's residual row, and
-    the others are kept. So the stack holds one table per depth.
-    `admit(mask, i)`, when given, is asked whether the child `mask` grown
-    by index i is visited at all; a child it refuses is neither yielded
-    nor descended from. It is asked about the children of one subset in a
-    row, by increasing i, and the subsets are expanded depth-first: the
-    latest child pushed is expanded next.
+    intersection, nor from a child with no larger index left to add. A
+    dependent child spans what its parent spans, so it shares its parent's
+    table. A child that raises the rank derives its table when it is
+    popped: each later entry that is nonzero at the new pivot takes one
+    elimination step against the child's residual row, and the others are
+    kept. So the stack holds one table per depth.
+
+    With `nbc`, an independent central child S + i whose entry equals a
+    later entry of S's table, that of some c > i, is refused: it is
+    neither yielded nor descended from. Entries are primitive with a
+    positive pivot, so equal means parallel: c's row lies in the span of
+    S + i and not of S, so S + i holds the broken circuit of a circuit
+    whose largest index is c. `nbc_counts` proves that this rule refuses
+    exactly the subsets holding a broken circuit.
     """
     n, m = arr.dim, arr.m
     # mask, next index, size, rank, table, index of the table's first entry, and the pivoted
@@ -187,17 +192,19 @@ def _subset_walk(
             first = start
         for i in range(start, m):
             grown = mask | 1 << i
-            if admit is not None and not admit(grown, i):
-                continue
-            lead, row = table[i - first]
+            entry = table[i - first]
+            lead = entry[0]
             if lead < n:
+                if nbc and entry in table[i + 1 - first:]:
+                    continue
                 yield grown, size + 1, r + 1
-                stack.append((grown, i + 1, size + 1, r + 1, table, first, (lead, row)))
+                if i + 1 < m:
+                    stack.append((grown, i + 1, size + 1, r + 1, table, first, entry))
             elif lead == n:
                 yield grown, size + 1, None
             else:
                 yield grown, size + 1, r
-                if expand_dependent:
+                if expand_dependent and i + 1 < m:
                     stack.append((grown, i + 1, size + 1, r, table, first, None))
 
 
@@ -261,15 +268,16 @@ def intersection_poset(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> I
     sections: the cuts of the flat by the hyperplanes that meet it in a
     hyperplane of the flat. A section is one residual against the flat's
     system, primitive with a positive pivot, with the mask of the
-    hyperplanes whose residual it is up to sign. A hyperplane whose
-    residual has a zero normal is parallel to the flat; it contains no flat
-    below it and is dropped. Each section gives one child, whose closure
-    adds the section's mask. The first parent to reach a child reduces the
-    other sections against the child's pivot row, one elimination step
-    each (none when the row already vanishes at the pivot), and regroups
-    them in one dict pass keyed by the sign-normalised residual. A point
-    has no sections, so none are computed for it. Every parent that
-    reaches a child is a cover of the child.
+    hyperplanes whose residual it is. A hyperplane whose residual has a
+    zero normal is parallel to the flat; it contains no flat below it and
+    is dropped. Each section gives one child, whose closure adds the
+    section's mask. The first parent to reach a child reduces the other
+    sections against the child's pivot row, one elimination step each
+    (none when the row already vanishes at the pivot), and regroups them
+    in one dict pass keyed by the residual, which `linalg.residual`
+    already returns primitive with a positive pivot. A point has no
+    sections, so none are computed for it. Every parent that reaches a
+    child is a cover of the child.
 
     The Moebius function follows from the covers alone, by Weisner's
     theorem (see the module docstring): mu(V) = 1, and mu(X) = -sum of
@@ -298,8 +306,6 @@ def intersection_poset(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> I
                             continue
                         cut = residual(other, ((lead, row),)) if other[lead] else (other_lead, other)
                         if cut[0] < n:
-                            if cut[1][cut[0]] < 0:
-                                cut = cut[0], tuple([-x for x in cut[1]])
                             grouped[cut] = grouped.get(cut, 0) | other_bits
                     child = found[closure] = [0, [(b, *cut) for cut, b in grouped.items()]]
                 if not mask & closure & -closure:  # the cover misses the child's lowest hyperplane

@@ -24,7 +24,7 @@ from .graphs import (
     SimpleGraph, chromatic_poly, chromatic_poly_interpolated, contract_edge, delete_edge, is_forest,
     rank_info,
 )
-from .nbc import circuits, nbc_counts
+from .nbc import nbc_counts
 
 
 class Case:
@@ -112,10 +112,8 @@ def _deletion_restriction(c: Case) -> Iterator[tuple[bool, str]]:
 
 
 def _nbc_counts(c: Case) -> Iterator[tuple[bool, str]]:
-    orders = c.orders(c.m)
-    found = circuits(c.arrangement, guard=c.cap_subsets)
-    for order in orders:
-        counts = nbc_counts(c.arrangement, order=order, guard=c.cap_subsets, found=found)
+    for order in c.orders(c.m):
+        counts = nbc_counts(c.arrangement, order=order, guard=c.cap_subsets)
         for k in range(c.seq.r + 1):
             yield counts[k] == c.seq.a[k], f"k={k} order={order}"
 

@@ -375,7 +375,7 @@ def _run_bounds(args: argparse.Namespace) -> tuple[dict, list]:
 
 def _run_nbc(args: argparse.Namespace) -> tuple[dict, list]:
     obj = parse_input_file(args.file)
-    try:  # `nbc.broken_circuits` checks that they are a permutation
+    try:  # `nbc.nbc_counts` checks that they are a permutation
         order = None if args.order is None else tuple(int(tok) for tok in args.order.split(","))
     except ValueError:
         raise InputError(f"--order '{args.order}' is not a comma-separated integer list")

@@ -4,9 +4,10 @@ Rows are integer tuples. A basis row travels with its pivot, the column of
 its first nonzero entry, as a pair (pivot, row), so no caller scans a row
 for its leading column. An echelon basis is built in insertion order: each
 row is the residual of an input row against the rows before it, so it
-vanishes at their pivots. One primitive, the residual of a row against
-such a basis together with the residual's own pivot, answers every
-question the callers ask:
+vanishes at their pivots. Every residual is primitive and its pivot entry
+is positive, so two rows whose residuals are parallel get equal residuals.
+One primitive, the residual of a row against such a basis together with
+the residual's own pivot, answers every question the callers ask:
 
 - span membership: the residual is zero, and its pivot is len(row);
 - rank: the number of nonzero residuals met while building the basis;
@@ -28,7 +29,10 @@ def residual(row: Sequence[int], basis: Iterable[Pivoted]) -> Pivoted:
 
     Each basis row must vanish at the pivots of the rows before it; the
     residual then vanishes at all of them, and is zero, with pivot
-    len(row), exactly when the row lies in the span of the basis.
+    len(row), exactly when the row lies in the span of the basis. A nonzero
+    residual is a multiple of the one vector in row + span(basis) that
+    vanishes at every basis pivot; made primitive with a positive pivot
+    entry, it is the same for any two rows whose residuals are parallel.
     """
     out = row
     for lead, b in basis:
@@ -39,11 +43,12 @@ def residual(row: Sequence[int], basis: Iterable[Pivoted]) -> Pivoted:
     g = gcd(*out)
     if not g:  # a zero residual: no pivot to find
         return len(out), tuple(out)
-    out = tuple([x // g for x in out]) if g > 1 else tuple(out)
     lead = 0
     while not out[lead]:
         lead += 1
-    return lead, out
+    if out[lead] < 0:
+        g = -g
+    return lead, tuple([x // g for x in out]) if g != 1 else tuple(out)
 
 
 def echelon(rows: Iterable[Sequence[int]]) -> list[Pivoted]:

@@ -368,19 +368,20 @@ def reference_is_general_position(arr):
     )
 
 
-def reference_subset_walk(arr, expand_dependent=False, admit=None):
+def reference_subset_walk(arr, expand_dependent=False, nbc=False):
     """The walk as it was before subsets carried residual tables: each subset carries its
-    echelon basis, and each child reduces its added row against that whole basis."""
+    echelon basis, and each child reduces its added row against that whole basis. With `nbc`,
+    an independent central child is refused when a later row has the same residual."""
     rows = [h.row for h in arr.hyperplanes]
     stack = [(0, 0, 0, ())]  # mask, next index, size, basis
     while stack:
         mask, start, size, basis = stack.pop()
         for i in range(start, arr.m):
             grown = mask | 1 << i
-            if admit is not None and not admit(grown, i):
-                continue
             lead, res = residual(rows[i], basis)
             if lead < arr.dim:
+                if nbc and any(residual(rows[c], basis) == (lead, res) for c in range(i + 1, arr.m)):
+                    continue
                 yield grown, size + 1, len(basis) + 1
                 stack.append((grown, i + 1, size + 1, basis + ((lead, res),)))
             elif lead == arr.dim:
@@ -391,26 +392,14 @@ def reference_subset_walk(arr, expand_dependent=False, admit=None):
                     stack.append((grown, i + 1, size + 1, basis))
 
 
-def recording_admit(seed, asked):
-    """Refuse about one child in four, as a fixed function of (seed, mask, i); log every question."""
-    def admit(mask, i):
-        asked.append((mask, i))
-        return hash((seed, mask, i)) % 4 != 0
-    return admit
-
-
 class TestSubsetWalk:
     @settings(max_examples=150, deadline=None)
-    @given(st.one_of(walk_arrangements, linear_arrangements(), dense_graphs().map(graphic_arrangement)),
-           st.integers(0, 2**32 - 1))
-    def test_matches_the_reference_walk(self, arr, seed):
+    @given(st.one_of(walk_arrangements, linear_arrangements(), dense_graphs().map(graphic_arrangement)))
+    def test_matches_the_reference_walk(self, arr):
         for expand_dependent in (False, True):
-            expected = list(reference_subset_walk(arr, expand_dependent))
-            assert list(_subset_walk(arr, expand_dependent)) == expected
-            asked, expected_asked = [], []
-            expected = list(reference_subset_walk(arr, expand_dependent, recording_admit(seed, expected_asked)))
-            assert list(_subset_walk(arr, expand_dependent, recording_admit(seed, asked))) == expected
-            assert asked == expected_asked
+            for nbc in (False, True):
+                expected = list(reference_subset_walk(arr, expand_dependent, nbc))
+                assert list(_subset_walk(arr, expand_dependent, nbc)) == expected
 
     def test_boolean_whitney_reduces_each_row_once(self, monkeypatch):
         # every later row vanishes at a coordinate hyperplane's pivot, so no child eliminates

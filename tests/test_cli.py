@@ -441,6 +441,11 @@ class TestResourceCaps:
         code = main(["nbc", write("k4.txt", K4_TEXT), "--cap-subsets", "2"])
         assert code == 3
 
+    def test_bad_order_rejected_before_the_subset_cap(self, write):
+        # an order that is not a permutation is bad input, however small the cap
+        code = main(["nbc", write("k4.txt", K4_TEXT), "--order", "0,1", "--cap-subsets", "2"])
+        assert code == 2
+
     def test_nbc_guard_trips_before_the_polynomial(self, write, monkeypatch, capsys):
         # the circulant graph C13(1, 2, 3) has 39 edges, far above a subset cap of 5
         text = "n 13\n" + "".join(f"{i} {(i + k) % 13}\n" for i in range(13) for k in (1, 2, 3))

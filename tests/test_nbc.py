@@ -1,7 +1,6 @@
 import random
 from itertools import combinations, permutations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,8 +22,7 @@ from chromabounds import (
     rank,
 )
 from chromabounds.corpus import coordinate_arrangement, random_order
-from chromabounds.nbc import broken_circuits
-from strategies import linear_arrangements, reference_flat_of, small_graphs, walk_arrangements
+from strategies import dense_graphs, linear_arrangements, reference_flat_of, walk_arrangements
 
 K3_ARR = graphic_arrangement(complete(3))
 K4_ARR = graphic_arrangement(complete(4))
@@ -62,8 +60,23 @@ def brute_force_circuits(arr):
     )
 
 
+def broken_circuits(arr, order=None, found=None):
+    """Each circuit minus its order-maximal element, deduplicated.
+
+    Circuits do not depend on the order, so `found` may hold them for
+    several orders; by default they come from a fresh `circuits` sweep.
+    """
+    order = range(arr.m) if order is None else order
+    position = {idx: pos for pos, idx in enumerate(order)}
+    out = {}
+    for circuit in circuits(arr) if found is None else found:
+        top = max(circuit, key=position.__getitem__)
+        out[circuit - {top}] = None
+    return tuple(out)
+
+
 def reference_nbc_counts(arr, order):
-    """The depth-first NBC sweep that the subset walk replaced.
+    """The route that the pruned walk replaced: circuits, then broken circuits, then a sweep.
 
     Each grown subset is checked against every broken circuit, and its
     intersection is computed afresh unless the whole arrangement is central.
@@ -136,24 +149,26 @@ class TestBrokenCircuits:
             found = circuits(arr)
             for order in [None] + [random_order(rng, arr.m) for _ in range(3)]:
                 assert broken_circuits(arr, order, found=found) == broken_circuits(arr, order)
-                assert nbc_counts(arr, order, found=found) == nbc_counts(arr, order)
+                assert nbc_counts(arr, order) == reference_nbc_counts(arr, order)
 
-    def test_nbc_check_sweeps_circuits_once_for_all_orders(self, monkeypatch):
-        # circuits do not depend on the ground order, so three orders cost one 2^m sweep
-        calls = []
+    def test_nbc_check_calls_no_circuits(self, monkeypatch):
+        # each order costs one pruned walk, and no order needs the circuits
+        circuit_calls, walks = [], []
+        walk = nbcmod._subset_walk
 
-        def counting(arr, guard):
-            calls.append(arr)
-            return circuits(arr, guard=guard)
+        def counting_walk(arr, *args, **kwargs):
+            walks.append(kwargs)
+            return walk(arr, *args, **kwargs)
 
-        monkeypatch.setattr(nbcmod, "circuits", counting)
-        monkeypatch.setattr(checks, "circuits", counting)
+        monkeypatch.setattr(nbcmod, "circuits", lambda *args, **kwargs: circuit_calls.append(args))
+        monkeypatch.setattr(nbcmod, "_subset_walk", counting_walk)
         rng = random.Random(2)
         case = checks.Case("K4", complete(4), 0, 1, orders=lambda m: [None] + [random_order(rng, m) for _ in range(2)])
         nbc_check = [c for c in checks.GRAPH_CHECKS if c.name == "nbc-coefficient"]
         results = list(checks.run_checks(nbc_check, case))
         assert len(results) == 3 * 4 and all(ok for _, ok, _ in results)
-        assert len(calls) == 1
+        assert circuit_calls == []
+        assert walks == [{"nbc": True}] * 3
 
 
 class TestNbcCoefficient:
@@ -193,34 +208,38 @@ class TestNbcCoefficient:
                 assert nbc_counts(arr, None)[k] == s.a[k]
 
     @settings(max_examples=150, deadline=None)
-    @given(st.data(), walk_arrangements)
+    @given(st.data(), st.one_of(walk_arrangements, linear_arrangements(), dense_graphs().map(graphic_arrangement)))
     def test_matches_per_subset_sweep(self, data, arr):
         order = data.draw(st.permutations(range(arr.m)))
         assert nbc_counts(arr, order) == reference_nbc_counts(arr, order)
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.data(), st.one_of(linear_arrangements(), small_graphs().map(graphic_arrangement)))
-    def test_central_counts_need_no_elimination(self, data, arr):
-        # a subset without a broken circuit is independent, so a central arrangement needs no rank
-        order = data.draw(st.permutations(range(arr.m)))
-        found = circuits(arr)
-        expected = reference_nbc_counts(arr, order)
+    def test_pinned_elimination_counts(self, monkeypatch):
+        calls = 0
 
-        def no_elimination(*args):
-            raise AssertionError("nbc_counts eliminated on a central arrangement")
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return linalg.residual(*args)
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(linalg, "residual", no_elimination)
-            patch.setattr(arrangements, "residual", no_elimination)
-            assert nbc_counts(arr, order, found=found) == expected
+        monkeypatch.setattr(arrangements, "residual", counting)
+        # one residual per row for the root table; every later row vanishes at a coordinate
+        # hyperplane's pivot, so no subset derives a table by elimination
+        assert nbc_counts(coordinate_arrangement(8)) == tuple(binom(8, k) for k in range(9))
+        assert calls == 8
+        # the circuits and the sweep over their broken circuits, against the one pruned walk
+        calls = 0
+        circuits(K4_ARR)
+        circuit_route = calls
+        calls = 0
+        assert nbc_counts(K4_ARR) == (1, 6, 11, 6, 0, 0, 0)
+        assert 2 * calls <= circuit_route
 
     def test_every_ground_order_of_k4(self):
-        # the broken circuits, and so the forbidden sets, change with the ground order
-        found = circuits(K4_ARR)
+        # the broken circuits change with the ground order
         orders = list(permutations(range(K4_ARR.m)))
         assert len(orders) == 720
         for order in orders:
-            assert nbc_counts(K4_ARR, order, found=found) == reference_nbc_counts(K4_ARR, order)
+            assert nbc_counts(K4_ARR, order) == reference_nbc_counts(K4_ARR, order)
 
     def test_matches_subset_sweep(self):
         # the depth-first sweep against a direct sweep over all 2^m subsets
