@@ -83,10 +83,6 @@ class BoundsReport(NamedTuple):
         return all(rec.ok for rec in self.records)
 
     @property
-    def violations(self) -> tuple[BoundsRecord, ...]:
-        return tuple(rec for rec in self.records if not rec.ok)
-
-    @property
     def all_tight(self) -> bool:
         return all(rec.tight for rec in self.records)
 

@@ -1,8 +1,9 @@
 """Command-line front end: parse inputs, run computations, emit text or JSON.
 
 Each subcommand declares only the flags it reads and names its handler and
-text printer. A handler returns (results, violations); the JSON `config`
-echoes the command, its input file and the shared flags it takes.
+text printer. A handler returns (results, violations), each violation a
+`_violation` record that `run` prints, in JSON or as a VIOLATION line after
+the text; the JSON `config` echoes the command, its input file and flags.
 
 Each command imports the modules it runs when it runs them: a graph
 command never loads `arrangements`, `linalg` or `nbc`, and only `verify`
@@ -213,10 +214,6 @@ def format_arrangement(arr: Arrangement) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _coeffs_json(p: IntPolynomial) -> list[str]:
-    return [str(c) for c in p.coeffs]
-
-
 def _seq_json(s: bnd.CoeffSequence) -> dict:
     return {"n": s.n, "m": s.m, "r": s.r, "a": [str(x) for x in s.a]}
 
@@ -230,6 +227,11 @@ def _record_json(rec: bnd.BoundsRecord) -> dict:
         "upper": str(rec.upper),
         "ok": rec.ok,
     }
+
+
+def _violation(check: str, instance: str, detail: str) -> dict:
+    """Every command's violation record; `check` names an entry of the `checks` tables."""
+    return {"check": check, "instance": instance, "detail": detail}
 
 
 def _as_arrangement(obj: SimpleGraph | Arrangement) -> Arrangement:
@@ -261,7 +263,7 @@ def build_chromatic_report(g: SimpleGraph) -> dict:
         "m": g.m,
         "components": info.components,
         "rank": info.rank,
-        "coefficients_ascending": _coeffs_json(p),
+        "coefficients_ascending": [str(c) for c in p.coeffs],
         "sequence": _seq_json(s),
     }
 
@@ -276,7 +278,6 @@ def build_bounds_report(obj: SimpleGraph | Arrangement, *, q_min: int, q_max: in
         "records": [_record_json(rec) for rec in report.records],
         "all_ok": report.all_ok,
         "all_tight": report.all_tight,
-        "violations": [_record_json(rec) for rec in report.violations],
     }
 
 
@@ -344,7 +345,7 @@ def build_verify_report(*, seed: int, q_min: int, q_max: int, cap_subsets: int, 
     arrangement_results = [verify(ARRANGEMENT_CHECKS, f"arrangement[{i}]", a) for i, a in enumerate(arrangements)]
     for i, arr in enumerate(linear_central_corpus(rng)):
         verify(LINEAR_CENTRAL_CHECKS, f"linear[{i}]", arr)
-    violations = [{"check": name, "instance": label, "detail": detail} for name, label, ok, detail in outcomes if not ok]
+    violations = [_violation(name, label, detail) for name, label, ok, detail in outcomes if not ok]
     results = {
         "graphs": graph_results,
         "arrangements": arrangement_results,
@@ -370,7 +371,8 @@ def _run_chromatic(args: argparse.Namespace) -> tuple[dict, list]:
 def _run_bounds(args: argparse.Namespace) -> tuple[dict, list]:
     results = build_bounds_report(parse_input_file(args.file), q_min=args.q_min, q_max=args.q_max,
                                   cap_subsets=args.cap_subsets)
-    return results, results["violations"]
+    return results, [_violation("two-sided-bounds", args.file, f"q={rec['q']} k={rec['k']}")
+                     for rec in results["records"] if not rec["ok"]]
 
 
 def _run_nbc(args: argparse.Namespace) -> tuple[dict, list]:
@@ -380,12 +382,13 @@ def _run_nbc(args: argparse.Namespace) -> tuple[dict, list]:
     except ValueError:
         raise InputError(f"--order '{args.order}' is not a comma-separated integer list")
     results = build_nbc_report(obj, order, cap_subsets=args.cap_subsets)
-    return results, [row for row in results["rows"] if not row["match"]]
+    return results, [_violation("nbc-coefficient", args.file, f"k={row['k']} order={order}")
+                     for row in results["rows"] if not row["match"]]
 
 
 def _run_decone(args: argparse.Namespace) -> tuple[dict, list]:
     results = build_decone_report(parse_input_file(args.file), args.k0, cap_subsets=args.cap_subsets)
-    return results, [] if results["ok"] else [{"check": "decone-divided-difference", "k0": args.k0}]
+    return results, [] if results["ok"] else [_violation("decone-divided-difference", args.file, f"k0={args.k0}")]
 
 
 def _run_verify(args: argparse.Namespace) -> tuple[dict, list]:
@@ -399,7 +402,7 @@ def _run_verify(args: argparse.Namespace) -> tuple[dict, list]:
                                num_arrangements=args.arrangements, max_dim=args.max_dim, max_hyperplanes=args.max_m)
 
 
-def _print_text_chromatic(results: dict, violations: list) -> None:
+def _print_text_chromatic(results: dict) -> None:
     print(f"chromatic polynomial: {results['polynomial']}")
     print(f"n = {results['n']}, m = {results['m']}, "
           f"components = {results['components']}, rank = {results['rank']}")
@@ -407,7 +410,7 @@ def _print_text_chromatic(results: dict, violations: list) -> None:
     print(f"coefficient sequence a_0..a_r: {a}")
 
 
-def _print_text_bounds(results: dict, violations: list) -> None:
+def _print_text_bounds(results: dict) -> None:
     print(f"polynomial: {results['polynomial']}")
     seq = results["sequence"]
     print(f"n = {seq['n']}, m = {seq['m']}, r = {seq['r']}, a = [{', '.join(seq['a'])}]")
@@ -418,7 +421,7 @@ def _print_text_bounds(results: dict, violations: list) -> None:
     print(f"all ok: {results['all_ok']}; all tight: {results['all_tight']}")
 
 
-def _print_text_nbc(results: dict, violations: list) -> None:
+def _print_text_nbc(results: dict) -> None:
     print(f"polynomial: {results['polynomial']}")
     print(f"order: {','.join(str(i) for i in results['order'])}")
     print(f"{'k':>3} {'nbc':>12} {'|a_k|':>12}  match")
@@ -428,7 +431,7 @@ def _print_text_nbc(results: dict, violations: list) -> None:
     print(f"all match: {results['all_match']}")
 
 
-def _print_text_decone(results: dict, violations: list) -> None:
+def _print_text_decone(results: dict) -> None:
     print("deconed arrangement:")
     print(results["deconed"])
     print(f"char poly of input:    {results['char_poly']}")
@@ -437,12 +440,10 @@ def _print_text_decone(results: dict, violations: list) -> None:
     print(f"identity holds: {results['ok']}")
 
 
-def _print_text_verify(results: dict, violations: list[dict]) -> None:
+def _print_text_verify(results: dict) -> None:
     print(f"instances: {results['instances']}")
     print(f"checks run: {results['checks']}")
     print(f"{results['violation_count']} violations")
-    for v in violations:
-        print(f"  VIOLATION {v['check']} on {v['instance']}: {v['detail']}")
 
 
 # The flags whose values a JSON report's `config` echoes; each command declares
@@ -511,7 +512,9 @@ def run(argv: list[str] | None = None) -> int:
         payload = {"command": args.command, "config": config, "results": results, "violations": violations}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        args.printer(results, violations)
+        args.printer(results)
+        for v in violations:
+            print(f"  VIOLATION {v['check']} on {v['instance']}: {v['detail']}")
     return 1 if violations else 0
 
 

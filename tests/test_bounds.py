@@ -164,7 +164,7 @@ class TestPartialSumBounds:
 class TestVerifyBounds:
     def test_k4_window(self):
         report = verify_bounds(K4_SEQ, -3, 3)
-        assert report.all_ok and not report.violations
+        assert report.all_ok
 
     def test_forest_all_tight(self):
         p = chromatic_poly(path(4))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from chromabounds import (
     Arrangement, InputError, IntPolynomial, SimpleGraph, arrangements, bounds, checks, graphic_arrangement, graphs,
-    nbc_counts,
+    nbc, nbc_counts,
 )
 from chromabounds.cli import (
     _rational,
@@ -239,13 +239,13 @@ GOLDEN = {
     ("chromatic", "DIMACS"): ("bcd213e80bf910900d8ff635bef0b58f4609d358f7e9d04b0c8de45895a99b93",
                               "ff69a41cd84ce8e778822469313d7fd0625a9d2959f8e46dab94a6a68293fdfc"),
     ("bounds", "K4"): ("e9dc3789c4b395936f69f779637da07c23e8ca4a294fa69aa562b03f7974596f",
-                       "8bf63cbe8562ccb0e2d61c001b2c9cebaa01d84d1e3d4bd71bc2fd779e259ab0"),
+                       "b9648f878e58e8b26758056d8119a23c440ec20945b8c4d08933742c35c47c5b"),
     ("bounds", "DIMACS"): ("7b2a569bed279690cc9e99393f6b2cc1db14cb57d69a3958538d47a98c6929b8",
-                           "7f5deb8de0a28d7a80c1d6e2a1b4def541273ffe793152bf2d4c883670caa1b4"),
+                           "331e46f1b2bcdb9bc89577bbc72b6b380b84f7ddfe8835530cc129104a56a7d3"),
     ("bounds", "LINEAR_LINES"): ("af326b8b7ed5998ac421b9787ab39f6793c7cde0cfcd6dc206f4fb493b393e2c",
-                                 "cd45ea6eb1ac843ca64a3f62017794d64c3c155761e7d5bb06492de06b99067a"),
+                                 "0ca1091b1a7d3277ebd2a0c6d7447e491f95fb419d85f845a13a497f853e0041"),
     ("bounds", "GENERIC_LINES"): ("271293e16d14d0d369cb49ed73883467434a95777e47cb7c5cc83b6dd314df2e",
-                                  "713a6eccb1392000faa7c13a493f4cdbc869f3bc6d9cf6aa24534d9208397222"),
+                                  "939eaf22a02ab82948774669c94b0ac7744ef99b482515c638a4247d28f840c9"),
     ("nbc", "K4"): ("5f1c10f4acb39bb87b4f278706d68e3e0e1f6c88ab36ce4dff85f444edde5b01",
                     "5c9c137840d15309dafac97c089e1fc89a5bf3664c80f36944f12bc4cf5026d9"),
     ("nbc", "DIMACS"): ("4843aec893693966d16ed115739398472adb3f38f06fc243220b668499244d49",
@@ -306,8 +306,9 @@ class TestBoundsCommand:
     def test_long_path(self, write, capsys):
         # a forest, so every record is tight
         assert main(["bounds", write("path300.txt", long_graph_text(300, closed=False)), "--format", "json"]) == 0
-        results = json.loads(capsys.readouterr().out)["results"]
-        assert results["all_tight"] and not results["violations"]
+        payload = json.loads(capsys.readouterr().out)
+        results = payload["results"]
+        assert results["all_tight"] and not payload["violations"]
         assert len(results["records"]) == sum(q + 300 + 1 for q in range(-3, 4))
 
     @pytest.mark.parametrize("command,builds", [("bounds", 0), ("nbc", 1)])
@@ -332,7 +333,6 @@ def case_bounds_report(obj, q_min, q_max):
         "records": [_record_json(rec) for rec in case.bounds.records],
         "all_ok": case.bounds.all_ok,
         "all_tight": case.bounds.all_tight,
-        "violations": [_record_json(rec) for rec in case.bounds.violations],
     }
 
 
@@ -405,10 +405,11 @@ class TestDeconeCommand:
 
     def test_failed_identity_reports_a_violation(self, write, monkeypatch, capsys):
         monkeypatch.setattr(bounds, "divided_difference", lambda p: IntPolynomial((7,)))
-        assert main(["decone", write("k3.txt", K3_TEXT), "1", "--format", "json"]) == 1
+        path = write("k3.txt", K3_TEXT)
+        assert main(["decone", path, "1", "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["results"]["ok"] is False
-        assert payload["violations"] == [{"check": "decone-divided-difference", "k0": 1}]
+        assert payload["violations"] == [{"check": "decone-divided-difference", "instance": path, "detail": "k0=1"}]
 
 
 @pytest.mark.parametrize("argv, status", [
@@ -581,3 +582,82 @@ class TestVerifyCommand:
         assert main(["verify", "--seed", "42"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "54ad0f4031bebd0892e0ed5df80d1d2aba9d3b1bc83271a88518b54051d80a13"
+
+
+TABLE_NAMES = {check.name for check in checks.GRAPH_CHECKS + checks.ARRANGEMENT_CHECKS + checks.LINEAR_CENTRAL_CHECKS}
+VERIFY_BOUNDS = bounds.verify_bounds
+
+
+def overshooting_bounds(s, q_min, q_max):
+    """The real bound grid with every value one above its upper bound."""
+    records = VERIFY_BOUNDS(s, q_min, q_max).records
+    return bounds.BoundsReport(tuple(rec._replace(value=rec.upper + 1) for rec in records))
+
+
+def wrong_counts(*args, **kwargs):
+    return (-1,) * 21  # one count per k for any m under the subset guard
+
+
+def wrong_polynomial(*args, **kwargs):
+    return IntPolynomial((7,))
+
+
+def table_entry(table, name):
+    return [check for check in table if check.name == name]
+
+
+class TestViolationRecord:
+    """Every command reports a failed identity as one record, named after an entry of the check tables."""
+
+    @pytest.mark.parametrize("argv, module, oracle, broken, check", [
+        (["bounds", "FILE"], bounds, "verify_bounds", overshooting_bounds, "two-sided-bounds"),
+        (["nbc", "FILE"], nbc, "nbc_counts", wrong_counts, "nbc-coefficient"),
+        (["decone", "FILE", "2"], bounds, "divided_difference", wrong_polynomial, "decone-divided-difference"),
+        (["verify", "--graphs", "0", "--arrangements", "0"], checks, "chromatic_poly_interpolated", wrong_polynomial,
+         "coloring-oracle"),
+    ], ids=["bounds", "nbc", "decone", "verify"])
+    def test_one_shape_under_a_broken_oracle(self, write, monkeypatch, capsys, argv, module, oracle, broken, check):
+        monkeypatch.setattr(module, oracle, broken)
+        path = write("k4.txt", K4_TEXT)
+        argv = [path if arg == "FILE" else arg for arg in argv]
+        assert main([*argv, "--format", "json"]) == 1
+        violations = json.loads(capsys.readouterr().out)["violations"]
+        assert violations and all(set(v) == {"check", "instance", "detail"} for v in violations)
+        assert {v["check"] for v in violations} == {check} and check in TABLE_NAMES
+        if path in argv:
+            assert {v["instance"] for v in violations} == {path}
+        assert main(argv) == 1
+        lines = [line for line in capsys.readouterr().out.splitlines() if "VIOLATION" in line]
+        assert lines == [f"  VIOLATION {v['check']} on {v['instance']}: {v['detail']}" for v in violations]
+
+    @pytest.mark.parametrize("text, order", [
+        (K4_TEXT, None), (K4_TEXT, (5, 0, 3, 1, 4, 2)), (GENERIC_LINES_TEXT, None), (GENERIC_LINES_TEXT, (2, 0, 1)),
+    ], ids=["K4", "K4-ordered", "lines", "lines-ordered"])
+    def test_nbc_reports_what_the_table_reports(self, write, monkeypatch, capsys, text, order):
+        monkeypatch.setattr(nbc, "nbc_counts", wrong_counts)
+        monkeypatch.setattr(checks, "nbc_counts", wrong_counts)
+        path = write("input.txt", text)
+        flags = [] if order is None else ["--order", ",".join(str(i) for i in order)]
+        assert main(["nbc", path, *flags, "--format", "json"]) == 1
+        reported = [(v["check"], v["detail"]) for v in json.loads(capsys.readouterr().out)["violations"]]
+        obj = parse_input_file(path)
+        table = checks.GRAPH_CHECKS if isinstance(obj, SimpleGraph) else checks.ARRANGEMENT_CHECKS
+        case = checks.Case(path, obj, -3, 3, orders=lambda m: [order])
+        entry = table_entry(table, "nbc-coefficient")
+        expected = [(name, detail) for name, ok, detail in checks.run_checks(entry, case) if not ok]
+        assert reported == expected and expected
+
+    @pytest.mark.parametrize("text, k0", [(LINEAR_LINES_TEXT, 0), (LINEAR_LINES_TEXT, 2), (K4_TEXT, 3)],
+                             ids=["lines-0", "lines-2", "K4-3"])
+    def test_decone_reports_what_the_table_reports(self, write, monkeypatch, capsys, text, k0):
+        monkeypatch.setattr(bounds, "divided_difference", wrong_polynomial)
+        monkeypatch.setattr(checks, "divided_difference", wrong_polynomial)
+        path = write("input.txt", text)
+        assert main(["decone", path, str(k0), "--format", "json"]) == 1
+        reported = [(v["check"], v["detail"]) for v in json.loads(capsys.readouterr().out)["violations"]]
+        obj = parse_input_file(path)
+        case = checks.Case(path, graphic_arrangement(obj) if isinstance(obj, SimpleGraph) else obj, -3, 3)
+        entry = table_entry(checks.LINEAR_CENTRAL_CHECKS, "decone-divided-difference")
+        expected = [(name, detail) for name, ok, detail in checks.run_checks(entry, case)
+                    if not ok and detail == f"k0={k0}"]
+        assert reported == expected and expected
