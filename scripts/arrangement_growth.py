@@ -9,11 +9,11 @@ family an offset with numerator in -2..2 over a denominator in 1..3, the
 distribution of the benchmark's arr-growth inputs. The linear family has
 every offset 0.
 
-Four computations are timed on each arrangement, each the median of three
-runs: `intersection_poset` (with its flat count), `circuits`, `nbc_counts`
-in the natural order (one pruned walk, which needs no circuits) and
-`char_poly_whitney`. One row per arrangement is printed, then one total
-per family and size; --out also writes them as JSON.
+Three computations are timed on each arrangement, each the median of
+three runs: `intersection_poset` (with its flat count), `nbc_counts` in
+the natural order (one pruned walk) and `char_poly_whitney`. One row per
+arrangement is printed, then one total per family and size; --out also
+writes them as JSON.
 
     PYTHONPATH=src python scripts/arrangement_growth.py [--out FILE]
 """
@@ -26,14 +26,14 @@ import statistics
 import time
 from collections import defaultdict
 
-from chromabounds import Arrangement, char_poly_whitney, circuits, intersection_poset, nbc_counts
+from chromabounds import Arrangement, char_poly_whitney, intersection_poset, nbc_counts
 from chromabounds.corpus import random_hyperplane
 
 REPEATS = 3
 DIM = 4
 SEEDS = (1, 2, 3)
 FAMILIES = ("affine", "linear")
-STAGES = ("poset", "circuits", "nbc", "whitney")
+STAGES = ("poset", "nbc", "whitney")
 
 
 def random_arrangement(rng, dim, m, linear):
@@ -57,10 +57,9 @@ def median_time(fn):
 
 def measure(arr):
     poset_s, poset = median_time(lambda: intersection_poset(arr))
-    circuits_s, _ = median_time(lambda: circuits(arr))
     nbc_s, _ = median_time(lambda: nbc_counts(arr))
     whitney_s, _ = median_time(lambda: char_poly_whitney(arr))
-    seconds = {"poset": poset_s, "circuits": circuits_s, "nbc": nbc_s, "whitney": whitney_s}
+    seconds = {"poset": poset_s, "nbc": nbc_s, "whitney": whitney_s}
     return len(poset.flats), seconds
 
 

@@ -27,8 +27,8 @@ each Moebius value is summed as the covers are found, with no set of the
 flats above X.
 
 The sweeps over subsets of hyperplanes (`char_poly_whitney`,
-`is_general_position`, and the circuit and NBC sweeps of the nbc module)
-share one depth-first walk, `_subset_walk`. It grows each subset by larger
+`is_general_position`, and the NBC count of the nbc module) share one
+depth-first walk, `_subset_walk`. It grows each subset by larger
 indices only. Each subset carries the residuals of the rows it can still
 add against its echelon basis, so the pivot of a child's entry
 classifies the child with no elimination. A child of higher rank derives

@@ -7,6 +7,10 @@ binom(r+q, k) and binom(m+q, k), with equality throughout exactly when
 m = r. The divided-difference operator p -> (p(t) - p(1)) / (t - 1)
 realizes the q = -1 sums as coefficients, and iterating it realizes any
 negative q.
+
+The sums rest on the h-vector of a (see `h_vector`): S_q(k) = sum_j h_j
+binom(r+q-j, k-j). The `coefficient-lower-bounds` check is h >= 0, and
+`verify_bounds` checks the grid directly, without h.
 """
 
 from __future__ import annotations
@@ -139,46 +143,23 @@ def _binomial_row(x: int, top: int) -> list[int]:
     return row
 
 
-class LowerBoundReport(NamedTuple):
-    """Nonnegativity of the rank-weighted alternating sums, plus a_2/a_3 floors."""
+def h_vector(s: CoeffSequence) -> tuple[int, ...]:
+    """The h-vector of a_0..a_r: sum_i a_i x^i = sum_j h_j x^j (1+x)^(r-j).
 
-    alternating_sums: tuple[int, ...]  # indexed by k = 0..r, each must be >= 0
-    a2_floor: int | None
-    a3_floor: int | None
-    seq: CoeffSequence
+    At x = y/(1-y) this is sum_j h_j y^j = sum_i a_i y^i (1-y)^(r-i), which
+    Horner's rule builds in O(r^2) additions: from (a_0), multiply by (1-y)
+    and add a_i y^i for each next a_i. Entry k equals the rank-weighted
+    alternating sum (-1)^k sum_i (-1)^i binom(r-i, k-i) a_i.
 
-    @property
-    def alternating_ok(self) -> bool:
-        return all(v >= 0 for v in self.alternating_sums)
-
-    @property
-    def a2_ok(self) -> bool | None:
-        return None if self.a2_floor is None else self.seq.a[2] >= self.a2_floor
-
-    @property
-    def a3_ok(self) -> bool | None:
-        return None if self.a3_floor is None else self.seq.a[3] >= self.a3_floor
-
-    @property
-    def all_ok(self) -> bool:
-        return self.alternating_ok and self.a2_ok is not False and self.a3_ok is not False
-
-
-def check_coefficient_lower_bounds(s: CoeffSequence) -> LowerBoundReport:
-    """Evaluate (-1)^k sum_i (-1)^i binom(r-i, k-i) a_i >= 0 for k <= r,
-    and the closed-form floors for a_2 and a_3 they imply.
-
-    The floors only exist for r >= 2 and r >= 3 respectively; smaller
-    ranks are vacuous and reported as None.
+    The a_2/a_3 floors follow from h >= 0: `coeff_sequence` fixes a_0 = 1
+    and a_1 = m, so h_0 = 1, h_1 = m - r, and a_k = sum_j h_j binom(r-j, k-j)
+    gives a_2 - (binom(r, 2) + (m-r)(r-1)) = h_2 and
+    a_3 - (binom(r, 3) + (m-r) binom(r-1, 2)) = (r-2) h_2 + h_3.
     """
-    r, m = s.r, s.m
-    sums = tuple(
-        (-1) ** k * sum((-1) ** i * binom(r - i, k - i) * s.a[i] for i in range(k + 1))
-        for k in range(r + 1)
-    )
-    a2_floor = binom(r, 2) + (m - r) * (r - 1) if r >= 2 else None
-    a3_floor = binom(r, 3) + (m - r) * binom(r - 1, 2) if r >= 3 else None
-    return LowerBoundReport(alternating_sums=sums, a2_floor=a2_floor, a3_floor=a3_floor, seq=s)
+    h = [s.a[0]]
+    for i in range(1, s.r + 1):
+        h = [h[0], *(h[k] - h[k - 1] for k in range(1, i)), s.a[i] - h[-1]]
+    return tuple(h)
 
 
 def divided_difference(p: IntPolynomial) -> IntPolynomial:

@@ -16,8 +16,8 @@ from .arrangements import (
     restrict,
 )
 from .bounds import (
-    check_coefficient_lower_bounds, coeff_sequence, divided_difference, divided_difference_formula,
-    divided_difference_iter, is_logconcave, verify_bounds,
+    coeff_sequence, divided_difference, divided_difference_formula, divided_difference_iter, h_vector,
+    is_logconcave, verify_bounds,
 )
 from .errors import DEFAULT_COLORING_CAP, DEFAULT_SUBSET_GUARD
 from .graphs import (
@@ -87,8 +87,19 @@ class Check(NamedTuple):
     applies: Callable[[Case], bool] | None = None  # None: always
 
 
-def _once(name: str, test: Callable[[Case], bool], applies: Callable[[Case], bool] | None = None) -> Check:
-    return Check(name, lambda case: [(test(case), "")], applies)
+def _once(name: str, failures: Callable[[Case], Iterable[str]], applies: Callable[[Case], bool] | None = None) -> Check:
+    """One comparison per instance: ok when the lazy `failures` yields nothing, else its first detail."""
+    def evaluate(case: Case) -> list[tuple[bool, str]]:
+        for detail in failures(case):
+            return [(False, detail)]
+        return [(True, "")]
+
+    return Check(name, evaluate, applies)
+
+
+def _equal(name: str, sides: Callable[[Case], tuple], applies: Callable[[Case], bool] | None = None) -> Check:
+    """The identity left == right; a failure shows both sides."""
+    return _once(name, lambda c: (f"{left} != {right}" for left, right in [sides(c)] if left != right), applies)
 
 
 def run_checks(table: Iterable[Check], case: Case) -> Iterator[tuple[str, bool, str]]:
@@ -128,40 +139,39 @@ def _divided_difference_closed_form(c: Case) -> Iterator[tuple[bool, str]]:
 def _sequence_tail(tight_name: str, nbc_applies: Callable[[Case], bool] | None) -> tuple[Check, ...]:
     """Checks on the coefficient sequence; the grid is tight exactly when m = r."""
     return (
-        _once("rank-vs-degree", lambda c: c.seq.r == c.rank),
+        _equal("rank-vs-degree", lambda c: (c.seq.r, c.rank)),
         Check("nbc-coefficient", _nbc_counts, nbc_applies),
-        _once("two-sided-bounds", lambda c: c.bounds.all_ok),
-        _once(tight_name, lambda c: c.bounds.all_tight == (c.m == c.rank)),
-        _once("coefficient-lower-bounds", lambda c: check_coefficient_lower_bounds(c.seq).all_ok),
+        _once("two-sided-bounds", lambda c: (f"q={rec.q} k={rec.k}" for rec in c.bounds.records if not rec.ok)),
+        _equal(tight_name, lambda c: (c.bounds.all_tight, c.m == c.rank)),
+        _once("coefficient-lower-bounds", lambda c: (f"h_{j}={v}" for j, v in enumerate(h_vector(c.seq)) if v < 0)),
     )
 
 
 GRAPH_CHECKS: tuple[Check, ...] = (
-    _once("coloring-oracle", lambda c: c.poly == chromatic_poly_interpolated(c.obj, cap=c.cap_colorings)),
+    _equal("coloring-oracle", lambda c: (c.poly, chromatic_poly_interpolated(c.obj, cap=c.cap_colorings))),
     # m > n rules out a forest outright; otherwise compare to the product form.
-    _once("forest-formula",
-          lambda c: is_forest(c.obj) == (c.m <= c.obj.n and c.poly == boolean_char_poly(c.obj.n, c.m))),
+    _equal("forest-formula",
+           lambda c: (is_forest(c.obj), c.m <= c.obj.n and c.poly == boolean_char_poly(c.obj.n, c.m))),
     Check("deletion-contraction", _deletion_contraction),
-    _once("graphic-char-poly", lambda c: char_poly(c.arrangement, guard=c.cap_subsets) == c.poly,
-          lambda c: c.m <= c.cap_subsets),
+    _equal("graphic-char-poly", lambda c: (char_poly(c.arrangement, guard=c.cap_subsets), c.poly),
+           lambda c: c.m <= c.cap_subsets),
     # Graphs get the 2^m-subset Whitney sum up to m = 10 and NBC enumeration up to m = 12,
     # both within --cap-subsets.
-    _once("whitney-agreement", lambda c: char_poly_whitney(c.arrangement, guard=c.cap_subsets) == c.poly,
-          lambda c: c.m <= min(10, c.cap_subsets)),
+    _equal("whitney-agreement", lambda c: (char_poly_whitney(c.arrangement, guard=c.cap_subsets), c.poly),
+           lambda c: c.m <= min(10, c.cap_subsets)),
     *_sequence_tail("bounds-tight-iff-forest", lambda c: c.m <= min(12, c.cap_subsets)),
 )
 
 ARRANGEMENT_CHECKS: tuple[Check, ...] = (
-    _once("whitney-agreement", lambda c: char_poly_whitney(c.obj, guard=c.cap_subsets) == c.poly),
+    _equal("whitney-agreement", lambda c: (char_poly_whitney(c.obj, guard=c.cap_subsets), c.poly)),
     Check("deletion-restriction", _deletion_restriction),
-    _once("boolean-formula", lambda c: c.poly == boolean_char_poly(c.obj.dim, c.m),
-          lambda c: is_boolean(c.obj)),
-    _once("general-position-iff-shape",
-          lambda c: c.general_position == (c.poly == general_position_char_poly(c.obj.dim, c.m, c.rank))),
-    _once("central-gp-iff-boolean", lambda c: c.general_position == is_boolean(c.obj), lambda c: is_central(c.obj)),
-    _once("essentialize-count", lambda c: c.essential.m == c.m),
-    _once("essentialize-coefficients",
-          lambda c: char_poly(c.essential, guard=c.cap_subsets).shift(c.obj.dim - c.rank) == c.poly),
+    _equal("boolean-formula", lambda c: (c.poly, boolean_char_poly(c.obj.dim, c.m)), lambda c: is_boolean(c.obj)),
+    _equal("general-position-iff-shape",
+           lambda c: (c.general_position, c.poly == general_position_char_poly(c.obj.dim, c.m, c.rank))),
+    _equal("central-gp-iff-boolean", lambda c: (c.general_position, is_boolean(c.obj)), lambda c: is_central(c.obj)),
+    _equal("essentialize-count", lambda c: (c.essential.m, c.m)),
+    _equal("essentialize-coefficients",
+           lambda c: (char_poly(c.essential, guard=c.cap_subsets).shift(c.obj.dim - c.rank), c.poly)),
     *_sequence_tail("bounds-tight-iff-boolean", None),
 )
 

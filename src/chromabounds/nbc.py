@@ -1,15 +1,15 @@
-"""Circuits and no-broken-circuit subset counting.
+"""No-broken-circuit subset counting.
 
-Both run on the arrangements module's depth-first subset walk, which grows
-each subset by larger indices, classifies each child from the residual
-table its parent carries and never descends from an empty intersection.
-It is the one place that decides dependence; graphs participate via their
-graphic arrangements.
+The count runs on the arrangements module's depth-first subset walk, which
+grows each subset by larger indices, classifies each child from the
+residual table its parent carries and never descends from an empty
+intersection. It is the one place that decides dependence; graphs
+participate via their graphic arrangements.
 
-The NBC count needs no circuits: a subset holds a broken circuit exactly
-when a later hyperplane contains its flat, which the walk reads off the
-same tables (see `nbc_counts`). A ground order is a permutation of the
-hyperplane indices listed from smallest to largest.
+The count enumerates no circuit: a subset holds a broken circuit
+exactly when a later hyperplane contains its flat, which the walk reads
+off the same tables (see `nbc_counts`). A ground order is a permutation of
+the hyperplane indices listed from smallest to largest.
 """
 
 from __future__ import annotations
@@ -18,26 +18,6 @@ from typing import Sequence
 
 from .arrangements import Arrangement, _check_guard, _subset_walk
 from .errors import DEFAULT_SUBSET_GUARD, InputError
-
-
-def circuits(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> tuple[frozenset[int], ...]:
-    """All minimal dependent subsets, ordered by size, then lexicographically.
-
-    The walk descends from independent central subsets only. A child S + i
-    that is dependent contains a circuit through i, its largest index, and
-    every circuit arises so, from its own set minus its largest index.
-    Dropping any j != i from such a child leaves (S - j) + i, another child
-    of an independent central subset; the child is a circuit exactly when
-    none of those is dependent.
-    """
-    _check_guard(arr, guard)
-    dependent = {mask for mask, size, r in _subset_walk(arr) if r is not None and r < size}
-    found = []
-    for mask in dependent:
-        subset = [i for i in range(mask.bit_length()) if mask >> i & 1]
-        if all(mask ^ 1 << i not in dependent for i in subset):
-            found.append((len(subset), subset))
-    return tuple(frozenset(subset) for _, subset in sorted(found))
 
 
 def nbc_counts(

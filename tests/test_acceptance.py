@@ -18,10 +18,10 @@ from copy import copy
 from chromabounds import (
     SimpleGraph,
     binom,
-    check_coefficient_lower_bounds,
     chromatic_poly,
     coeff_sequence,
     complete,
+    h_vector,
     is_boolean,
     is_forest,
     is_general_position,
@@ -131,13 +131,15 @@ def test_criterion_07_decone_divided_difference():
 
 
 def test_criterion_08_coefficient_lower_bounds(graph_cases, arrangement_cases):
-    with criterion(8, "alternating weighted sums are nonnegative and a_2/a_3 floors hold"):
+    with criterion(8, "the h-vector is nonnegative, so the a_2/a_3 floors hold"):
         assert_checks(GRAPH_CHECKS, graph_cases, "coefficient-lower-bounds")
         assert_checks(ARRANGEMENT_CHECKS, arrangement_cases, "coefficient-lower-bounds")
         k4 = coeff_sequence(chromatic_poly(complete(4)), 6)
-        report = check_coefficient_lower_bounds(k4)
-        assert k4.a[2] == 11 >= report.a2_floor == 9
-        assert k4.a[3] == 6 >= report.a3_floor == 4
+        h, r, m = h_vector(k4), k4.r, k4.m
+        assert h == (1, 3, 2, 0)
+        # each floor's slack is a nonnegative combination of h
+        assert k4.a[2] - (binom(r, 2) + (m - r) * (r - 1)) == h[2]
+        assert k4.a[3] - (binom(r, 3) + (m - r) * binom(r - 1, 2)) == (r - 2) * h[2] + h[3]
 
 
 def test_criterion_09_two_algorithm_agreement(arrangement_cases, graph_cases):

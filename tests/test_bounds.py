@@ -11,13 +11,13 @@ from chromabounds import (
     InvariantError,
     SimpleGraph,
     binom,
-    check_coefficient_lower_bounds,
     chromatic_poly,
     coeff_sequence,
     complete,
     divided_difference,
     divided_difference_formula,
     divided_difference_iter,
+    h_vector,
     is_forest,
     is_logconcave,
     path,
@@ -220,29 +220,73 @@ def _assert_matches_slow_path(s, q_min, q_max):
     assert [(rec.q, rec.k, rec.lower, rec.upper, rec.value) for rec in report.records] == expected
 
 
+def reference_alternating_sums(s):
+    """(-1)^k sum_i (-1)^i binom(r-i, k-i) a_i for k = 0..r, term by term: the h-vector's old form."""
+    return tuple((-1) ** k * sum((-1) ** i * binom(s.r - i, k - i) * s.a[i] for i in range(k + 1))
+                 for k in range(s.r + 1))
+
+
+def from_h_vector(h):
+    """The coefficients of sum_j h_j x^j (1+x)^(r-j), ascending."""
+    r = len(h) - 1
+    return tuple(sum(h[j] * binom(r - j, k - j) for j in range(k + 1)) for k in range(r + 1))
+
+
+def floors_slack(s):
+    """a_2 and a_3 less their closed-form floors, None below rank 2 and 3."""
+    r, m = s.r, s.m
+    return (s.a[2] - (binom(r, 2) + (m - r) * (r - 1)) if r >= 2 else None,
+            s.a[3] - (binom(r, 3) + (m - r) * binom(r - 1, 2)) if r >= 3 else None)
+
+
+# any positive a with a_0 = 1, so that some h_k < 0 is common
+sequences = st.lists(st.integers(1, 60), max_size=9).map(lambda tail: _sequence([1, *tail], 0))
+
+
 class TestCoefficientLowerBounds:
     def test_k4(self):
-        report = check_coefficient_lower_bounds(K4_SEQ)
-        assert report.alternating_ok
-        assert report.a2_floor == 9 and report.a2_ok
-        assert report.a3_floor == 4 and report.a3_ok
-        assert report.all_ok
+        assert h_vector(K4_SEQ) == (1, 3, 2, 0)
+        assert floors_slack(K4_SEQ) == (2, 2)  # a_2 = 11 over its floor 9, a_3 = 6 over 4
 
     def test_forest_equality(self):
         s = coeff_sequence(chromatic_poly(path(5)), 4)
-        report = check_coefficient_lower_bounds(s)
-        assert report.a2_floor == binom(s.r, 2)
-        assert s.a[2] == report.a2_floor
+        assert h_vector(s) == (1, 0, 0, 0, 0)
+        assert floors_slack(s) == (0, 0)
 
     def test_k3_equality(self):
-        report = check_coefficient_lower_bounds(K3_SEQ)
-        assert report.a2_floor == 2 and K3_SEQ.a[2] == 2
+        assert h_vector(K3_SEQ) == (1, 1, 0)
+        assert floors_slack(K3_SEQ) == (0, None)
 
     def test_small_ranks_vacuous(self):
         s = coeff_sequence(IntPolynomial((-1, 1)), 1)
-        report = check_coefficient_lower_bounds(s)
-        assert report.a2_floor is None and report.a3_floor is None
-        assert report.all_ok
+        assert h_vector(s) == (1, 0) and floors_slack(s) == (None, None)
+        assert h_vector(CoeffSequence(n=2, m=0, r=0, a=(1,))) == (1,)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sequences)
+    def test_matches_the_alternating_sums(self, s):
+        assert h_vector(s) == reference_alternating_sums(s)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sequences)
+    def test_round_trip(self, s):
+        assert from_h_vector(h_vector(s)) == s.a
+
+    @settings(max_examples=200, deadline=None)
+    @given(sequences)
+    def test_floor_slack_is_a_combination_of_h(self, s):
+        h = h_vector(s)
+        slack2, slack3 = floors_slack(s)
+        assert h[:2] == (1, s.m - s.r)[:s.r + 1]
+        assert slack2 == (h[2] if s.r >= 2 else None)
+        assert slack3 == ((s.r - 2) * h[2] + h[3] if s.r >= 3 else None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 50), max_size=8))
+    def test_nonnegative_h_meets_the_floors(self, h_tail):
+        s = _sequence(from_h_vector((1, *h_tail)), 0)
+        assert min(h_vector(s)) >= 0
+        assert all(slack >= 0 for slack in floors_slack(s) if slack is not None)
 
 
 class TestDividedDifference:

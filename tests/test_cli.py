@@ -529,10 +529,11 @@ class TestVerifyCommand:
         ("char_poly_whitney", "whitney-agreement"),
         ("nbc_counts", "nbc-coefficient"),
         ("divided_difference_formula", "divided-difference-formula"),
+        ("h_vector", "coefficient-lower-bounds"),
     ])
     def test_reports_a_broken_oracle(self, monkeypatch, capsys, oracle, check):
-        # one count per k for any m under the subset guard
-        wrong = (-1,) * 21 if oracle == "nbc_counts" else IntPolynomial((7,))
+        # one count per k for any m under the subset guard, and an h with a negative entry
+        wrong = {"nbc_counts": (-1,) * 21, "h_vector": (1, -1)}.get(oracle, IntPolynomial((7,)))
         monkeypatch.setattr(checks, oracle, lambda *args, **kwargs: wrong)
         assert main(["verify", "--graphs", "0", "--arrangements", "0", "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
@@ -602,6 +603,10 @@ def wrong_polynomial(*args, **kwargs):
     return IntPolynomial((7,))
 
 
+def negative_h(*args, **kwargs):
+    return (1, 0, -2, 5)
+
+
 def table_entry(table, name):
     return [check for check in table if check.name == name]
 
@@ -629,6 +634,26 @@ class TestViolationRecord:
         assert main(argv) == 1
         lines = [line for line in capsys.readouterr().out.splitlines() if "VIOLATION" in line]
         assert lines == [f"  VIOLATION {v['check']} on {v['instance']}: {v['detail']}" for v in violations]
+
+    @pytest.mark.parametrize("oracle, broken, check", [
+        ("chromatic_poly_interpolated", wrong_polynomial, "coloring-oracle"),
+        ("verify_bounds", overshooting_bounds, "two-sided-bounds"),
+        ("h_vector", negative_h, "coefficient-lower-bounds"),
+    ], ids=["equality", "bounds", "h-vector"])
+    def test_single_comparison_names_what_failed(self, write, monkeypatch, capsys, oracle, broken, check):
+        # an equality shows both sides, a grid its first failing (q, k) as `bounds` does, h its first negative entry
+        monkeypatch.setattr(checks, oracle, broken)
+        monkeypatch.setattr(bounds, "verify_bounds", overshooting_bounds)
+        assert main(["bounds", write("k4.txt", K4_TEXT), "--format", "json"]) == 1
+        first_bound = json.loads(capsys.readouterr().out)["violations"][0]["detail"]
+        expected = {"coloring-oracle": f"{graphs.chromatic_poly(graphs.complete(4))} != 7",
+                    "two-sided-bounds": first_bound, "coefficient-lower-bounds": "h_2=-2"}[check]
+        assert main(["verify", "--graphs", "0", "--arrangements", "0", "--format", "json"]) == 1
+        violations = json.loads(capsys.readouterr().out)["violations"]
+        assert [v["detail"] for v in violations if (v["check"], v["instance"]) == (check, "named:K4")] == [expected]
+        assert main(["verify", "--graphs", "0", "--arrangements", "0"]) == 1
+        lines = [line for line in capsys.readouterr().out.splitlines() if "VIOLATION" in line]
+        assert lines and not any(line.endswith(" ") for line in lines)
 
     @pytest.mark.parametrize("text, order", [
         (K4_TEXT, None), (K4_TEXT, (5, 0, 3, 1, 4, 2)), (GENERIC_LINES_TEXT, None), (GENERIC_LINES_TEXT, (2, 0, 1)),

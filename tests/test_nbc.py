@@ -12,7 +12,6 @@ from chromabounds import (
     binom,
     char_poly,
     chromatic_poly,
-    circuits,
     coeff_sequence,
     complete,
     graphic_arrangement,
@@ -60,16 +59,12 @@ def brute_force_circuits(arr):
     )
 
 
-def broken_circuits(arr, order=None, found=None):
-    """Each circuit minus its order-maximal element, deduplicated.
-
-    Circuits do not depend on the order, so `found` may hold them for
-    several orders; by default they come from a fresh `circuits` sweep.
-    """
+def broken_circuits(arr, order=None):
+    """Each circuit, from `brute_force_circuits`, minus its order-maximal element, deduplicated."""
     order = range(arr.m) if order is None else order
     position = {idx: pos for pos, idx in enumerate(order)}
     out = {}
-    for circuit in circuits(arr) if found is None else found:
+    for circuit in brute_force_circuits(arr):
         top = max(circuit, key=position.__getitem__)
         out[circuit - {top}] = None
     return tuple(out)
@@ -81,7 +76,7 @@ def reference_nbc_counts(arr, order):
     Each grown subset is checked against every broken circuit, and its
     intersection is computed afresh unless the whole arrangement is central.
     """
-    broken = broken_circuits(arr, order, found=brute_force_circuits(arr))
+    broken = broken_circuits(arr, order)
     broken_masks = [sum(1 << i for i in b) for b in broken]
     all_central = is_central(arr)
     counts = [0] * (arr.m + 1)
@@ -113,24 +108,24 @@ class TestDependence:
 
 
 class TestCircuits:
+    """The reference circuits, from which `broken_circuits` and the reference NBC route start."""
+
     def test_k3(self):
-        assert circuits(K3_ARR) == (frozenset({0, 1, 2}),)
+        assert brute_force_circuits(K3_ARR) == (frozenset({0, 1, 2}),)
 
     def test_forest_has_none(self):
-        assert circuits(graphic_arrangement(path(5))) == ()
+        assert brute_force_circuits(graphic_arrangement(path(5))) == ()
 
     def test_generic_lines_have_none(self):
-        assert circuits(GENERIC_LINES) == ()
+        assert brute_force_circuits(GENERIC_LINES) == ()
 
     def test_k4_has_seven_matching_brute_force(self):
-        found = circuits(K4_ARR)
-        assert len(found) == 7
-        assert found == brute_force_circuits(K4_ARR)
-
-    @settings(max_examples=150, deadline=None)
-    @given(walk_arrangements)
-    def test_match_per_subset_sweep_in_order(self, arr):
-        assert circuits(arr) == brute_force_circuits(arr)
+        # a graphic arrangement's circuits are the edge sets of the graph's cycles
+        edges = sorted(complete(4).edges)
+        cycles = {frozenset(edges.index(tuple(sorted((c[i - 1], c[i])))) for i in range(size))
+                  for size in (3, 4) for c in permutations(range(4), size)}
+        found = brute_force_circuits(K4_ARR)
+        assert len(found) == 7 and set(found) == cycles
 
 
 class TestBrokenCircuits:
@@ -143,31 +138,21 @@ class TestBrokenCircuits:
     def test_no_circuits(self):
         assert broken_circuits(GENERIC_LINES) == ()
 
-    def test_given_circuits_match_a_fresh_sweep(self):
-        rng = random.Random(11)
-        for arr in (K3_ARR, K4_ARR, GENERIC_LINES, PARALLEL_LINES):
-            found = circuits(arr)
-            for order in [None] + [random_order(rng, arr.m) for _ in range(3)]:
-                assert broken_circuits(arr, order, found=found) == broken_circuits(arr, order)
-                assert nbc_counts(arr, order) == reference_nbc_counts(arr, order)
-
     def test_nbc_check_calls_no_circuits(self, monkeypatch):
         # each order costs one pruned walk, and no order needs the circuits
-        circuit_calls, walks = [], []
+        walks = []
         walk = nbcmod._subset_walk
 
         def counting_walk(arr, *args, **kwargs):
             walks.append(kwargs)
             return walk(arr, *args, **kwargs)
 
-        monkeypatch.setattr(nbcmod, "circuits", lambda *args, **kwargs: circuit_calls.append(args))
         monkeypatch.setattr(nbcmod, "_subset_walk", counting_walk)
         rng = random.Random(2)
         case = checks.Case("K4", complete(4), 0, 1, orders=lambda m: [None] + [random_order(rng, m) for _ in range(2)])
         nbc_check = [c for c in checks.GRAPH_CHECKS if c.name == "nbc-coefficient"]
         results = list(checks.run_checks(nbc_check, case))
         assert len(results) == 3 * 4 and all(ok for _, ok, _ in results)
-        assert circuit_calls == []
         assert walks == [{"nbc": True}] * 3
 
 
@@ -226,13 +211,10 @@ class TestNbcCoefficient:
         # hyperplane's pivot, so no subset derives a table by elimination
         assert nbc_counts(coordinate_arrangement(8)) == tuple(binom(8, k) for k in range(9))
         assert calls == 8
-        # the circuits and the sweep over their broken circuits, against the one pruned walk
-        calls = 0
-        circuits(K4_ARR)
-        circuit_route = calls
+        # the root table, then one elimination per later row nonzero at each new pivot
         calls = 0
         assert nbc_counts(K4_ARR) == (1, 6, 11, 6, 0, 0, 0)
-        assert 2 * calls <= circuit_route
+        assert calls == 13
 
     def test_every_ground_order_of_k4(self):
         # the broken circuits change with the ground order
