@@ -46,17 +46,27 @@ def test_chromatic_growth_writes_one_row_per_graph(tmp_path):
     assert [row["m"] for row in report["rows"][2:]] == [24, 24, 6]
 
 
-def test_startup_time_reports_each_series(tmp_path):
-    # one run of the script gives every series and every command
-    out = tmp_path / "startup.json"
+@pytest.fixture(scope="module")
+def startup_run(tmp_path_factory):
+    # one run of the script serves both startup tests
+    out = tmp_path_factory.mktemp("startup") / "startup.json"
     text = _run("startup_time.py", "--runs", "2", "--out", str(out))
-    report = json.loads(out.read_text())
+    return json.loads(out.read_text()), text
+
+
+def test_startup_time_reports_each_series(startup_run):
+    report, text = startup_run
     assert list(report["series"]) == ["pass", "source", "bytecode"]
     assert all(s["q1_ms"] <= s["median_ms"] <= s["q3_ms"] for s in report["series"].values())
     assert report["import_self_us"]["chromabounds.cli"] > 0
     assert "chromabounds.cli" in text
-    assert list(report["commands"]) == ["bounds", "nbc"]
-    assert all(s["q1_ms"] <= s["median_ms"] <= s["q3_ms"] for s in report["commands"].values())
+
+
+def test_startup_time_times_each_command(startup_run):
+    report, text = startup_run
+    commands = report["commands"]
+    assert list(commands) == ["bounds", "nbc"]
+    assert all(s["q1_ms"] <= s["median_ms"] <= s["q3_ms"] for s in commands.values())
     assert "bounds" in text and "nbc" in text
 
 
