@@ -16,7 +16,7 @@ _HOME = {
         ("bounds", "CoeffSequence coeff_sequence divided_difference divided_difference_formula "
                    "divided_difference_iter h_vector is_logconcave verify_bounds"),
         ("errors", "CoeffSequenceError InputError InvariantError ResourceLimitError"),
-        ("exactmath", "IntPolynomial binom"),
+        ("exactmath", "IntPolynomial"),
         ("graphs", "SimpleGraph chromatic_poly chromatic_poly_interpolated complete complete_bipartite "
                    "contract_edge cycle delete_edge is_forest path rank_info"),
         ("nbc", "nbc_counts"),

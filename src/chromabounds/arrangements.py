@@ -48,7 +48,7 @@ from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DEFAULT_SUBSET_GUARD, InputError, ResourceLimitError
-from .exactmath import IntPolynomial, Value, binom
+from .exactmath import IntPolynomial, Value, binomial_row
 from .linalg import Pivoted, Row, echelon, residual
 
 if TYPE_CHECKING:
@@ -150,13 +150,12 @@ def _subset_walk(
     arr: Arrangement,
     expand_dependent: bool = False,
     nbc: bool = False,
-) -> Iterator[tuple[int, int, int | None]]:
-    """Depth-first over nonempty subsets grown by larger indices; yields (mask, size, rank).
+) -> Iterator[tuple[int, int | None]]:
+    """Depth-first over nonempty subsets grown by larger indices; yields (size, rank).
 
-    Bit i of `mask` is set when hyperplane i is in the subset; `rank` is None
-    when the subset has no common point. Each subset carries a table: for
-    every hyperplane it can still add, the (pivot, primitive residual) of
-    its row against the subset's echelon basis. The pivot of the added
+    `rank` is None when the subset has no common point. Each subset carries
+    a table: for every hyperplane it can still add, the (pivot, primitive
+    residual) of its row against the subset's echelon basis. The pivot of the added
     row's entry classifies a child with no elimination. A zero residual
     (pivot past the last column) means the child is dependent (central,
     rank unchanged), a pivot in the offset column means an empty
@@ -179,33 +178,32 @@ def _subset_walk(
     exactly the subsets holding a broken circuit.
     """
     n, m = arr.dim, arr.m
-    # mask, next index, size, rank, table, index of the table's first entry, and the pivoted
-    # row that the table has yet to be reduced by (None when the table is the subset's own)
-    stack: list[tuple[int, int, int, int, list[Pivoted], int, Pivoted | None]] = [
-        (0, 0, 0, 0, [residual(h.row, ()) for h in arr.hyperplanes], 0, None)
+    # next index, size, rank, table, index of the table's first entry, and the pivoted row
+    # that the table has yet to be reduced by (None when the table is the subset's own)
+    stack: list[tuple[int, int, int, list[Pivoted], int, Pivoted | None]] = [
+        (0, 0, 0, [residual(h.row, ()) for h in arr.hyperplanes], 0, None)
     ]
     while stack:
-        mask, start, size, r, table, first, pivot = stack.pop()
+        start, size, r, table, first, pivot = stack.pop()
         if pivot is not None:
             col = pivot[0]
             table = [residual(e[1], (pivot,)) if e[1][col] else e for e in table[start - first:]]
             first = start
         for i in range(start, m):
-            grown = mask | 1 << i
             entry = table[i - first]
             lead = entry[0]
             if lead < n:
                 if nbc and entry in table[i + 1 - first:]:
                     continue
-                yield grown, size + 1, r + 1
+                yield size + 1, r + 1
                 if i + 1 < m:
-                    stack.append((grown, i + 1, size + 1, r + 1, table, first, entry))
+                    stack.append((i + 1, size + 1, r + 1, table, first, entry))
             elif lead == n:
-                yield grown, size + 1, None
+                yield size + 1, None
             else:
-                yield grown, size + 1, r
+                yield size + 1, r
                 if expand_dependent and i + 1 < m:
-                    stack.append((grown, i + 1, size + 1, r, table, first, None))
+                    stack.append((i + 1, size + 1, r, table, first, None))
 
 
 def rank(arr: Arrangement) -> int:
@@ -244,7 +242,7 @@ def is_general_position(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> 
     """
     _check_guard(arr, guard)
     r = rank(arr)
-    for _, size, sub_rank in _subset_walk(arr):
+    for size, sub_rank in _subset_walk(arr):
         if sub_rank != (size if size <= r else None):
             return False
     return True
@@ -336,7 +334,7 @@ def char_poly_whitney(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> In
     _check_guard(arr, guard)
     coeffs = [0] * (arr.dim + 1)
     coeffs[arr.dim] = 1  # empty subset
-    for _, size, r in _subset_walk(arr, expand_dependent=True):
+    for size, r in _subset_walk(arr, expand_dependent=True):
         if r is not None:
             coeffs[arr.dim - r] += -1 if size % 2 else 1
     return IntPolynomial(tuple(coeffs))
@@ -428,16 +426,12 @@ def boolean_char_poly(n: int, m: int) -> IntPolynomial:
     """t^(n-m) (t-1)^m, the characteristic polynomial of any boolean arrangement."""
     if m > n:
         raise ValueError("a boolean arrangement cannot have more hyperplanes than dimensions")
-    t_minus_1 = IntPolynomial((-1, 1))
-    out = IntPolynomial.constant(1)
-    for _ in range(m):
-        out = out * t_minus_1
-    return out.shift(n - m)
+    return general_position_char_poly(n, m, m)
 
 
 def general_position_char_poly(n: int, m: int, r: int) -> IntPolynomial:
     """Alternating binomial polynomial characterizing general position."""
     coeffs = [0] * (n + 1)
-    for k in range(r + 1):
-        coeffs[n - k] = (-1) ** k * binom(m, k)
+    for k, c in enumerate(binomial_row(m, r)):
+        coeffs[n - k] = (-1) ** k * c
     return IntPolynomial(tuple(coeffs))

@@ -4,9 +4,10 @@ The central fact checked here: for a sequence a_0..a_r coming from a rank-r
 polynomial on m hyperplanes/edges, every partial binomial sum
 sum_i binom(q, k-i) a_i with 0 <= k <= q+r+1 is squeezed between
 binom(r+q, k) and binom(m+q, k), with equality throughout exactly when
-m = r. The divided-difference operator p -> (p(t) - p(1)) / (t - 1)
-realizes the q = -1 sums as coefficients, and iterating it realizes any
-negative q.
+m = r. The binomials come as whole rows from `exactmath.binomial_row`.
+The divided-difference operator p -> (p(t) - p(1)) / (t - 1), the
+quotient of synthetic division by t - 1, realizes the q = -1 sums as
+coefficients, and iterating it realizes any negative q.
 
 The sums rest on the h-vector of a (see `h_vector`): S_q(k) = sum_j h_j
 binom(r+q-j, k-j). The `coefficient-lower-bounds` check is h >= 0, and
@@ -15,10 +16,11 @@ binom(r+q-j, k-j). The `coefficient-lower-bounds` check is h >= 0, and
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import CoeffSequenceError
-from .exactmath import IntPolynomial, binom
+from .exactmath import IntPolynomial, binomial_row
 
 
 class CoeffSequence(NamedTuple):
@@ -112,7 +114,7 @@ def verify_bounds(s: CoeffSequence, q_min: int, q_max: int) -> BoundsReport:
     width = max(q_max + s.r + 2, 1)
     first = max(q_min, -s.r - 1)
     if first > s.r + 1:
-        choose = _binomial_row(first, width - 1)
+        choose = binomial_row(first, width - 1)
         shift = first
         sums = [sum(choose[k - i] * s.a[i] for i in range(min(k, s.r) + 1)) for k in range(width)]
     else:
@@ -129,18 +131,10 @@ def verify_bounds(s: CoeffSequence, q_min: int, q_max: int) -> BoundsReport:
                 sums[k] += sums[k - 1]
             shift += 1
         top = q + s.r + 1
-        lower, upper = (_binomial_row(x, top) for x in (s.r + q, s.m + q))
+        lower, upper = (binomial_row(x, top) for x in (s.r + q, s.m + q))
         for k in range(0, top + 1):
             records.append(BoundsRecord(q=q, k=k, lower=lower[k], value=sums[k], upper=upper[k]))
     return BoundsReport(tuple(records))
-
-
-def _binomial_row(x: int, top: int) -> list[int]:
-    """binom(x, k) for k = 0..top and any integer x, by binom(x, k+1) = binom(x, k) (x-k) / (k+1)."""
-    row = [1]
-    for k in range(top):
-        row.append(row[-1] * (x - k) // (k + 1))
-    return row
 
 
 def h_vector(s: CoeffSequence) -> tuple[int, ...]:
@@ -163,8 +157,13 @@ def h_vector(s: CoeffSequence) -> tuple[int, ...]:
 
 
 def divided_difference(p: IntPolynomial) -> IntPolynomial:
-    """(p(t) - p(1)) / (t - 1), exact for every integer polynomial."""
-    return (p - IntPolynomial.constant(p(1))).divide_by_t_minus_1()
+    """(p(t) - p(1)) / (t - 1), exact for every integer polynomial.
+
+    This is the quotient of p by t - 1 in synthetic division, whose
+    remainder p(1) is dropped: the coefficient of t^k is c_(k+1) + ... +
+    c_n, so it reads only the coefficients above t^0.
+    """
+    return IntPolynomial(tuple(accumulate(reversed(p.coeffs[1:])))[::-1])
 
 
 def divided_difference_iter(p: IntPolynomial, j: int) -> IntPolynomial:
@@ -184,12 +183,10 @@ def divided_difference_formula(s: CoeffSequence, j: int) -> IntPolynomial:
     """
     if j < 0 or j > s.r:
         raise ValueError("j must satisfy 0 <= j <= r")
-    r = s.r
-    coeffs = [0] * (r - j + 1)
-    for k in range(r - j + 1):
-        total = sum(binom(-j, k - i) * s.a[i] for i in range(min(k, r) + 1))
-        coeffs[r - j - k] = (-1) ** k * total
-    return IntPolynomial(tuple(coeffs))
+    top = s.r - j
+    choose = binomial_row(-j, top)
+    coeffs = [(-1) ** k * sum(choose[k - i] * s.a[i] for i in range(k + 1)) for k in range(top + 1)]
+    return IntPolynomial(tuple(reversed(coeffs)))
 
 
 def is_logconcave(s: CoeffSequence) -> bool:

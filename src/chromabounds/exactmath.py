@@ -1,9 +1,13 @@
-"""Exact integer arithmetic: generalized binomials and dense integer polynomials.
+"""Exact integer arithmetic: rows of generalized binomials and dense integer polynomials.
 
 Everything here is pure and overflow-free (Python ints). Polynomials are
 stored as ascending-power coefficient tuples with trailing zeros trimmed,
 so structural equality is polynomial equality and the zero polynomial is
 the empty tuple.
+
+`binomial_row` is the package's one binomial routine: the bound grid, the
+closed forms of the divided difference and of general position, and the
+chromatic kernel's powers (t - d)^e each read whole rows from it.
 
 `Value` is the base of the package's immutable value types: IntPolynomial
 here, SimpleGraph, Hyperplane and Arrangement elsewhere.
@@ -11,27 +15,18 @@ here, SimpleGraph, Hyperplane and Arrangement elsewhere.
 
 from __future__ import annotations
 
-import math
 from operator import attrgetter
 
-from .errors import InvariantError
 
+def binomial_row(x: int, top: int) -> list[int]:
+    """binom(x, k) for k = 0..top and any integer x, by binom(x, k+1) = binom(x, k) (x-k) / (k+1).
 
-def binom(x: int, j: int) -> int:
-    """Generalized binomial coefficient for integer x (possibly negative).
-
-    Computed as the falling factorial x(x-1)...(x-j+1) / j!. Returns 0 for
-    j < 0 by convention, 1 for j == 0. The product of j consecutive
-    integers is divisible by j!, so the division is exact.
+    binom(x, k) (x-k) is (k+1) binom(x, k+1), so each division is exact.
     """
-    if j < 0:
-        return 0
-    if j == 0:
-        return 1
-    num = 1
-    for i in range(j):
-        num *= x - i
-    return num // math.factorial(j)
+    row = [1]
+    for k in range(top):
+        row.append(row[-1] * (x - k) // (k + 1))
+    return row
 
 
 def _trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -140,17 +135,6 @@ class IntPolynomial(Value):
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         return self + (-other)
 
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(tuple(out))
-
     def shift(self, k: int) -> "IntPolynomial":
         """Multiply by t^k."""
         if k < 0:
@@ -158,26 +142,6 @@ class IntPolynomial(Value):
         if self.is_zero():
             return self
         return IntPolynomial((0,) * k + self.coeffs)
-
-    def divide_by_t_minus_1(self) -> "IntPolynomial":
-        """Exact quotient by (t - 1); the input must be divisible.
-
-        Synthetic division from the top coefficient down. A nonzero
-        remainder means the caller failed to subtract p(1) first.
-        """
-        if self.is_zero():
-            return self
-        quotient = [0] * (len(self.coeffs) - 1)
-        carry = 0
-        for i in range(len(self.coeffs) - 1, 0, -1):
-            carry = self.coeffs[i] + carry
-            quotient[i - 1] = carry
-        remainder = self.coeffs[0] + carry
-        if remainder != 0:
-            raise InvariantError(
-                f"polynomial {self} is not divisible by (t - 1); remainder {remainder}"
-            )
-        return IntPolynomial(tuple(quotient))
 
     def __str__(self) -> str:
         if not self.coeffs:

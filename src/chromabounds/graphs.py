@@ -37,7 +37,7 @@ from collections import Counter
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DEFAULT_COLORING_CAP, InputError, InvariantError, ResourceLimitError
-from .exactmath import IntPolynomial, Value
+from .exactmath import IntPolynomial, Value, binomial_row
 
 # A component expands by addition-contraction when at least this share of
 # its vertex pairs, as (numerator, denominator), are adjacent, and by
@@ -194,12 +194,7 @@ def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 def _linear_power(d: int, e: int) -> list[int]:
     """(t - d)^e; the coefficient of t^j is C(e, j) * (-d)^(e - j)."""
-    out = [0] * (e + 1)
-    c = out[e] = 1
-    for j in range(e, 0, -1):
-        c = c * j // (e - j + 1) * -d
-        out[j - 1] = c
-    return out
+    return [c * (-d) ** (e - j) for j, c in enumerate(binomial_row(e, e))]
 
 
 def _shift(p: Sequence[int], s: int) -> list[int]:

@@ -63,7 +63,7 @@ def nbc_counts(
     _check_guard(arr, guard)
     counts = [0] * (arr.m + 1)
     counts[0] = 1  # empty subset
-    for _, size, r in _subset_walk(arr, nbc=True):
+    for size, r in _subset_walk(arr, nbc=True):
         if r is not None:
             counts[size] += 1
     return tuple(counts)

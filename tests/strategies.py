@@ -15,8 +15,15 @@ and scaled copies.
 
 `reference_flat_of` computes one intersection from a fresh elimination, the
 slow path that the poset, the walk and the NBC sweep are checked against.
+
+`binom` computes one generalized binomial from its falling factorial, the
+reference for the package's rows of binomials and for the closed forms
+that read them. `reference_linear_product` expands a product of linear
+factors one factor at a time, the reference for the closed forms of
+(t - 1)^m and (t - d)^e.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -26,6 +33,31 @@ from chromabounds import Arrangement, Hyperplane, SimpleGraph, graphic_arrangeme
 from chromabounds.arrangements import Flat
 from chromabounds.corpus import random_arrangement
 from chromabounds.linalg import echelon, residual
+
+
+def binom(x: int, j: int) -> int:
+    """Generalized binomial coefficient for integer x (possibly negative).
+
+    Computed as the falling factorial x(x-1)...(x-j+1) / j!. Returns 0 for
+    j < 0 by convention, 1 for j == 0. The product of j consecutive
+    integers is divisible by j!, so the division is exact.
+    """
+    if j < 0:
+        return 0
+    if j == 0:
+        return 1
+    num = 1
+    for i in range(j):
+        num *= x - i
+    return num // math.factorial(j)
+
+
+def reference_linear_product(roots):
+    """Ascending coefficients of the product of (t - d) over `roots`, multiplied in one factor at a time."""
+    out = [1]
+    for d in roots:
+        out = [a - d * b for a, b in zip([0] + out, out + [0])]
+    return out
 
 
 @st.composite

@@ -17,7 +17,6 @@ from copy import copy
 
 from chromabounds import (
     SimpleGraph,
-    binom,
     chromatic_poly,
     coeff_sequence,
     complete,
@@ -30,6 +29,7 @@ from chromabounds import (
 from chromabounds.checks import ARRANGEMENT_CHECKS, GRAPH_CHECKS, LINEAR_CENTRAL_CHECKS, Case, run_checks
 from chromabounds.cli import main
 from chromabounds.corpus import linear_central_corpus, random_order
+from strategies import binom
 
 NBC_TIME_LIMIT = 120.0
 ORACLE_TIME_LIMIT = 60.0

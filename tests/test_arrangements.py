@@ -43,6 +43,7 @@ from strategies import (
     linear_arrangements,
     random_affine_with_parallels,
     reference_flat_of,
+    reference_linear_product,
     walk_arrangements,
 )
 
@@ -305,6 +306,12 @@ class TestCharPoly:
         arr = Arrangement(n, hyps)
         assert char_poly(arr) == boolean_char_poly(n, m)
 
+    @given(st.integers(0, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+    def test_boolean_formula_is_the_product_of_its_factors(self, nm):
+        # t^(n-m) (t-1)^m multiplied out one linear factor at a time
+        n, m = nm
+        assert boolean_char_poly(n, m) == IntPolynomial(tuple(reference_linear_product([0] * (n - m) + [1] * m)))
+
     def test_generic_lines(self):
         assert char_poly(GENERIC_LINES) == IntPolynomial((3, -3, 1))
 
@@ -398,7 +405,7 @@ class TestSubsetWalk:
     def test_matches_the_reference_walk(self, arr):
         for expand_dependent in (False, True):
             for nbc in (False, True):
-                expected = list(reference_subset_walk(arr, expand_dependent, nbc))
+                expected = [(size, r) for _, size, r in reference_subset_walk(arr, expand_dependent, nbc)]
                 assert list(_subset_walk(arr, expand_dependent, nbc)) == expected
 
     def test_boolean_whitney_reduces_each_row_once(self, monkeypatch):

@@ -10,7 +10,6 @@ from chromabounds import (
     IntPolynomial,
     InvariantError,
     SimpleGraph,
-    binom,
     chromatic_poly,
     coeff_sequence,
     complete,
@@ -23,6 +22,7 @@ from chromabounds import (
     path,
     verify_bounds,
 )
+from strategies import binom
 
 
 class ForestEquivalence(NamedTuple):

@@ -11,6 +11,7 @@ from chromabounds import (
     IntPolynomial,
     ResourceLimitError,
     SimpleGraph,
+    boolean_char_poly,
     chromatic_poly,
     chromatic_poly_interpolated,
     coeff_sequence,
@@ -25,7 +26,7 @@ from chromabounds import (
 from chromabounds import graphs
 from chromabounds.corpus import random_graph
 from chromabounds.graphs import disjoint_union
-from strategies import dense_graphs, small_graphs
+from strategies import dense_graphs, reference_linear_product, small_graphs
 
 
 def join(g, h):
@@ -224,11 +225,7 @@ class TestProperties:
     @settings(max_examples=30, deadline=None)
     @given(small_graphs())
     def test_forest_iff_product_form(self, g):
-        t_minus_1 = IntPolynomial((-1, 1))
-        product = IntPolynomial.term(1, g.n - g.m) if g.m <= g.n else None
-        if product is not None:
-            for _ in range(g.m):
-                product = product * t_minus_1
+        product = boolean_char_poly(g.n, g.m) if g.m <= g.n else None
         assert is_forest(g) == (product is not None and chromatic_poly(g) == product)
 
     @settings(max_examples=25, deadline=None)
@@ -318,6 +315,10 @@ class TestUniversalVertices:
         chromatic_poly(join(complete(u), h), joined)
         chromatic_poly(h, alone)
         assert joined.keys() == alone.keys()
+
+    @given(st.integers(-6, 6), st.integers(0, 12))
+    def test_linear_power_is_the_product_of_its_factors(self, d, e):
+        assert graphs._linear_power(d, e) == reference_linear_product([d] * e)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(-50, 50), min_size=1, max_size=9), st.integers(-6, 6))

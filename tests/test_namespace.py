@@ -59,7 +59,7 @@ def test_star_import_binds_all_and_dir_lists_it():
 
 @pytest.mark.parametrize("name", ["no_such_name", "forest_equivalence", "ForestEquivalence", "count_colorings",
                                   "is_dependent", "flat_of", "vandermonde_sum", "BoundsReport",
-                                  "check_coefficient_lower_bounds", "circuits"])
+                                  "check_coefficient_lower_bounds", "circuits", "binom"])
 def test_unknown_name_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=name):
         getattr(chromabounds, name)

@@ -9,7 +9,6 @@ from chromabounds import nbc as nbcmod
 from chromabounds import (
     Arrangement,
     Hyperplane,
-    binom,
     char_poly,
     chromatic_poly,
     coeff_sequence,
@@ -21,7 +20,7 @@ from chromabounds import (
     rank,
 )
 from chromabounds.corpus import coordinate_arrangement, random_order
-from strategies import dense_graphs, linear_arrangements, reference_flat_of, walk_arrangements
+from strategies import binom, dense_graphs, linear_arrangements, reference_flat_of, walk_arrangements
 
 K3_ARR = graphic_arrangement(complete(3))
 K4_ARR = graphic_arrangement(complete(4))
