@@ -12,14 +12,13 @@ _HOME = {
     for module, names in (
         ("arrangements", "Arrangement Hyperplane boolean_char_poly char_poly char_poly_whitney decone delete "
                          "essentialize general_position_char_poly graphic_arrangement intersection_poset "
-                         "is_boolean is_central is_general_position rank restrict"),
+                         "is_boolean is_central is_general_position nbc_counts rank restrict"),
         ("bounds", "CoeffSequence coeff_sequence divided_difference divided_difference_formula "
                    "divided_difference_iter h_vector is_logconcave verify_bounds"),
         ("errors", "CoeffSequenceError InputError InvariantError ResourceLimitError"),
         ("exactmath", "IntPolynomial"),
         ("graphs", "SimpleGraph chromatic_poly chromatic_poly_interpolated complete complete_bipartite "
                    "contract_edge cycle delete_edge is_forest path rank_info"),
-        ("nbc", "nbc_counts"),
     )
     for name in names.split()
 }

@@ -27,8 +27,8 @@ each Moebius value is summed as the covers are found, with no set of the
 flats above X.
 
 The sweeps over subsets of hyperplanes (`char_poly_whitney`,
-`is_general_position`, and the NBC count of the nbc module) share one
-depth-first walk, `_subset_walk`. It grows each subset by larger
+`is_general_position` and the no-broken-circuit count `nbc_counts`) share
+one depth-first walk, `_subset_walk`. It grows each subset by larger
 indices only. Each subset carries the residuals of the rows it can still
 add against its echelon basis, so the pivot of a child's entry
 classifies the child with no elimination. A child of higher rank derives
@@ -36,10 +36,9 @@ its own table from its parent's, one elimination step for each later row
 that is nonzero at the new pivot; a dependent child shares its parent's.
 A pivot in the offset column means the child's hyperplanes have no common
 point; the walk does not descend from it, since every superset of an
-empty intersection is empty. For the NBC count the walk also refuses
-each child that holds a broken circuit, read off the same table. The walk
-shares only the elimination primitive `linalg.residual` with
-`intersection_poset`, so the Moebius and Whitney routes stay independent.
+empty intersection is empty. The walk shares only the elimination
+primitive `linalg.residual` with `intersection_poset`, so the Moebius and
+Whitney routes stay independent.
 """
 
 from __future__ import annotations
@@ -171,11 +170,8 @@ def _subset_walk(
 
     With `nbc`, an independent central child S + i whose entry equals a
     later entry of S's table, that of some c > i, is refused: it is
-    neither yielded nor descended from. Entries are primitive with a
-    positive pivot, so equal means parallel: c's row lies in the span of
-    S + i and not of S, so S + i holds the broken circuit of a circuit
-    whose largest index is c. `nbc_counts` proves that this rule refuses
-    exactly the subsets holding a broken circuit.
+    neither yielded nor descended from. `nbc_counts` proves that this rule
+    refuses exactly the subsets holding a broken circuit.
     """
     n, m = arr.dim, arr.m
     # next index, size, rank, table, index of the table's first entry, and the pivoted row
@@ -338,6 +334,55 @@ def char_poly_whitney(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> In
         if r is not None:
             coeffs[arr.dim - r] += -1 if size % 2 else 1
     return IntPolynomial(tuple(coeffs))
+
+
+def nbc_counts(
+    arr: Arrangement,
+    order: Sequence[int] | None = None,
+    guard: int = DEFAULT_SUBSET_GUARD,
+) -> tuple[int, ...]:
+    """Entry k, for k = 0..m: the k-subsets with nonempty intersection and no broken circuit.
+
+    Matches the absolute coefficient of t^(n-k) in the characteristic
+    polynomial for 0 <= k <= rank, and is 0 above the rank. A ground order
+    is a permutation of the hyperplane indices listed from smallest to
+    largest; the hyperplanes are first permuted into `order`, so the proof
+    below is stated in index order. No circuit is enumerated.
+
+    An independent subset S with a common point holds a broken circuit
+    exactly when some c not in S has its row (normal | offset) in the span
+    of the rows of {s in S : s < c}. If it does, that set plus c is
+    central and dependent, so it holds a circuit C through c, whose
+    largest index is c, and C - c lies in S. Conversely, if C - c lies in
+    S for a circuit C with largest index c, then c is not in S (S is
+    independent) and its row is in the span of C - c, all below c.
+
+    Such subsets are closed under taking subsets, so a walk that grows
+    each subset by larger indices reaches every one of them once, and it
+    may prune at the first subset that holds a broken circuit: every
+    superset holds it too, or holds the whole circuit and is dependent.
+    For each subset S without a broken circuit, none of the residuals in
+    S's table is zero, or S would hold a broken circuit. A child S + i
+    holds one through some c < i exactly when S does, since the rows below
+    c are the same. Through some c > i, it holds one exactly when c's row
+    is in the span of S + i but not of S, that is, when c's residual is a
+    nonzero multiple of i's; both are primitive with a positive pivot, so
+    this is when they are equal. So the walk's `nbc` rule refuses exactly
+    the subsets with a broken circuit, and it also drops the subsets with
+    no common point.
+    """
+    if order is not None:
+        order = tuple(order)
+        if sorted(order) != list(range(arr.m)):
+            raise InputError(f"order {order} is not a permutation of 0..{arr.m - 1}")
+        arr = Arrangement(arr.dim, tuple([arr.hyperplanes[j] for j in order]))
+    _check_guard(arr, guard)
+    counts = [0] * (arr.m + 1)
+    counts[0] = 1  # empty subset
+    for size, r in _subset_walk(arr, nbc=True):
+        if r is not None:
+            counts[size] += 1
+    return tuple(counts)
 
 
 def delete(arr: Arrangement, h: int) -> Arrangement:

@@ -12,8 +12,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .arrangements import (
     Arrangement, boolean_char_poly, char_poly, char_poly_whitney, decone, delete, essentialize,
-    general_position_char_poly, graphic_arrangement, is_boolean, is_central, is_general_position, rank,
-    restrict,
+    general_position_char_poly, graphic_arrangement, is_boolean, is_central, is_general_position, nbc_counts,
+    rank, restrict,
 )
 from .bounds import (
     coeff_sequence, divided_difference, divided_difference_formula, divided_difference_iter, h_vector,
@@ -24,7 +24,6 @@ from .graphs import (
     SimpleGraph, chromatic_poly, chromatic_poly_interpolated, contract_edge, delete_edge, is_forest,
     rank_info,
 )
-from .nbc import nbc_counts
 
 
 class Case:

@@ -6,14 +6,15 @@ text printer. A handler returns (results, violations), each violation a
 the text; the JSON `config` echoes the command, its input file and flags.
 
 Each command imports the modules it runs when it runs them: a graph
-command never loads `arrangements`, `linalg` or `nbc`, and only `verify`
-loads `checks` and `corpus`.
+command never loads `arrangements` or `linalg`, and only `verify` loads
+`checks` and `corpus`.
 
 Exit codes: 0 success, 1 verification failure (the report's violations or
 a broken internal invariant), 2 input or usage error, 3 resource cap
-exceeded; a reader closing stdout early is not a failure (exit 0).
-JSON reports keep every potentially large integer as a decimal string so
-arbitrary precision survives serialization.
+exceeded or out of memory; a reader closing stdout early is not a failure
+(exit 0). JSON reports keep every potentially large integer as a decimal
+string so arbitrary precision survives serialization, and no integer is
+too long to print.
 """
 
 from __future__ import annotations
@@ -251,23 +252,6 @@ def _polynomial(obj: SimpleGraph | Arrangement, cap_subsets: int) -> IntPolynomi
     return char_poly(obj, guard=cap_subsets)
 
 
-def build_chromatic_report(g: SimpleGraph) -> dict:
-    from .graphs import chromatic_poly, rank_info
-
-    p = chromatic_poly(g)
-    info = rank_info(g)
-    s = bnd.coeff_sequence(p, g.m)
-    return {
-        "polynomial": str(p),
-        "n": g.n,
-        "m": g.m,
-        "components": info.components,
-        "rank": info.rank,
-        "coefficients_ascending": [str(c) for c in p.coeffs],
-        "sequence": _seq_json(s),
-    }
-
-
 def build_bounds_report(obj: SimpleGraph | Arrangement, *, q_min: int, q_max: int, cap_subsets: int) -> dict:
     poly = _polynomial(obj, cap_subsets)
     seq = bnd.coeff_sequence(poly, obj.m)
@@ -282,7 +266,7 @@ def build_bounds_report(obj: SimpleGraph | Arrangement, *, q_min: int, q_max: in
 
 
 def build_nbc_report(obj: SimpleGraph | Arrangement, order: tuple[int, ...] | None, *, cap_subsets: int) -> dict:
-    from .nbc import nbc_counts
+    from .arrangements import nbc_counts
 
     # The counts first: their subset guard depends only on m and trips before any polynomial is built.
     counts = nbc_counts(_as_arrangement(obj), order=order, guard=cap_subsets)
@@ -298,50 +282,94 @@ def build_nbc_report(obj: SimpleGraph | Arrangement, order: tuple[int, ...] | No
     }
 
 
-def build_decone_report(obj: SimpleGraph | Arrangement, k0: int, *, cap_subsets: int) -> dict:
+# ---------------------------------------------------------------------------
+# commands, text rendering and the entry point
+# ---------------------------------------------------------------------------
+
+
+def _run_chromatic(args: argparse.Namespace) -> tuple[dict, list]:
+    g = parse_input_file(args.file)
+    if not _is_graph(g):
+        raise InputError(f"{args.file}: 'chromatic' expects a graph file")
+    from .graphs import chromatic_poly, rank_info
+
+    p = chromatic_poly(g)
+    info = rank_info(g)
+    results = {
+        "polynomial": str(p),
+        "n": g.n,
+        "m": g.m,
+        "components": info.components,
+        "rank": info.rank,
+        "coefficients_ascending": [str(c) for c in p.coeffs],
+        "sequence": _seq_json(bnd.coeff_sequence(p, g.m)),
+    }
+    return results, []
+
+
+def _run_bounds(args: argparse.Namespace) -> tuple[dict, list]:
+    results = build_bounds_report(parse_input_file(args.file), q_min=args.q_min, q_max=args.q_max,
+                                  cap_subsets=args.cap_subsets)
+    return results, [_violation("two-sided-bounds", args.file, f"q={rec['q']} k={rec['k']}")
+                     for rec in results["records"] if not rec["ok"]]
+
+
+def _run_nbc(args: argparse.Namespace) -> tuple[dict, list]:
+    obj = parse_input_file(args.file)
+    try:  # `nbc_counts` checks that they are a permutation
+        order = None if args.order is None else tuple(int(tok) for tok in args.order.split(","))
+    except ValueError:
+        raise InputError(f"--order '{args.order}' is not a comma-separated integer list")
+    results = build_nbc_report(obj, order, cap_subsets=args.cap_subsets)
+    return results, [_violation("nbc-coefficient", args.file, f"k={row['k']} order={order}")
+                     for row in results["rows"] if not row["match"]]
+
+
+def _run_decone(args: argparse.Namespace) -> tuple[dict, list]:
     from .arrangements import char_poly, decone
 
-    arr = _as_arrangement(obj)
+    arr = _as_arrangement(parse_input_file(args.file))
+    k0 = args.k0
     if not 0 <= k0 < arr.m:
         raise InputError(f"hyperplane index {k0} out of range for m={arr.m}")
     deconed = decone(arr, k0)
-    chi = char_poly(arr, guard=cap_subsets)
-    chi_deconed = char_poly(deconed, guard=cap_subsets)
+    chi = char_poly(arr, guard=args.cap_subsets)
+    chi_deconed = char_poly(deconed, guard=args.cap_subsets)
     expected = bnd.divided_difference(chi)
-    return {
+    results = {
         "deconed": format_arrangement(deconed),
         "char_poly": str(chi),
         "char_poly_deconed": str(chi_deconed),
         "divided_difference": str(expected),
         "ok": chi_deconed == expected,
     }
+    return results, [] if results["ok"] else [_violation("decone-divided-difference", args.file, f"k0={k0}")]
 
 
-# ---------------------------------------------------------------------------
-# verify: drive every invariant over a seeded corpus
-# ---------------------------------------------------------------------------
-
-
-def build_verify_report(*, seed: int, q_min: int, q_max: int, cap_subsets: int, cap_colorings: int,
-                        num_graphs: int, max_vertices: int, num_arrangements: int, max_dim: int,
-                        max_hyperplanes: int) -> tuple[dict, list[dict]]:
+def _run_verify(args: argparse.Namespace) -> tuple[dict, list]:
+    """Drive every invariant over a seeded corpus."""
+    for flag, value, least in (("--max-n", args.max_n, 1), ("--max-dim", args.max_dim, 1),
+                               ("--max-m", args.max_m, 1), ("--graphs", args.graphs, 0),
+                               ("--arrangements", args.arrangements, 0)):
+        if value < least:
+            raise InputError(f"{flag} must be at least {least}, got {value}")
     from .checks import ARRANGEMENT_CHECKS, GRAPH_CHECKS, LINEAR_CENTRAL_CHECKS, Case, run_checks
     from .corpus import linear_central_corpus, named_graphs, random_arrangements, random_graphs, random_order
 
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     outcomes: list[tuple[str, str, bool, str]] = []
 
     def verify(table: tuple[Check, ...], label: str, obj: SimpleGraph | Arrangement) -> dict:
-        case = Case(label, obj, q_min, q_max,
+        case = Case(label, obj, args.q_min, args.q_max,
                     orders=lambda m: [None] + [random_order(rng, m) for _ in range(2)],
-                    cap_subsets=cap_subsets, cap_colorings=cap_colorings)
+                    cap_subsets=args.cap_subsets, cap_colorings=args.cap_colorings)
         outcomes.extend((name, label, ok, detail) for name, ok, detail in run_checks(table, case))
         return case.row
 
     graph_results = [verify(GRAPH_CHECKS, f"named:{name}", g) for name, g in named_graphs()]
     graph_results += [verify(GRAPH_CHECKS, f"graph[{i}]", g)
-                      for i, g in enumerate(random_graphs(rng, num_graphs, max_vertices))]
-    arrangements = random_arrangements(rng, num_arrangements, max_dim, max_hyperplanes)
+                      for i, g in enumerate(random_graphs(rng, args.graphs, args.max_n))]
+    arrangements = random_arrangements(rng, args.arrangements, args.max_dim, args.max_m)
     arrangement_results = [verify(ARRANGEMENT_CHECKS, f"arrangement[{i}]", a) for i, a in enumerate(arrangements)]
     for i, arr in enumerate(linear_central_corpus(rng)):
         verify(LINEAR_CENTRAL_CHECKS, f"linear[{i}]", arr)
@@ -354,52 +382,6 @@ def build_verify_report(*, seed: int, q_min: int, q_max: int, cap_subsets: int, 
         "violation_count": len(violations),
     }
     return results, violations
-
-
-# ---------------------------------------------------------------------------
-# commands, text rendering and the entry point
-# ---------------------------------------------------------------------------
-
-
-def _run_chromatic(args: argparse.Namespace) -> tuple[dict, list]:
-    obj = parse_input_file(args.file)
-    if not _is_graph(obj):
-        raise InputError(f"{args.file}: 'chromatic' expects a graph file")
-    return build_chromatic_report(obj), []
-
-
-def _run_bounds(args: argparse.Namespace) -> tuple[dict, list]:
-    results = build_bounds_report(parse_input_file(args.file), q_min=args.q_min, q_max=args.q_max,
-                                  cap_subsets=args.cap_subsets)
-    return results, [_violation("two-sided-bounds", args.file, f"q={rec['q']} k={rec['k']}")
-                     for rec in results["records"] if not rec["ok"]]
-
-
-def _run_nbc(args: argparse.Namespace) -> tuple[dict, list]:
-    obj = parse_input_file(args.file)
-    try:  # `nbc.nbc_counts` checks that they are a permutation
-        order = None if args.order is None else tuple(int(tok) for tok in args.order.split(","))
-    except ValueError:
-        raise InputError(f"--order '{args.order}' is not a comma-separated integer list")
-    results = build_nbc_report(obj, order, cap_subsets=args.cap_subsets)
-    return results, [_violation("nbc-coefficient", args.file, f"k={row['k']} order={order}")
-                     for row in results["rows"] if not row["match"]]
-
-
-def _run_decone(args: argparse.Namespace) -> tuple[dict, list]:
-    results = build_decone_report(parse_input_file(args.file), args.k0, cap_subsets=args.cap_subsets)
-    return results, [] if results["ok"] else [_violation("decone-divided-difference", args.file, f"k0={args.k0}")]
-
-
-def _run_verify(args: argparse.Namespace) -> tuple[dict, list]:
-    for flag, value, least in (("--max-n", args.max_n, 1), ("--max-dim", args.max_dim, 1),
-                               ("--max-m", args.max_m, 1), ("--graphs", args.graphs, 0),
-                               ("--arrangements", args.arrangements, 0)):
-        if value < least:
-            raise InputError(f"{flag} must be at least {least}, got {value}")
-    return build_verify_report(seed=args.seed, q_min=args.q_min, q_max=args.q_max, cap_subsets=args.cap_subsets,
-                               cap_colorings=args.cap_colorings, num_graphs=args.graphs, max_vertices=args.max_n,
-                               num_arrangements=args.arrangements, max_dim=args.max_dim, max_hyperplanes=args.max_m)
 
 
 def _print_text_chromatic(results: dict) -> None:
@@ -519,13 +501,15 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # exact results may have any number of digits
+        sys.set_int_max_str_digits(0)
     try:
         return run(argv)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+    except (ResourceLimitError, OverflowError, MemoryError) as exc:
+        print(f"resource limit: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
     except InvariantError as exc:
         print(f"invariant violated (bug): {exc}", file=sys.stderr)

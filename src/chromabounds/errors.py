@@ -26,5 +26,9 @@ class InvariantError(Exception):
     """
 
 
-class CoeffSequenceError(ValueError):
-    """Polynomial does not have the alternating-sign coefficient shape."""
+class CoeffSequenceError(InvariantError, ValueError):
+    """Polynomial does not have the alternating-sign coefficient shape.
+
+    Every polynomial the package builds has that shape, so on a computed
+    polynomial this is a broken invariant.
+    """

@@ -214,17 +214,10 @@ def _product(factors: list[Sequence[int]]) -> list[int]:
 
 
 def _evaluate(term: Term, memo: dict) -> list[int]:
-    """The polynomial of a reduced graph, once `memo` holds all of its components.
-
-    The components that share a shift are multiplied first, so each
-    product is shifted once.
-    """
+    """The polynomial of a reduced graph, once `memo` holds all of its components."""
     offsets, comps = term
     factors = [_linear_power(d, e) for d, e in Counter(offsets).items()]
-    shifted: dict[int, list[Sequence[int]]] = {}
-    for s, key in comps:
-        shifted.setdefault(s, []).append(memo[key])
-    factors += (_shift(_product(fs), s) if s else _product(fs) for s, fs in shifted.items())
+    factors += (_shift(memo[key], s) if s else memo[key] for s, key in comps)
     return _product(factors)
 
 

@@ -4,7 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s`. The corpus matches the
 conftest fixtures: named graph families plus 200 seeded random graphs
 (n <= 6) and 50 seeded random rational arrangements (dim <= 4, m <= 7);
 criterion 1 adds one seeded G(n, 1/2) for each of n = 10, 12 and 14.
-Criteria 1-3 and 5-9 select, by name, entries of the check tables in
+Criteria 1-9 select, by name, entries of the check tables in
 `chromabounds.checks` that `verify` runs, so each identity is written once.
 """
 
@@ -90,14 +90,10 @@ def test_criterion_03_two_sided_bounds(graph_cases, arrangement_cases):
         assert_checks(ARRANGEMENT_CHECKS, arrangement_cases, "two-sided-bounds")
 
 
-def test_criterion_04_sharpness(graph_sequences):
+def test_criterion_04_sharpness(graph_cases):
     with criterion(4, "forests are tight everywhere; a non-forest attains the upper bound"):
-        forests_seen = 0
-        for label, g, _, s in graph_sequences:
-            if is_forest(g):
-                forests_seen += 1
-                assert verify_bounds(s, -5, 5).all_tight, label
-        assert forests_seen >= 5
+        assert_checks(GRAPH_CHECKS, graph_cases, "bounds-tight-iff-forest")
+        assert sum(is_forest(case.obj) for case in graph_cases) >= 5
         triangle = coeff_sequence(chromatic_poly(complete(3)), 3)
         report = verify_bounds(triangle, -1, -1)
         rec = next(r for r in report.records if (r.q, r.k) == (-1, 1))

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 from chromabounds import (
     Arrangement, InputError, IntPolynomial, SimpleGraph, arrangements, bounds, checks, graphic_arrangement, graphs,
-    nbc, nbc_counts,
+    nbc_counts,
 )
 from chromabounds.cli import (
+    _build_parser,
     _rational,
     _record_json,
+    _run_verify,
     _seq_json,
     build_bounds_report,
     build_nbc_report,
@@ -26,7 +28,7 @@ from chromabounds.cli import (
     parse_graph_text,
     parse_input_file,
 )
-from chromabounds.errors import DEFAULT_COLORING_CAP, DEFAULT_SUBSET_GUARD
+from chromabounds.errors import DEFAULT_SUBSET_GUARD
 from strategies import small_graphs, walk_arrangements
 
 K3_TEXT = "n 3\n0 1\n0 2\n1 2\n"
@@ -210,8 +212,8 @@ print(json.dumps([package_alone, sorted(loaded)]))
 
 
 @pytest.mark.parametrize("text, commands, absent", [
-    (None, [], {"graphs", "arrangements", "linalg", "nbc", "checks", "corpus"}),
-    (K4_TEXT, [["bounds"], ["chromatic"]], {"arrangements", "linalg", "nbc", "checks", "corpus", "fractions"}),
+    (None, [], {"graphs", "arrangements", "linalg", "checks", "corpus"}),
+    (K4_TEXT, [["bounds"], ["chromatic"]], {"arrangements", "linalg", "checks", "corpus", "fractions"}),
     (LINEAR_LINES_TEXT, [["nbc"], ["decone", "0"]], {"graphs", "checks", "corpus"}),
     # hyperplanes are integer rows, so only parsing rationals needs `fractions`
     # (`decone` loads it to print offsets)
@@ -486,6 +488,52 @@ class TestResourceCaps:
         assert main(["verify", "--graphs", "0", "--arrangements", "0", "--cap-colorings", "100"]) == 3
         assert "n=4 vertices needs n^2*2^n = 256 steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, header", [
+        ("chromatic", "n 1000000000000000000000"),
+        ("bounds", "n 1000000000000000000000"),
+        ("nbc", "n 1000000000000000000000"),
+        ("bounds", "dim 100000000000000000000"),
+        ("nbc", "dim 100000000000000000000"),
+    ])
+    def test_outsized_header_exits_3(self, write, capsys, command, header):
+        # no list can be sized by such a count: the first one raises OverflowError before allocating
+        assert main([command, write("big.txt", header + "\n")]) == 3
+        assert capsys.readouterr().err == "resource limit: cannot fit 'int' into an index-sized integer\n"
+
+    def test_out_of_memory_exits_3(self, write, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(graphs, "chromatic_poly", exhausted)
+        assert main(["chromatic", write("k3.txt", K3_TEXT)]) == 3
+        assert capsys.readouterr().err == "resource limit: MemoryError\n"
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no limit on integer string conversion")
+    def test_integers_print_past_the_digit_limit(self, write, capsys):
+        # the middle coefficients of t(t-1)^2199 have 661 digits, over a lowered limit of 640
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert main(["chromatic", write("long.txt", long_graph_text(2200, False)), "--format", "json"]) == 0
+        finally:
+            sys.set_int_max_str_digits(limit)
+        coeffs = json.loads(capsys.readouterr().out)["results"]["coefficients_ascending"]
+        assert max(abs(int(c)) for c in coeffs) == comb(2199, 1099) > 10**660
+
+
+class TestBrokenInvariant:
+    @pytest.mark.parametrize("argv, module", [
+        (["bounds", "FILE"], graphs),
+        (["verify", "--graphs", "1", "--arrangements", "0"], checks),
+    ], ids=["bounds", "verify"])
+    def test_malformed_polynomial_exits_1(self, write, monkeypatch, capsys, argv, module):
+        # t^4 + t^3 - 3t^2 + 2t breaks the sign alternation at t^3: a bug, reported without a traceback
+        monkeypatch.setattr(module, "chromatic_poly", lambda *args, **kwargs: IntPolynomial((0, 2, -3, 1, 1)))
+        argv = [write("k3.txt", K3_TEXT) if arg == "FILE" else arg for arg in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "invariant violated (bug): coefficient of t^3 breaks the strict sign alternation\n"
+
 
 VERIFY_ARGS = ["verify", "--seed", "11", "--graphs", "8", "--max-n", "5",
                "--arrangements", "4", "--format", "json"]
@@ -548,14 +596,9 @@ class TestVerifyCommand:
         assert first == second
 
     def test_json_round_trips(self, capsys):
-        from chromabounds.cli import build_verify_report
-
         assert main(VERIFY_ARGS) == 0
         parsed = json.loads(capsys.readouterr().out)
-        results, violations = build_verify_report(
-            seed=11, q_min=-3, q_max=3, cap_subsets=DEFAULT_SUBSET_GUARD, cap_colorings=DEFAULT_COLORING_CAP,
-            num_graphs=8, max_vertices=5, num_arrangements=4, max_dim=4, max_hyperplanes=7,
-        )
+        results, violations = _run_verify(_build_parser().parse_args(VERIFY_ARGS))
         assert parsed["results"] == results
         assert parsed["violations"] == violations
 
@@ -616,7 +659,7 @@ class TestViolationRecord:
 
     @pytest.mark.parametrize("argv, module, oracle, broken, check", [
         (["bounds", "FILE"], bounds, "verify_bounds", overshooting_bounds, "two-sided-bounds"),
-        (["nbc", "FILE"], nbc, "nbc_counts", wrong_counts, "nbc-coefficient"),
+        (["nbc", "FILE"], arrangements, "nbc_counts", wrong_counts, "nbc-coefficient"),
         (["decone", "FILE", "2"], bounds, "divided_difference", wrong_polynomial, "decone-divided-difference"),
         (["verify", "--graphs", "0", "--arrangements", "0"], checks, "chromatic_poly_interpolated", wrong_polynomial,
          "coloring-oracle"),
@@ -659,7 +702,7 @@ class TestViolationRecord:
         (K4_TEXT, None), (K4_TEXT, (5, 0, 3, 1, 4, 2)), (GENERIC_LINES_TEXT, None), (GENERIC_LINES_TEXT, (2, 0, 1)),
     ], ids=["K4", "K4-ordered", "lines", "lines-ordered"])
     def test_nbc_reports_what_the_table_reports(self, write, monkeypatch, capsys, text, order):
-        monkeypatch.setattr(nbc, "nbc_counts", wrong_counts)
+        monkeypatch.setattr(arrangements, "nbc_counts", wrong_counts)
         monkeypatch.setattr(checks, "nbc_counts", wrong_counts)
         path = write("input.txt", text)
         flags = [] if order is None else ["--order", ",".join(str(i) for i in order)]

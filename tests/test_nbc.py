@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromabounds import arrangements, checks, linalg
-from chromabounds import nbc as nbcmod
 from chromabounds import (
     Arrangement,
     Hyperplane,
@@ -140,13 +139,13 @@ class TestBrokenCircuits:
     def test_nbc_check_calls_no_circuits(self, monkeypatch):
         # each order costs one pruned walk, and no order needs the circuits
         walks = []
-        walk = nbcmod._subset_walk
+        walk = arrangements._subset_walk
 
         def counting_walk(arr, *args, **kwargs):
             walks.append(kwargs)
             return walk(arr, *args, **kwargs)
 
-        monkeypatch.setattr(nbcmod, "_subset_walk", counting_walk)
+        monkeypatch.setattr(arrangements, "_subset_walk", counting_walk)
         rng = random.Random(2)
         case = checks.Case("K4", complete(4), 0, 1, orders=lambda m: [None] + [random_order(rng, m) for _ in range(2)])
         nbc_check = [c for c in checks.GRAPH_CHECKS if c.name == "nbc-coefficient"]
