@@ -59,23 +59,20 @@ if TYPE_CHECKING:
 class Hyperplane(Value):
     """The affine locus normal . x = offset, as one integer row (normal | offset). Immutable.
 
-    The row is scaled to integers by the offset's denominator, made
-    primitive, and signed so that its first nonzero entry, which lies in the
-    normal, is positive. Rows that are nonzero multiples of each other give
-    equal hyperplanes.
+    The row is scaled to integers by the offset's denominator, then made
+    primitive with a positive first nonzero entry by `linalg.residual`
+    against no basis; that entry must lie in the normal. Rows that are
+    nonzero multiples of each other give equal hyperplanes.
     """
 
     __slots__ = ("row",)
     row: Row
 
     def __init__(self, row: Sequence[int]) -> None:
-        for first in row[:-1]:
-            if first:
-                break
-        else:
+        pivot, row = residual(row, ())
+        if pivot >= len(row) - 1:  # the normal is zero
             raise InputError("hyperplane normal must be nonzero")
-        g = gcd(*row) if first > 0 else -gcd(*row)
-        object.__setattr__(self, "row", tuple(row) if g == 1 else tuple([x // g for x in row]))
+        object.__setattr__(self, "row", row)
 
     @classmethod
     def make(cls, normal: Sequence[Fraction | int], offset: Fraction | int = 0) -> "Hyperplane":
@@ -459,7 +456,7 @@ def decone(arr: Arrangement, k0: int) -> Arrangement:
     polynomial is the divided difference of the original one.
     """
     if not 0 <= k0 < arr.m:
-        raise InputError(f"hyperplane index {k0} out of range")
+        raise InputError(f"hyperplane index {k0} out of range for m={arr.m}")
     if not all(h.is_linear() for h in arr.hyperplanes):
         raise InputError("deconing requires a linear arrangement (all offsets zero)")
     chart = arr.hyperplanes[k0].row[:-1] + (1,)

@@ -5,6 +5,10 @@ text printer. A handler returns (results, violations), each violation a
 `_violation` record that `run` prints, in JSON or as a VIOLATION line after
 the text; the JSON `config` echoes the command, its input file and flags.
 
+Every input text goes through one reader, `parse_input`, which dispatches
+once on its first line's tag. Numbers follow the README's token grammar,
+`[+-]digits` or `[+-]digits/digits` in ASCII digits; any other token exits 2.
+
 Each command imports the modules it runs when it runs them: a graph
 command never loads `arrangements` or `linalg`, and only `verify` loads
 `checks` and `corpus`.
@@ -23,6 +27,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -54,28 +59,40 @@ def _meaningful_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def parse_graph_text(text: str, source: str = "<input>") -> SimpleGraph:
-    """Edge-list format ("n N" header, 0-based "u v" lines) or DIMACS .col."""
-    from .graphs import SimpleGraph
+def parse_input(text: str, source: str = "<input>") -> SimpleGraph | Arrangement:
+    """The graph or arrangement in `text`, by its first line's tag.
 
+    'dim' starts an arrangement, 'n' an edge list and 'p', 'c' or 'e' a
+    DIMACS .col file. Blank lines and lines starting with '#' are skipped.
+    """
     lines = _meaningful_lines(text)
     if not lines:
-        raise InputError(f"{source}: empty graph file")
-    parse = _parse_dimacs if any(line.split()[0] == "p" for _, line in lines) else _parse_edge_list
-    n, edges = parse(lines, source)
+        raise InputError(f"{source}: empty input file")
+    tag = lines[0][1].split()[0]
+    if tag == "dim":
+        return _parse_arrangement(lines, source)
+    if tag == "n":
+        n = _header_count(lines, source, "vertex count")
+        edges = _collect_edges(lines[1:], n, source, base=0)
+    elif tag in ("p", "c", "e"):
+        n, edges = _parse_dimacs(lines, source)
+    else:
+        raise InputError(f"{source}: unrecognized header '{lines[0][1]}'")
+    from .graphs import SimpleGraph
+
     return SimpleGraph(n, frozenset(edges))
 
 
-def _parse_edge_list(lines: list[tuple[int, str]], source: str) -> tuple[int, set[tuple[int, int]]]:
+def _header_count(lines: list[tuple[int, str]], source: str, what: str) -> int:
+    """The count in an 'n <count>' or 'dim <count>' first line."""
     lineno, header = lines[0]
     parts = header.split()
-    if len(parts) != 2 or parts[0] != "n":
-        raise InputError(f"{source}:{lineno}: expected header 'n <count>', got '{header}'")
+    if len(parts) != 2:
+        raise InputError(f"{source}:{lineno}: expected header '{parts[0]} <count>', got '{header}'")
     try:
-        n = int(parts[1])
+        return int(parts[1])
     except ValueError:
-        raise InputError(f"{source}:{lineno}: vertex count '{parts[1]}' is not an integer")
-    return n, _collect_edges(lines[1:], n, source, one_based=False)
+        raise InputError(f"{source}:{lineno}: {what} '{parts[1]}' is not an integer")
 
 
 def _parse_dimacs(lines: list[tuple[int, str]], source: str) -> tuple[int, set[tuple[int, int]]]:
@@ -99,23 +116,20 @@ def _parse_dimacs(lines: list[tuple[int, str]], source: str) -> tuple[int, set[t
             raise InputError(f"{source}:{lineno}: unrecognized DIMACS line '{line}'")
     if n is None:
         raise InputError(f"{source}: DIMACS file has no 'p edge' line")
-    return n, _collect_edges(edge_lines, n, source, one_based=True)
+    return n, _collect_edges(edge_lines, n, source, base=1)
 
 
-def _collect_edges(
-    lines: list[tuple[int, str]], n: int, source: str, one_based: bool
-) -> set[tuple[int, int]]:
+def _collect_edges(lines: list[tuple[int, str]], n: int, source: str, base: int) -> set[tuple[int, int]]:
+    """The edges of 'u v' lines whose vertices are numbered from `base`, as 0-based pairs."""
     edges: set[tuple[int, int]] = set()
     for lineno, line in lines:
         parts = line.split()
         if len(parts) != 2:
             raise InputError(f"{source}:{lineno}: expected 'u v', got '{line}'")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = int(parts[0]) - base, int(parts[1]) - base
         except ValueError:
             raise InputError(f"{source}:{lineno}: non-integer vertex in '{line}'")
-        if one_based:
-            u, v = u - 1, v - 1
         if u == v:
             raise InputError(f"{source}:{lineno}: loop '{line}' is not allowed")
         if not (0 <= u < n and 0 <= v < n):
@@ -128,36 +142,29 @@ def _collect_edges(
 
 
 def _rational(token: str) -> int | Fraction:
-    """An ASCII integer token as an int, any other token as `Fraction` parses it.
+    """`[+-]digits` as an int, `[+-]digits/digits` as a `Fraction`; ValueError for any other token.
 
-    Only [+-]?[0-9]+ takes the fast path: `int` also accepts forms such as
-    "1_000", which `Fraction` rejects under Python 3.10, so every other
-    token keeps its `Fraction` meaning. A file of integer tokens never
-    loads `fractions`.
+    This is the README's token grammar. Its digits are ASCII 0-9, whatever
+    `int` accepts, so decimals, exponents, `_` separators and other
+    scripts' digits are rejected on every Python version. A file of
+    integer tokens never loads `fractions`.
     """
-    digits = token[1:] if token[:1] in ("+", "-") else token
-    if digits.isascii() and digits.isdigit():
-        return int(token)
+    match = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", token)
+    if match is None:
+        raise ValueError(f"not a rational token: {token!r}")
+    num, den = match.groups()
+    if den is None:
+        return int(num)
     from fractions import Fraction
 
-    return Fraction(token)
+    return Fraction(int(num), int(den))
 
 
-def parse_arrangement_text(text: str, source: str = "<input>") -> Arrangement:
-    """One hyperplane per line: n rational coordinates then the offset."""
+def _parse_arrangement(lines: list[tuple[int, str]], source: str) -> Arrangement:
+    """One hyperplane per line after the header: dim rational coordinates then the offset."""
     from .arrangements import Arrangement, Hyperplane
 
-    lines = _meaningful_lines(text)
-    if not lines:
-        raise InputError(f"{source}: empty arrangement file")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "dim":
-        raise InputError(f"{source}:{lineno}: expected header 'dim <count>', got '{header}'")
-    try:
-        dim = int(parts[1])
-    except ValueError:
-        raise InputError(f"{source}:{lineno}: dimension '{parts[1]}' is not an integer")
+    dim = _header_count(lines, source, "dimension")
     hyps = []
     for lineno, line in lines[1:]:
         tokens = line.split()
@@ -177,29 +184,17 @@ def parse_arrangement_text(text: str, source: str = "<input>") -> Arrangement:
 
 
 def parse_input_file(path: str) -> SimpleGraph | Arrangement:
-    """Dispatch on the header: 'n' or DIMACS for graphs, 'dim' for arrangements."""
+    """Read the file at `path` and parse it with `parse_input`, naming it in every error."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    lines = _meaningful_lines(text)
-    if not lines:
-        raise InputError(f"{path}: empty input file")
-    first = lines[0][1].split()[0]
-    if first == "dim":
-        return parse_arrangement_text(text, source=path)
-    if first in ("n", "p", "c", "e"):
-        return parse_graph_text(text, source=path)
-    raise InputError(f"{path}: unrecognized header '{lines[0][1]}'")
+    return parse_input(text, source=path)
 
 
 def _is_graph(obj: SimpleGraph | Arrangement) -> bool:
-    """Whether a parsed input is a graph, without loading `graphs` for an arrangement.
-
-    Only parsing a graph loads `graphs`, so while it is not loaded no input is a graph.
-    """
-    graphs = sys.modules.get(f"{__package__}.graphs")
-    return graphs is not None and isinstance(obj, graphs.SimpleGraph)
+    """Whether a parsed input is a graph; only a graph has edges, and asking loads no module."""
+    return hasattr(obj, "edges")
 
 
 def format_arrangement(arr: Arrangement) -> str:
@@ -330,8 +325,6 @@ def _run_decone(args: argparse.Namespace) -> tuple[dict, list]:
 
     arr = _as_arrangement(parse_input_file(args.file))
     k0 = args.k0
-    if not 0 <= k0 < arr.m:
-        raise InputError(f"hyperplane index {k0} out of range for m={arr.m}")
     deconed = decone(arr, k0)
     chi = char_poly(arr, guard=args.cap_subsets)
     chi_deconed = char_poly(deconed, guard=args.cap_subsets)

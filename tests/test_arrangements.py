@@ -410,6 +410,7 @@ class TestSubsetWalk:
 
     def test_boolean_whitney_reduces_each_row_once(self, monkeypatch):
         # every later row vanishes at a coordinate hyperplane's pivot, so no child eliminates
+        boolean = coordinate_arrangement(8)  # built before counting: each hyperplane's row is a residual too
         calls = 0
 
         def counting(*args):
@@ -418,7 +419,7 @@ class TestSubsetWalk:
             return residual(*args)
 
         monkeypatch.setattr(arrangements, "residual", counting)
-        assert char_poly_whitney(coordinate_arrangement(8)) == boolean_char_poly(8, 8)
+        assert char_poly_whitney(boolean) == boolean_char_poly(8, 8)
         assert calls <= 8
 
     @settings(max_examples=150, deadline=None)

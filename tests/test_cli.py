@@ -1,8 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -12,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromabounds import (
-    Arrangement, InputError, IntPolynomial, SimpleGraph, arrangements, bounds, checks, graphic_arrangement, graphs,
-    nbc_counts,
+    Arrangement, InputError, IntPolynomial, SimpleGraph, arrangements, bounds, checks, decone, graphic_arrangement,
+    graphs, nbc_counts,
 )
 from chromabounds.cli import (
     _build_parser,
@@ -23,13 +27,14 @@ from chromabounds.cli import (
     _seq_json,
     build_bounds_report,
     build_nbc_report,
+    format_arrangement,
     main,
-    parse_arrangement_text,
-    parse_graph_text,
+    parse_input,
     parse_input_file,
 )
+from chromabounds.corpus import linear_central_corpus
 from chromabounds.errors import DEFAULT_SUBSET_GUARD
-from strategies import small_graphs, walk_arrangements
+from strategies import random_affine_with_parallels, small_graphs, walk_arrangements
 
 K3_TEXT = "n 3\n0 1\n0 2\n1 2\n"
 K4_TEXT = "n 4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
@@ -48,6 +53,63 @@ def long_graph_text(n, closed):
     return f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
 
 
+# what `_rational` makes of each token: (type, value), or the error it raises
+TOKENS = {
+    "0": (int, 0), "-7": (int, -7), "+12": (int, 12), "007": (int, 7), "-0": (int, 0),
+    "1/2": (Fraction, Fraction(1, 2)), "-3/6": (Fraction, Fraction(-1, 2)), "+4/2": (Fraction, Fraction(2)),
+    "0/5": (Fraction, Fraction(0)), "012/08": (Fraction, Fraction(3, 2)), "1/0": ZeroDivisionError,
+    **dict.fromkeys(["", "+", "-", "--1", "+-1", "1/-2", "1/+2", "/2", "1/", "1/2/3", "1//2", "1.5", ".5", "1.",
+                     "1e3", "1E3", "1e1000000", "1_000", "1/1_0", "0x10", "inf", "nan", "\u0663", "\u00b2",
+                     "\uff11", "1\u0663", "\u0663/2", " 1", "1 ", "1\n", "\u22121"], ValueError),
+}
+
+
+# (id, argv, file text, the stderr message after "error: "), FILE standing for the file's path
+REJECTIONS = [
+    ("empty", ["chromatic", "FILE"], "", "FILE: empty input file"),
+    ("only-comments", ["bounds", "FILE"], "# nothing\n\n   \n", "FILE: empty input file"),
+    ("unknown-header", ["bounds", "FILE"], "vertices 3\n", "FILE: unrecognized header 'vertices 3'"),
+    ("n-arity", ["chromatic", "FILE"], "n 3 4\n", "FILE:1: expected header 'n <count>', got 'n 3 4'"),
+    ("n-count", ["chromatic", "FILE"], "# header\nn x\n", "FILE:2: vertex count 'x' is not an integer"),
+    ("uv-arity", ["chromatic", "FILE"], "n 3\n\n0 1 2\n", "FILE:3: expected 'u v', got '0 1 2'"),
+    ("uv-integer", ["bounds", "FILE"], "n 3\n0 a\n", "FILE:2: non-integer vertex in '0 a'"),
+    ("loop", ["nbc", "FILE"], "n 3\n0 1\n2 2\n", "FILE:3: loop '2 2' is not allowed"),
+    ("out-of-range", ["chromatic", "FILE"], "n 2\n0 5\n", "FILE:2: vertex out of range in '0 5'"),
+    ("dimacs-problem", ["chromatic", "FILE"], "p col 3 3\n", "FILE:1: malformed problem line 'p col 3 3'"),
+    ("dimacs-short", ["chromatic", "FILE"], "c x\np edge\n", "FILE:2: malformed problem line 'p edge'"),
+    ("dimacs-count", ["chromatic", "FILE"], "p edge 1.5 1\n", "FILE:1: vertex count '1.5' is not an integer"),
+    ("dimacs-tag", ["chromatic", "FILE"], "p edge 3 1\nx 1 2\n", "FILE:2: unrecognized DIMACS line 'x 1 2'"),
+    ("dimacs-no-p", ["chromatic", "FILE"], "c a\ne 1 2\n", "FILE: DIMACS file has no 'p edge' line"),
+    ("dimacs-arity", ["chromatic", "FILE"], "p edge 3 1\ne 1\n", "FILE:2: expected 'u v', got '1'"),
+    ("dim-arity", ["bounds", "FILE"], "dim\n", "FILE:1: expected header 'dim <count>', got 'dim'"),
+    ("dim-count", ["nbc", "FILE"], "dim two\n", "FILE:1: dimension 'two' is not an integer"),
+    ("hyperplane-arity", ["bounds", "FILE"], "dim 2\n1 0\n",
+     "FILE:2: expected 2 coordinates plus an offset, got 2 values"),
+    ("zero-normal", ["bounds", "FILE"], "dim 2\n1 0 0\n0 0 1\n", "FILE:3: hyperplane normal must be nonzero"),
+    ("decimal", ["bounds", "FILE"], "dim 2\n1 1.5 0\n", "FILE:2: cannot parse rational in '1 1.5 0'"),
+    ("zero-denominator", ["nbc", "FILE"], "dim 1\n1/0 1\n", "FILE:2: cannot parse rational in '1/0 1'"),
+    # 9- and 10-character tokens whose values would have millions of digits
+    ("exponent", ["decone", "FILE", "0"], "dim 2\n1 1e1000000 0\n0 1 0\n",
+     "FILE:2: cannot parse rational in '1 1e1000000 0'"),
+    ("long-exponent", ["decone", "FILE", "0"], "dim 2\n1 1e10000000 0\n0 1 0\n",
+     "FILE:2: cannot parse rational in '1 1e10000000 0'"),
+    ("order", ["nbc", "FILE", "--order", "0,x,1"], "n 3\n0 1\n",
+     "--order '0,x,1' is not a comma-separated integer list"),
+    ("decone-index", ["decone", "FILE", "3"], "dim 2\n1 0 0\n0 1 0\n1 1 0\n",
+     "hyperplane index 3 out of range for m=3"),
+    ("decone-affine", ["decone", "FILE", "0"], "dim 1\n1 1\n",
+     "deconing requires a linear arrangement (all offsets zero)"),
+]
+
+
+def edge_list_text(g):
+    return f"n {g.n}\n" + "".join(f"{u} {v}\n" for u, v in sorted(g.edges))
+
+
+def dimacs_text(g):
+    return f"p edge {g.n} {g.m}\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in sorted(g.edges))
+
+
 @pytest.fixture
 def write(tmp_path):
     def _write(name, text):
@@ -60,49 +122,45 @@ def write(tmp_path):
 
 class TestParsing:
     def test_edge_list(self):
-        g = parse_graph_text(K3_TEXT)
+        g = parse_input(K3_TEXT)
         assert g.n == 3 and g.m == 3
 
     def test_dimacs_one_based(self):
-        g = parse_graph_text(DIMACS_TEXT)
+        g = parse_input(DIMACS_TEXT)
         assert g == SimpleGraph(3, frozenset({(0, 1), (0, 2), (1, 2)}))
 
     def test_loop_rejected_with_line_number(self):
         with pytest.raises(InputError, match="3: loop"):
-            parse_graph_text("n 3\n0 1\n2 2\n")
+            parse_input("n 3\n0 1\n2 2\n")
 
     def test_duplicate_edge_warns_and_collapses(self, capsys):
-        g = parse_graph_text("n 3\n0 1\n1 0\n")
+        g = parse_input("n 3\n0 1\n1 0\n")
         assert g.m == 1
         assert "duplicate edge" in capsys.readouterr().err
 
     def test_bad_header(self):
         with pytest.raises(InputError, match="header"):
-            parse_graph_text("vertices 3\n")
+            parse_input("vertices 3\n")
 
     def test_out_of_range_vertex(self):
         with pytest.raises(InputError, match="out of range"):
-            parse_graph_text("n 2\n0 5\n")
+            parse_input("n 2\n0 5\n")
 
     def test_arrangement_with_rationals(self):
-        arr = parse_arrangement_text("dim 2\n1/2 -1/3 2\n0 1 -1/2\n")
+        arr = parse_input("dim 2\n1/2 -1/3 2\n0 1 -1/2\n")
         assert arr.m == 2
         assert arr.hyperplanes[0].normal == (3, -2)
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.one_of(
-        st.from_regex(r"\A[+-]{0,2}[0-9_]{1,5}\Z"),
-        st.text(alphabet="0123456789+-_/.e\u0663\u00b2\uff11", min_size=1, max_size=6),
-    ))
-    def test_integer_fast_path_matches_fraction(self, token):
-        # `int` accepts "1_0", which `Fraction` rejects under Python 3.10; both must agree everywhere
-        def parse(convert):
+    def test_token_grammar(self):
+        # exactly [+-]digits and [+-]digits/digits in ASCII digits, the same on every Python version
+        def parse(token):
             try:
-                return convert(token)
+                value = _rational(token)
             except (ValueError, ZeroDivisionError) as exc:
                 return type(exc)
+            return type(value), value
 
-        assert parse(_rational) == parse(Fraction)
+        assert {token: parse(token) for token in TOKENS} == TOKENS
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.lists(st.integers(-20, 20), min_size=3, max_size=3), min_size=1, max_size=5))
@@ -110,11 +168,11 @@ class TestParsing:
         # "k/1" is not an integer token, so the second text parses through `Fraction`
         text = "dim 2\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows if any(row[:2]))
         slow = "dim 2\n" + "".join(" ".join(f"{x}/1" for x in row) + "\n" for row in rows if any(row[:2]))
-        assert parse_arrangement_text(text) == parse_arrangement_text(slow)
+        assert parse_input(text) == parse_input(slow)
 
     def test_arrangement_wrong_arity(self):
         with pytest.raises(InputError, match="coordinates"):
-            parse_arrangement_text("dim 3\n1 0 0\n")
+            parse_input("dim 3\n1 0 0\n")
 
     def test_dimacs_non_integer_vertex_count(self, write, capsys):
         assert main(["chromatic", write("bad.col", "p edge x 3\ne 1 2\n")]) == 2
@@ -132,6 +190,33 @@ class TestParsing:
         assert isinstance(parse_input_file(write("g.txt", K3_TEXT)), SimpleGraph)
         assert isinstance(parse_input_file(write("a.txt", PARALLEL_TEXT)), Arrangement)
         assert isinstance(parse_input_file(write("d.col", DIMACS_TEXT)), SimpleGraph)
+
+    @pytest.mark.parametrize("argv, text, message", [case[1:] for case in REJECTIONS],
+                             ids=[case[0] for case in REJECTIONS])
+    def test_every_rejection_names_file_and_line(self, write, capsys, argv, text, message):
+        path = write("input.txt", text)
+        assert main([path if arg == "FILE" else arg for arg in argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message.replace('FILE', path)}\n")
+
+    @pytest.mark.parametrize("text", [K4_TEXT, DIMACS_TEXT, GENERIC_LINES_TEXT, LINEAR_LINES_TEXT],
+                             ids=["edge-list", "DIMACS", "affine", "linear"])
+    def test_comments_and_blank_lines_are_skipped(self, text):
+        lines = enumerate(text.splitlines())
+        noisy = "# leading comment\n\n" + "".join(f"{line}\n   \n  # comment {i}\n" for i, line in lines)
+        assert parse_input(noisy) == parse_input(text)
+
+    def test_written_arrangements_read_back(self, arrangement_corpus):
+        # every arrangement the program can print is in the token grammar
+        rng = random.Random(23)
+        arrangements_ = [arr for _, arr in arrangement_corpus]
+        arrangements_ += [random_affine_with_parallels(rng) for _ in range(200)]
+        arrangements_ += [decone(arr, k0) for arr in linear_central_corpus(rng) for k0 in range(arr.m)]
+        for arr in arrangements_:
+            assert parse_input(format_arrangement(arr)) == arr
+
+    def test_written_graphs_read_back(self, graph_corpus):
+        for _, g in graph_corpus:
+            assert parse_input(edge_list_text(g)) == parse_input(dimacs_text(g)) == g
 
 
 class TestChromaticCommand:
@@ -519,6 +604,70 @@ class TestResourceCaps:
             sys.set_int_max_str_digits(limit)
         coeffs = json.loads(capsys.readouterr().out)["results"]["coefficients_ascending"]
         assert max(abs(int(c)) for c in coeffs) == comb(2199, 1099) > 10**660
+
+
+# tokens a mutation writes into a valid file: numbers in and out of range, malformed rationals and stray tags
+FUZZ_TOKENS = ["0", "1", "-1", "2", "7", "99", "1/2", "-2/3", "1/0", "1.5", "1e3", "1_0", "\u0663", "x", "",
+               "n", "dim", "p", "e", "c", "edge", "#"]
+
+
+@st.composite
+def fuzz_files(draw):
+    """The text of a valid input file, n <= 7, dim <= 3 and m <= 7, after up to three token or line mutations."""
+    obj = draw(st.one_of(small_graphs(max_n=7, max_m=7), walk_arrangements.filter(lambda a: a.dim <= 3 and a.m <= 7)))
+    if isinstance(obj, SimpleGraph):
+        text = draw(st.sampled_from([edge_list_text, dimacs_text]))(obj)
+    else:
+        text = format_arrangement(obj)
+    lines = [line.split() for line in text.splitlines()]
+    for _ in range(draw(st.integers(0, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines[i])))
+        op = draw(st.sampled_from(["replace", "insert", "drop-token", "drop-line", "copy-line"]))
+        if op in ("replace", "drop-token") and j < len(lines[i]):
+            del lines[i][j]
+        if op in ("replace", "insert"):
+            lines[i].insert(j, draw(st.sampled_from(FUZZ_TOKENS)))
+        elif op == "drop-line":
+            del lines[i]
+        elif op == "copy-line":
+            lines.insert(i, list(lines[i]))
+    return obj.m, "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+@st.composite
+def fuzz_flags(draw, m):
+    """A file command's arguments after the file, with valid and invalid flag values."""
+    command = draw(st.sampled_from(["chromatic", "bounds", "nbc", "decone"]))
+    flags = ["--format", "json"] if draw(st.booleans()) else []
+    if command == "bounds":
+        flags += ["--q-min", str(draw(st.integers(-4, 4))), "--q-max", str(draw(st.integers(-4, 4)))]
+    elif command == "nbc":
+        order = draw(st.one_of(st.none(), st.permutations(range(m)).map(lambda p: ",".join(map(str, p))),
+                               st.text(alphabet="0123456789,-x", max_size=8)))
+        flags += [] if order is None else [f"--order={order}"]
+    elif command == "decone":
+        flags.append(str(draw(st.integers(-1, 8))))
+    return command, flags
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzz_files(), st.data())
+def test_main_keeps_the_exit_code_contract(file, data):
+    # in-process, so no example spawns a process; any exception escaping `main` fails the test
+    m, text = file
+    command, flags = data.draw(fuzz_flags(m))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.txt")
+        Path(path).write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main([command, path, *flags])
+    assert status in (0, 2, 3), (status, out.getvalue(), err.getvalue())
+    assert status == 0 or "error: " in err.getvalue() or "resource limit: " in err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 class TestBrokenInvariant:

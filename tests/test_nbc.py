@@ -197,6 +197,7 @@ class TestNbcCoefficient:
         assert nbc_counts(arr, order) == reference_nbc_counts(arr, order)
 
     def test_pinned_elimination_counts(self, monkeypatch):
+        boolean = coordinate_arrangement(8)  # built before counting: each hyperplane's row is a residual too
         calls = 0
 
         def counting(*args):
@@ -207,7 +208,7 @@ class TestNbcCoefficient:
         monkeypatch.setattr(arrangements, "residual", counting)
         # one residual per row for the root table; every later row vanishes at a coordinate
         # hyperplane's pivot, so no subset derives a table by elimination
-        assert nbc_counts(coordinate_arrangement(8)) == tuple(binom(8, k) for k in range(9))
+        assert nbc_counts(boolean) == tuple(binom(8, k) for k in range(9))
         assert calls == 8
         # the root table, then one elimination per later row nonzero at each new pivot
         calls = 0
