@@ -146,10 +146,14 @@ def _rational(token: str) -> int | Fraction:
 
     This is the README's token grammar. Its digits are ASCII 0-9, whatever
     `int` accepts, so decimals, exponents, `_` separators and other
-    scripts' digits are rejected on every Python version. A file of
-    integer tokens never loads `fractions`.
+    scripts' digits are rejected on every Python version. A numerator or
+    denominator has at most 4300 digits, the interpreter's default limit
+    on converting an int from a string (`main` lifts that limit so that
+    results of any length print), since both conversions cost time
+    quadratic in the length. A file of integer tokens never loads
+    `fractions`.
     """
-    match = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", token)
+    match = re.fullmatch(r"([+-]?[0-9]{1,4300})(?:/([0-9]{1,4300}))?", token)
     if match is None:
         raise ValueError(f"not a rational token: {token!r}")
     num, den = match.groups()

@@ -21,6 +21,12 @@ reference for the package's rows of binomials and for the closed forms
 that read them. `reference_linear_product` expands a product of linear
 factors one factor at a time, the reference for the closed forms of
 (t - 1)^m and (t - d)^e.
+
+`reference_reduce` and `reference_canonical` are the chromatic kernel's
+reduction step and memo key written over a bit generator, dicts and a
+sort-key lambda, the slow paths that the kernel's inline mask loops must
+match output for output. `regular_graphs` feeds them 6-regular graphs like
+those of the benchmark's graph-dc workload.
 """
 
 import math
@@ -60,6 +66,81 @@ def reference_linear_product(roots):
     return out
 
 
+def bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def reference_canonical(adj, comp):
+    """Component `comp` relabelled by (degree, sorted neighbour degrees), ties by index."""
+    nbrs = {v: list(bits(adj[v])) for v in bits(comp)}
+    deg = {v: len(ns) for v, ns in nbrs.items()}
+    order = sorted(nbrs, key=lambda v: (deg[v], sorted(map(deg.__getitem__, nbrs[v])), v))
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    return tuple(sum(map(bit.__getitem__, nbrs[v])) for v in order)
+
+
+def reference_reduce(adj, live, todo):
+    """Peel simplicial vertices off the graph on `live`, split it, strip universal vertices.
+
+    P(G) = (t - d) P(G - v) when N(v) is a clique of size d. Only vertices
+    in `todo` are tested at first; removing v can only make its neighbours
+    simplicial. A component C whose universal vertices form U, |U| = u, has
+    P(C)(t) = t(t - 1)...(t - u + 1) P(C - U)(t - u), and C - U is split and
+    stripped again at the shifted argument. Stripping makes no vertex
+    simplicial: U is a clique joined to every other vertex, so N(x) is a
+    clique exactly when N(x) - U is one. Mutates `adj`.
+    """
+    offsets = []
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        v = low.bit_length() - 1
+        nb = adj[v]
+        if nb & (nb - 1) == 0 or all(nb & ~adj[x] == 1 << x for x in bits(nb)):
+            offsets.append(nb.bit_count())
+            live ^= low
+            for x in bits(nb):
+                adj[x] ^= low
+            todo |= nb
+    comps = []
+    parts = [(0, live)]
+    while parts:
+        shift, live = parts.pop()
+        while live:
+            start = live & -live
+            comp = frontier = start
+            rounds = 0
+            while frontier:
+                reach = 0
+                for v in bits(frontier):
+                    reach |= adj[v]
+                frontier = reach & ~comp
+                comp |= frontier
+                rounds += 1
+            live ^= comp
+            universal = 0
+            # A universal vertex is adjacent to `start`, so the search from
+            # `start` found the whole component in two rounds and ended on
+            # the third.
+            if rounds <= 3:
+                for v in bits(comp & (adj[start.bit_length() - 1] | start)):
+                    if adj[v] | 1 << v == comp:
+                        universal |= 1 << v
+            if universal:
+                u = universal.bit_count()
+                offsets.extend(range(shift, shift + u))
+                rest = comp ^ universal
+                for x in bits(rest):
+                    adj[x] ^= universal
+                parts.append((shift + u, rest))
+            else:
+                comps.append((shift, reference_canonical(adj, comp)))
+    return offsets, comps
+
+
 @st.composite
 def small_graphs(draw, max_n=5, max_m=None):
     n = draw(st.integers(0, max_n))
@@ -75,6 +156,25 @@ def _complement(g):
 def dense_graphs(max_n=5, max_m=None):
     """Complements of `small_graphs`, so most vertex pairs are adjacent."""
     return small_graphs(max_n, max_m).map(_complement)
+
+
+def random_regular(rng, n, d=6):
+    """A d-regular graph on n > d vertices: the circulant on offsets 1..d/2 (d even), mixed by 10n edge switches.
+
+    A switch replaces edges ab and ce by ac and be when neither is present,
+    which keeps every degree and the graph simple.
+    """
+    edges = {tuple(sorted((v, (v + j) % n))) for v in range(n) for j in range(1, d // 2 + 1)}
+    for _ in range(10 * n):
+        (a, b), (c, e) = rng.sample(sorted(edges), 2)
+        new = {tuple(sorted((a, c))), tuple(sorted((b, e)))}
+        if len({a, b, c, e}) == 4 and not new & edges:
+            edges -= {(a, b), (c, e)}
+            edges |= new
+    return SimpleGraph(n, frozenset(edges))
+
+
+regular_graphs = st.builds(random_regular, st.integers(0, 2**32 - 1).map(random.Random), st.integers(7, 14))
 
 
 def random_affine_with_parallels(rng):

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -61,6 +62,9 @@ TOKENS = {
     **dict.fromkeys(["", "+", "-", "--1", "+-1", "1/-2", "1/+2", "/2", "1/", "1/2/3", "1//2", "1.5", ".5", "1.",
                      "1e3", "1E3", "1e1000000", "1_000", "1/1_0", "0x10", "inf", "nan", "\u0663", "\u00b2",
                      "\uff11", "1\u0663", "\u0663/2", " 1", "1 ", "1\n", "\u22121"], ValueError),
+    # a numerator or denominator has at most 4300 digits, the interpreter's default int-string limit
+    "-" + "7" * 4300: (int, -int("7" * 4300)), "1/" + "3" * 4300: (Fraction, Fraction(1, int("3" * 4300))),
+    **dict.fromkeys(["7" * 4301, "1/" + "3" * 4301, "-" + "7" * 4301 + "/3"], ValueError),
 }
 
 
@@ -93,6 +97,9 @@ REJECTIONS = [
      "FILE:2: cannot parse rational in '1 1e1000000 0'"),
     ("long-exponent", ["decone", "FILE", "0"], "dim 2\n1 1e10000000 0\n0 1 0\n",
      "FILE:2: cannot parse rational in '1 1e10000000 0'"),
+    # a literal integer of 300,000 digits, past the 4300-digit limit on a token
+    ("long-integer", ["decone", "FILE", "1"], f"dim 2\n1 {'7' * 300000} 0\n0 1 0\n",
+     f"FILE:2: cannot parse rational in '1 {'7' * 300000} 0'"),
     ("order", ["nbc", "FILE", "--order", "0,x,1"], "n 3\n0 1\n",
      "--order '0,x,1' is not a comma-separated integer list"),
     ("decone-index", ["decone", "FILE", "3"], "dim 2\n1 0 0\n0 1 0\n1 1 0\n",
@@ -195,7 +202,9 @@ class TestParsing:
                              ids=[case[0] for case in REJECTIONS])
     def test_every_rejection_names_file_and_line(self, write, capsys, argv, text, message):
         path = write("input.txt", text)
+        start = time.perf_counter()
         assert main([path if arg == "FILE" else arg for arg in argv]) == 2
+        assert time.perf_counter() - start < 1
         assert capsys.readouterr() == ("", f"error: {message.replace('FILE', path)}\n")
 
     @pytest.mark.parametrize("text", [K4_TEXT, DIMACS_TEXT, GENERIC_LINES_TEXT, LINEAR_LINES_TEXT],

@@ -26,7 +26,14 @@ from chromabounds import (
 from chromabounds import graphs
 from chromabounds.corpus import random_graph
 from chromabounds.graphs import disjoint_union
-from strategies import dense_graphs, reference_linear_product, small_graphs
+from strategies import (
+    dense_graphs,
+    reference_canonical,
+    reference_linear_product,
+    reference_reduce,
+    regular_graphs,
+    small_graphs,
+)
 
 
 def join(g, h):
@@ -66,6 +73,32 @@ def reference_chromatic_poly(g, memo):
         e = min(g.edges)
         memo[key] = reference_chromatic_poly(delete_edge(g, e), memo) - reference_chromatic_poly(contract_edge(g, e), memo)
     return memo[key]
+
+
+def kernel_adjacency(data, g):
+    """g's neighbour masks on a drawn `live` set, as the kernel holds them mid-expansion.
+
+    A live vertex sees only live neighbours; a vertex outside `live` keeps
+    its stale mask, as a peeled or contracted vertex does.
+    """
+    everyone = (1 << g.n) - 1
+    live = data.draw(st.just(everyone) | st.integers(0, everyone), label="live")
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return [a & live if live >> v & 1 else a for v, a in enumerate(adj)], live
+
+
+def reference_product(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+kernel_graphs = small_graphs(max_n=9) | dense_graphs(max_n=9) | regular_graphs
 
 
 def reference_count_colorings(g, t):
@@ -268,6 +301,63 @@ class TestKernelAgainstSlowPaths:
         h.add_edges_from(g.edges)
         descending = sympy.Poly(nx.chromatic_polynomial(h), sympy.Symbol("x")).all_coeffs()
         assert chromatic_poly(g).coeffs == tuple(int(c) for c in reversed(descending))
+
+
+class TestKernelStepsAgainstTheGeneratorWalk:
+    """The kernel's inline mask loops against the bit-generator code they replaced, output for output."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_reduce_matches_the_reference(self, data):
+        # offsets and components must come out in the same order, and `adj` be left the same
+        g = data.draw(kernel_graphs)
+        adj, live = kernel_adjacency(data, g)
+        todo = data.draw(st.just(live) | st.integers(0, live), label="todo") & live
+        fast, slow = list(adj), list(adj)
+        assert graphs._reduce(fast, live, todo) == reference_reduce(slow, live, todo)
+        assert fast == slow
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_canonical_matches_the_reference(self, data):
+        # a key is taken of a union of components of the live graph, which is closed under adjacency
+        g = data.draw(kernel_graphs)
+        adj, live = kernel_adjacency(data, g)
+        comps = []
+        while live:
+            comp = frontier = live & -live
+            while frontier:
+                reach = 0
+                for v in range(g.n):
+                    if frontier >> v & 1:
+                        reach |= adj[v]
+                frontier = reach & ~comp
+                comp |= frontier
+            comps.append(comp)
+            live ^= comp
+        chosen = data.draw(st.lists(st.sampled_from(comps), unique=True) if comps else st.just([]), label="comps")
+        comp = sum(chosen)
+        assert graphs._canonical(adj, comp) == reference_canonical(adj, comp)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(-2, 3) | st.integers(-40, 40), max_size=12),
+        st.lists(st.lists(st.integers(-20, 20), min_size=1, max_size=6).filter(lambda p: p[-1]), max_size=3),
+        st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2)), max_size=4),
+    )
+    def test_evaluate_matches_factor_by_factor(self, offsets, polys, comps):
+        # repeated offsets go through (t - d)^e, single ones are multiplied in place,
+        # and a component at shift s contributes its polynomial at t - s
+        memo = {(i,): tuple(p) for i, p in enumerate(polys)}
+        comps = [(s, (i,)) for s, i in comps if i < len(polys)]
+        expected = reference_linear_product(offsets)
+        for s, key in comps:
+            shifted = [0] * len(memo[key])
+            for i, c in enumerate(memo[key]):
+                for j, x in enumerate(reference_linear_product([s] * i)):
+                    shifted[j] += c * x
+            expected = reference_product(expected, shifted)
+        assert graphs._evaluate((offsets, comps), memo) == expected
 
 
 class TestAdditionContraction:
