@@ -5,9 +5,11 @@ polynomial on m hyperplanes/edges, every partial binomial sum
 sum_i binom(q, k-i) a_i with 0 <= k <= q+r+1 is squeezed between
 binom(r+q, k) and binom(m+q, k), with equality throughout exactly when
 m = r. The binomials come as whole rows from `exactmath.binomial_row`.
-The divided-difference operator p -> (p(t) - p(1)) / (t - 1), the
-quotient of synthetic division by t - 1, realizes the q = -1 sums as
-coefficients, and iterating it realizes any negative q.
+`verify_bounds` sums one row S_q(k) directly, at the window's first
+claimed shift, and walks it forward by Pascal's rule. The divided
+difference p -> (p(t) - p(1)) / (t - 1), the quotient of synthetic
+division by t - 1, realizes the q = -1 sums as coefficients, and iterating
+it realizes any negative q, checked against the direct sum at q = -j.
 
 The sums rest on the h-vector of a (see `h_vector`): S_q(k) = sum_j h_j
 binom(r+q-j, k-j). The `coefficient-lower-bounds` check is h >= 0, and
@@ -19,7 +21,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import NamedTuple
 
-from .errors import CoeffSequenceError
+from .errors import GRID_CELL_BUDGET, CoeffSequenceError, ResourceLimitError
 from .exactmath import IntPolynomial, binomial_row
 
 
@@ -93,47 +95,40 @@ class BoundsReport(NamedTuple):
         return all(rec.tight for rec in self.records)
 
 
+def _partial_sums(s: CoeffSequence, q: int, top: int) -> list[int]:
+    """S_q(k) = sum_i binom(q, k-i) a_i for k = 0..top, from one row of binom(q, .)."""
+    choose = binomial_row(q, top)
+    return [sum(choose[k - i] * s.a[i] for i in range(min(k, s.r) + 1)) for k in range(top + 1)]
+
+
 def verify_bounds(s: CoeffSequence, q_min: int, q_max: int) -> BoundsReport:
     """Check the two-sided bounds for every admissible (q, k) in the window.
 
     Only pairs with 0 <= k <= q+r+1 are claimed, so only those are
-    iterated.
+    iterated: q+r+2 cells per shift, from first = max(q_min, -r-1). A
+    window of more than `GRID_CELL_BUDGET` cells raises
+    `ResourceLimitError` before any row is built.
 
-    The sums S_q(k) = sum_i binom(q, k-i) a_i are kept as one row over k
-    and moved between shifts by Pascal's rule: S_0 is the sequence a
-    itself, S_{q+1}(k) = S_q(k) + S_q(k-1) and S_{q-1}(k) = S_q(k) -
-    S_{q-1}(k-1). The rows binom(r+q, k) and binom(m+q, k) are built once
-    per q, so a record costs O(1) additions.
+    The sums S_q(k) are one row over k, up to q_max's top k, summed once
+    at the first shift and moved forward by Pascal's rule, S_{q+1}(k) =
+    S_q(k) + S_q(k-1). The rows binom(r+q, k) and binom(m+q, k) are built
+    directly once per q, so a record costs O(1) additions.
     """
     if q_min > q_max:
         raise ValueError("empty q window")
-
-    # The rows are needed up to q_max's top k. No k is claimed below
-    # q = -r-1, and far above q = 0 one direct sum costs less than walking
-    # up to the window.
-    width = max(q_max + s.r + 2, 1)
     first = max(q_min, -s.r - 1)
-    if first > s.r + 1:
-        choose = binomial_row(first, width - 1)
-        shift = first
-        sums = [sum(choose[k - i] * s.a[i] for i in range(min(k, s.r) + 1)) for k in range(width)]
-    else:
-        shift = 0
-        sums = [s.a[k] if k <= s.r else 0 for k in range(width)]
+    cells = max(q_max - first + 1, 0) * (first + q_max + 2 * s.r + 4) // 2  # sum of q+r+2 over the shifts
+    if cells > GRID_CELL_BUDGET:
+        raise ResourceLimitError(f"bound grid has {cells} cells; the budget is {GRID_CELL_BUDGET}")
+    top = q_max + s.r + 1
+    sums = _partial_sums(s, first, top)
     records = []
     for q in range(first, q_max + 1):
-        while shift > q:
-            for k in range(1, width):
-                sums[k] -= sums[k - 1]
-            shift -= 1
-        while shift < q:
-            for k in range(width - 1, 0, -1):
+        if q > first:
+            for k in range(top, 0, -1):
                 sums[k] += sums[k - 1]
-            shift += 1
-        top = q + s.r + 1
-        lower, upper = (binomial_row(x, top) for x in (s.r + q, s.m + q))
-        for k in range(0, top + 1):
-            records.append(BoundsRecord(q=q, k=k, lower=lower[k], value=sums[k], upper=upper[k]))
+        lower, upper = (binomial_row(x, q + s.r + 1) for x in (s.r + q, s.m + q))
+        records += (BoundsRecord(q, k, lower[k], sums[k], upper[k]) for k in range(q + s.r + 2))
     return BoundsReport(tuple(records))
 
 
@@ -178,15 +173,15 @@ def divided_difference_iter(p: IntPolynomial, j: int) -> IntPolynomial:
 def divided_difference_formula(s: CoeffSequence, j: int) -> IntPolynomial:
     """Closed form for the j-th divided difference of the essential polynomial.
 
-    Coefficient of t^(r-j-k) is (-1)^k sum_i binom(-j, k-i) a_i; this is the
-    independent route against which the iterated division is checked.
+    The coefficient of t^(r-j-k) is (-1)^k S_{-j}(k): the j-fold divided
+    difference is the bound grid's q = -j row read with alternating signs.
+    The row is summed directly, so it is the independent route against
+    which the iterated division is checked.
     """
     if j < 0 or j > s.r:
         raise ValueError("j must satisfy 0 <= j <= r")
-    top = s.r - j
-    choose = binomial_row(-j, top)
-    coeffs = [(-1) ** k * sum(choose[k - i] * s.a[i] for i in range(k + 1)) for k in range(top + 1)]
-    return IntPolynomial(tuple(reversed(coeffs)))
+    row = _partial_sums(s, -j, s.r - j)
+    return IntPolynomial(tuple((-1) ** k * value for k, value in enumerate(row))[::-1])
 
 
 def is_logconcave(s: CoeffSequence) -> bool:

@@ -18,7 +18,9 @@ a broken internal invariant), 2 input or usage error, 3 resource cap
 exceeded or out of memory; a reader closing stdout early is not a failure
 (exit 0). JSON reports keep every potentially large integer as a decimal
 string so arbitrary precision survives serialization, and no integer is
-too long to print.
+too long to print: `main` lifts the int-string digit limit while a
+command runs and restores the caller's limit after it. An error echoes an
+input line or token in quotes, cut to 40 characters plus its length.
 """
 
 from __future__ import annotations
@@ -59,6 +61,13 @@ def _meaningful_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
+def _quoted(text: str) -> str:
+    """`text` in quotes for an error message; past 40 characters, its first 40 and its length."""
+    if len(text) <= 40:
+        return f"'{text}'"
+    return f"'{text[:40]}...' ({len(text)} characters)"
+
+
 def parse_input(text: str, source: str = "<input>") -> SimpleGraph | Arrangement:
     """The graph or arrangement in `text`, by its first line's tag.
 
@@ -77,7 +86,7 @@ def parse_input(text: str, source: str = "<input>") -> SimpleGraph | Arrangement
     elif tag in ("p", "c", "e"):
         n, edges = _parse_dimacs(lines, source)
     else:
-        raise InputError(f"{source}: unrecognized header '{lines[0][1]}'")
+        raise InputError(f"{source}: unrecognized header {_quoted(lines[0][1])}")
     from .graphs import SimpleGraph
 
     return SimpleGraph(n, frozenset(edges))
@@ -88,11 +97,11 @@ def _header_count(lines: list[tuple[int, str]], source: str, what: str) -> int:
     lineno, header = lines[0]
     parts = header.split()
     if len(parts) != 2:
-        raise InputError(f"{source}:{lineno}: expected header '{parts[0]} <count>', got '{header}'")
+        raise InputError(f"{source}:{lineno}: expected header '{parts[0]} <count>', got {_quoted(header)}")
     try:
         return int(parts[1])
     except ValueError:
-        raise InputError(f"{source}:{lineno}: {what} '{parts[1]}' is not an integer")
+        raise InputError(f"{source}:{lineno}: {what} {_quoted(parts[1])} is not an integer")
 
 
 def _parse_dimacs(lines: list[tuple[int, str]], source: str) -> tuple[int, set[tuple[int, int]]]:
@@ -105,15 +114,15 @@ def _parse_dimacs(lines: list[tuple[int, str]], source: str) -> tuple[int, set[t
         if tag == "p":
             parts = line.split()
             if len(parts) < 3 or parts[1] != "edge":
-                raise InputError(f"{source}:{lineno}: malformed problem line '{line}'")
+                raise InputError(f"{source}:{lineno}: malformed problem line {_quoted(line)}")
             try:
                 n = int(parts[2])
             except ValueError:
-                raise InputError(f"{source}:{lineno}: vertex count '{parts[2]}' is not an integer")
+                raise InputError(f"{source}:{lineno}: vertex count {_quoted(parts[2])} is not an integer")
         elif tag == "e":
             edge_lines.append((lineno, " ".join(line.split()[1:])))
         else:
-            raise InputError(f"{source}:{lineno}: unrecognized DIMACS line '{line}'")
+            raise InputError(f"{source}:{lineno}: unrecognized DIMACS line {_quoted(line)}")
     if n is None:
         raise InputError(f"{source}: DIMACS file has no 'p edge' line")
     return n, _collect_edges(edge_lines, n, source, base=1)
@@ -125,18 +134,18 @@ def _collect_edges(lines: list[tuple[int, str]], n: int, source: str, base: int)
     for lineno, line in lines:
         parts = line.split()
         if len(parts) != 2:
-            raise InputError(f"{source}:{lineno}: expected 'u v', got '{line}'")
+            raise InputError(f"{source}:{lineno}: expected 'u v', got {_quoted(line)}")
         try:
             u, v = int(parts[0]) - base, int(parts[1]) - base
         except ValueError:
-            raise InputError(f"{source}:{lineno}: non-integer vertex in '{line}'")
+            raise InputError(f"{source}:{lineno}: non-integer vertex in {_quoted(line)}")
         if u == v:
-            raise InputError(f"{source}:{lineno}: loop '{line}' is not allowed")
+            raise InputError(f"{source}:{lineno}: loop {_quoted(line)} is not allowed")
         if not (0 <= u < n and 0 <= v < n):
-            raise InputError(f"{source}:{lineno}: vertex out of range in '{line}'")
+            raise InputError(f"{source}:{lineno}: vertex out of range in {_quoted(line)}")
         e = (min(u, v), max(u, v))
         if e in edges:
-            print(f"warning: {source}:{lineno}: duplicate edge '{line}' collapsed", file=sys.stderr)
+            print(f"warning: {source}:{lineno}: duplicate edge {_quoted(line)} collapsed", file=sys.stderr)
         edges.add(e)
     return edges
 
@@ -148,10 +157,10 @@ def _rational(token: str) -> int | Fraction:
     `int` accepts, so decimals, exponents, `_` separators and other
     scripts' digits are rejected on every Python version. A numerator or
     denominator has at most 4300 digits, the interpreter's default limit
-    on converting an int from a string (`main` lifts that limit so that
-    results of any length print), since both conversions cost time
-    quadratic in the length. A file of integer tokens never loads
-    `fractions`.
+    on converting an int from a string (`main` lifts that limit for the
+    span of a command so that results of any length print), since both
+    conversions cost time quadratic in the length. A file of integer
+    tokens never loads `fractions`.
     """
     match = re.fullmatch(r"([+-]?[0-9]{1,4300})(?:/([0-9]{1,4300}))?", token)
     if match is None:
@@ -179,7 +188,11 @@ def _parse_arrangement(lines: list[tuple[int, str]], source: str) -> Arrangement
         try:
             values = [_rational(tok) for tok in tokens]
         except (ValueError, ZeroDivisionError):
-            raise InputError(f"{source}:{lineno}: cannot parse rational in '{line}'")
+            for tok in tokens:  # find the token that was rejected
+                try:
+                    _rational(tok)
+                except (ValueError, ZeroDivisionError):
+                    raise InputError(f"{source}:{lineno}: cannot parse rational {_quoted(tok)} in {_quoted(line)}")
         try:
             hyps.append(Hyperplane.make(values[:dim], values[dim]))
         except InputError as exc:
@@ -318,7 +331,7 @@ def _run_nbc(args: argparse.Namespace) -> tuple[dict, list]:
     try:  # `nbc_counts` checks that they are a permutation
         order = None if args.order is None else tuple(int(tok) for tok in args.order.split(","))
     except ValueError:
-        raise InputError(f"--order '{args.order}' is not a comma-separated integer list")
+        raise InputError(f"--order {_quoted(args.order)} is not a comma-separated integer list")
     results = build_nbc_report(obj, order, cap_subsets=args.cap_subsets)
     return results, [_violation("nbc-coefficient", args.file, f"k={row['k']} order={order}")
                      for row in results["rows"] if not row["match"]]
@@ -498,7 +511,9 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # exact results may have any number of digits
+    """Run one command; the int-string digit limit is lifted for its span and then restored."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:  # exact results may have any number of digits
         sys.set_int_max_str_digits(0)
     try:
         return run(argv)
@@ -516,6 +531,9 @@ def main(argv: list[str] | None = None) -> int:
         # Point stdout at devnull so the interpreter's final flush is quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

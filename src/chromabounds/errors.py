@@ -3,11 +3,13 @@
 The CLI maps these onto process exit codes: InputError -> 2,
 ResourceLimitError -> 3, InvariantError (and report-level violations) -> 1.
 The default caps live here too, beside the error they raise, so that the
-command line can offer them without loading the modules they guard.
+command line can offer them without loading the modules they guard, and
+so does the fixed budget of the bound grid, which no flag changes.
 """
 
 DEFAULT_SUBSET_GUARD = 20  # hyperplanes or edges a subset enumeration may range over
 DEFAULT_COLORING_CAP = 10**8  # n^2 * 2^n steps the coloring oracle may take
+GRID_CELL_BUDGET = 10**5  # (q, k) cells one bound grid may hold
 
 
 class InputError(Exception):

@@ -6,11 +6,13 @@ arrangements in dimension up to 4 with up to 7 hyperplanes.
 """
 
 import random
+import sys
 
 import pytest
 
 from chromabounds.checks import Case
 from chromabounds.corpus import named_graphs, random_arrangements, random_graphs
+from strategies import digit_limit
 
 CORPUS_SEED = 1729
 Q_MIN, Q_MAX = -5, 5  # bound-grid window of the cases
@@ -53,3 +55,16 @@ def graph_sequences(graph_cases):
 @pytest.fixture(scope="session")
 def arrangement_sequences(arrangement_cases):
     return [(case.label, case.obj, case.poly, case.seq) for case in arrangement_cases]
+
+
+DIGIT_LIMIT = digit_limit()  # the interpreter's int-string digit limit when the session starts
+
+
+@pytest.fixture(autouse=True)
+def _digit_limit_restored():
+    """Fail any test that leaves the int-string digit limit changed, and restore it for the next test."""
+    yield
+    left = digit_limit()
+    if left != DIGIT_LIMIT:
+        sys.set_int_max_str_digits(DIGIT_LIMIT)
+        pytest.fail(f"int-string digit limit left at {left}, was {DIGIT_LIMIT}")

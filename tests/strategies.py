@@ -27,10 +27,14 @@ reduction step and memo key written over a bit generator, dicts and a
 sort-key lambda, the slow paths that the kernel's inline mask loops must
 match output for output. `regular_graphs` feeds them 6-regular graphs like
 those of the benchmark's graph-dc workload.
+
+`digit_limit` reads the interpreter's int-string digit limit, which no
+test may leave changed.
 """
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -39,6 +43,11 @@ from chromabounds import Arrangement, Hyperplane, SimpleGraph, graphic_arrangeme
 from chromabounds.arrangements import Flat
 from chromabounds.corpus import random_arrangement
 from chromabounds.linalg import echelon, residual
+
+
+def digit_limit():
+    """The interpreter's int-string digit limit, None where it has none (before Python 3.11)."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
 
 
 def binom(x: int, j: int) -> int:

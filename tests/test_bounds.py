@@ -1,4 +1,5 @@
 from typing import NamedTuple
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,8 @@ from chromabounds import (
     path,
     verify_bounds,
 )
+from chromabounds import bounds
+from chromabounds.errors import ResourceLimitError
 from strategies import binom
 
 
@@ -184,11 +187,12 @@ class TestVerifyBounds:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_records_match_the_slow_path(self, data):
-        # the rows moved by Pascal's rule must give what the per-record binomials give
+        # the rows moved by Pascal's rule must give what the per-record binomials give, for windows
+        # wholly above r + 1, across 0 and wholly below -r - 1 (which claim no cell)
         a = [1] + data.draw(st.lists(st.integers(1, 10**6), max_size=8))
         s = _sequence(a, data.draw(st.integers(0, 3)))
-        q_min = data.draw(st.integers(-8, 6))
-        q_max = data.draw(st.integers(q_min, 8))
+        q_min = data.draw(st.integers(-16, 14))
+        q_max = data.draw(st.integers(q_min, q_min + 8))
         _assert_matches_slow_path(s, q_min, q_max)
 
     @settings(max_examples=50, deadline=None)
@@ -200,10 +204,27 @@ class TestVerifyBounds:
         q_max = data.draw(st.integers(q_min, 6))
         _assert_matches_slow_path(s, q_min, q_max)
 
-    @pytest.mark.parametrize("q_min, q_max", [(5, 7), (40, 41), (-40, -2)])
+    @pytest.mark.parametrize("q_min, q_max", [(5, 7), (40, 41), (-40, -2), (-40, -5)])
     def test_windows_far_from_zero_match_the_slow_path(self, q_min, q_max):
-        # a window beyond r + 1 starts from one direct sum instead of walking up from q = 0
+        # every window starts from one direct sum at its first claimed shift, max(q_min, -r - 1),
+        # and walks only forward; K4 has r = 3, so (-40, -5) claims no cell
         _assert_matches_slow_path(K4_SEQ, q_min, q_max)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_cell_count_is_the_budgeted_count(self, data):
+        # the closed-form count is exactly the number of records: one cell more than the budget raises
+        a = [1] + data.draw(st.lists(st.integers(1, 100), max_size=6))
+        s = _sequence(a, 0)
+        q_min = data.draw(st.integers(-12, 12))
+        q_max = data.draw(st.integers(q_min, q_min + 6))
+        cells = len(verify_bounds(s, q_min, q_max).records)
+        with patch.object(bounds, "GRID_CELL_BUDGET", cells):
+            assert len(verify_bounds(s, q_min, q_max).records) == cells
+        if cells:
+            with patch.object(bounds, "GRID_CELL_BUDGET", cells - 1):
+                with pytest.raises(ResourceLimitError, match=f"has {cells} cells"):
+                    verify_bounds(s, q_min, q_max)
 
 
 def _sequence(a, extra_degree):
@@ -321,6 +342,16 @@ class TestDividedDifference:
             s = coeff_sequence(p, g.m)
             for j in range(s.r + 1):
                 assert divided_difference_iter(p, j) == divided_difference_formula(s, j)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 10**6), max_size=8), st.data())
+    def test_formula_is_the_signed_grid_row_at_q_minus_j(self, tail, data):
+        # the coefficient of t^(r-j-k) in the j-th divided difference is (-1)^k S_{-j}(k)
+        s = _sequence([1] + tail, 0)
+        j = data.draw(st.integers(0, s.r))
+        p = divided_difference_formula(s, j)
+        assert p.coeffs[::-1] == tuple((-1) ** k * reference_partial_binomial_sum(s, -j, k)
+                                       for k in range(s.r - j + 1))
 
     def test_formula_range_validated(self):
         with pytest.raises(ValueError):

@@ -34,8 +34,8 @@ from chromabounds.cli import (
     parse_input_file,
 )
 from chromabounds.corpus import linear_central_corpus
-from chromabounds.errors import DEFAULT_SUBSET_GUARD
-from strategies import random_affine_with_parallels, small_graphs, walk_arrangements
+from chromabounds.errors import DEFAULT_SUBSET_GUARD, GRID_CELL_BUDGET
+from strategies import digit_limit, random_affine_with_parallels, small_graphs, walk_arrangements
 
 K3_TEXT = "n 3\n0 1\n0 2\n1 2\n"
 K4_TEXT = "n 4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
@@ -90,18 +90,24 @@ REJECTIONS = [
     ("hyperplane-arity", ["bounds", "FILE"], "dim 2\n1 0\n",
      "FILE:2: expected 2 coordinates plus an offset, got 2 values"),
     ("zero-normal", ["bounds", "FILE"], "dim 2\n1 0 0\n0 0 1\n", "FILE:3: hyperplane normal must be nonzero"),
-    ("decimal", ["bounds", "FILE"], "dim 2\n1 1.5 0\n", "FILE:2: cannot parse rational in '1 1.5 0'"),
-    ("zero-denominator", ["nbc", "FILE"], "dim 1\n1/0 1\n", "FILE:2: cannot parse rational in '1/0 1'"),
+    ("decimal", ["bounds", "FILE"], "dim 2\n1 1.5 0\n", "FILE:2: cannot parse rational '1.5' in '1 1.5 0'"),
+    ("zero-denominator", ["nbc", "FILE"], "dim 1\n1/0 1\n", "FILE:2: cannot parse rational '1/0' in '1/0 1'"),
     # 9- and 10-character tokens whose values would have millions of digits
     ("exponent", ["decone", "FILE", "0"], "dim 2\n1 1e1000000 0\n0 1 0\n",
-     "FILE:2: cannot parse rational in '1 1e1000000 0'"),
+     "FILE:2: cannot parse rational '1e1000000' in '1 1e1000000 0'"),
     ("long-exponent", ["decone", "FILE", "0"], "dim 2\n1 1e10000000 0\n0 1 0\n",
-     "FILE:2: cannot parse rational in '1 1e10000000 0'"),
-    # a literal integer of 300,000 digits, past the 4300-digit limit on a token
+     "FILE:2: cannot parse rational '1e10000000' in '1 1e10000000 0'"),
+    # a literal integer of 300,000 digits, past the 4300-digit limit on a token: echoed as a 40-character excerpt
     ("long-integer", ["decone", "FILE", "1"], f"dim 2\n1 {'7' * 300000} 0\n0 1 0\n",
-     f"FILE:2: cannot parse rational in '1 {'7' * 300000} 0'"),
+     f"FILE:2: cannot parse rational '{'7' * 40}...' (300000 characters) in '1 {'7' * 38}...' (300004 characters)"),
+    ("long-header", ["chromatic", "FILE"], f"{'x' * 300000}\n",
+     f"FILE: unrecognized header '{'x' * 40}...' (300000 characters)"),
+    ("long-line", ["chromatic", "FILE"], f"n 3\n0 1 {'2 ' * 150000}\n",
+     f"FILE:2: expected 'u v', got '0 1 {'2 ' * 18}...' (300003 characters)"),
     ("order", ["nbc", "FILE", "--order", "0,x,1"], "n 3\n0 1\n",
      "--order '0,x,1' is not a comma-separated integer list"),
+    ("long-order", ["nbc", "FILE", "--order", "0," * 100000 + "x"], "n 3\n0 1\n",
+     f"--order '{'0,' * 20}...' (200001 characters) is not a comma-separated integer list"),
     ("decone-index", ["decone", "FILE", "3"], "dim 2\n1 0 0\n0 1 0\n1 1 0\n",
      "hyperplane index 3 out of range for m=3"),
     ("decone-affine", ["decone", "FILE", "0"], "dim 1\n1 1\n",
@@ -205,7 +211,9 @@ class TestParsing:
         start = time.perf_counter()
         assert main([path if arg == "FILE" else arg for arg in argv]) == 2
         assert time.perf_counter() - start < 1
-        assert capsys.readouterr() == ("", f"error: {message.replace('FILE', path)}\n")
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message.replace('FILE', path)}\n")
+        assert len(err.encode()) < 1024  # an echoed line or token is cut to an excerpt
 
     @pytest.mark.parametrize("text", [K4_TEXT, DIMACS_TEXT, GENERIC_LINES_TEXT, LINEAR_LINES_TEXT],
                              ids=["edge-list", "DIMACS", "affine", "linear"])
@@ -558,6 +566,21 @@ class TestResourceCaps:
         assert "39 hyperplanes; subset enumeration guard is 5" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("argv, cells", [
+        (["bounds", "FILE", "--q-max", "1000"], 504510),
+        (["bounds", "FILE", "--q-min", "-3000", "--q-max", "3000"], 4513510),
+        (["bounds", "FILE", "--q-max", str(10**30)], (10**30 + 4) * (10**30 + 5) // 2),
+        (["verify", "--graphs", "0", "--arrangements", "0", "--q-max", "1000"], None),
+    ], ids=["q-max-1000", "q-6000-wide", "q-max-1e30", "verify"])
+    def test_grid_over_budget_exits_3(self, write, capsys, argv, cells):
+        # K3 claims q + 4 cells per shift from q = -3 on; refused before any row is built
+        start = time.perf_counter()
+        assert main([write("k3.txt", K3_TEXT) if arg == "FILE" else arg for arg in argv]) == 3
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("resource limit: bound grid has ") and len(err.encode()) < 1024
+        assert cells is None or err == f"resource limit: bound grid has {cells} cells; the budget is {GRID_CELL_BUDGET}\n"
+
     @pytest.mark.parametrize("command, flag", [
         pytest.param("bounds", "--cap-subsets", id="--cap-subsets"),
         pytest.param("verify", "--cap-colorings", id="--cap-colorings"),
@@ -668,12 +691,14 @@ def test_main_keeps_the_exit_code_contract(file, data):
     # in-process, so no example spawns a process; any exception escaping `main` fails the test
     m, text = file
     command, flags = data.draw(fuzz_flags(m))
+    limit = digit_limit()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input.txt")
         Path(path).write_text(text)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             status = main([command, path, *flags])
+    assert digit_limit() == limit  # `main` restores the int-string digit limit on every exit
     assert status in (0, 2, 3), (status, out.getvalue(), err.getvalue())
     assert status == 0 or "error: " in err.getvalue() or "resource limit: " in err.getvalue()
     assert "Traceback" not in err.getvalue()
