@@ -9,10 +9,16 @@ operations. The characteristic polynomial is computed from the
 intersection poset's Moebius values, with an independent signed-subset
 expansion (`char_poly_whitney`) as a cross-check.
 
-The intersection poset is built rank by rank. Each flat groups the
-hyperplanes that cut it by their cut, in one dict pass keyed by the
-residual row, so each child flat is produced once, and hyperplanes
-parallel to the flat are dropped. Each Moebius value comes
+Both the intersection poset and the subset walk below take each
+hyperplane's row as it is, with its pivot (`Hyperplane.pivoted`): the row
+is already primitive with a positive pivot entry, so it needs no
+elimination to enter. Every later cut is one `linalg.reduce_row` step
+against one pivot row.
+
+The intersection poset is built rank by rank. Each flat keeps its
+sections as a dict from the (pivot, row) of a cut to the mask of the
+hyperplanes that make that cut, so each child flat is produced once, and
+hyperplanes parallel to the flat are dropped. Each Moebius value comes
 from the flat's covers by Weisner's theorem (L. Weisner, Trans. AMS 38,
 1935; R. Stanley, Enumerative Combinatorics I, Cor. 3.9.3): in a finite
 lattice with bottom 0 and top 1, for any a != 0, the sum of mu(0, x) over
@@ -37,7 +43,7 @@ that is nonzero at the new pivot; a dependent child shares its parent's.
 A pivot in the offset column means the child's hyperplanes have no common
 point; the walk does not descend from it, since every superset of an
 empty intersection is empty. The walk shares only the elimination
-primitive `linalg.residual` with `intersection_poset`, so the Moebius and
+step `linalg.reduce_row` with `intersection_poset`, so the Moebius and
 Whitney routes stay independent.
 """
 
@@ -48,7 +54,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DEFAULT_SUBSET_GUARD, InputError, ResourceLimitError
 from .exactmath import IntPolynomial, Value, binomial_row
-from .linalg import Pivoted, Row, echelon, residual
+from .linalg import Pivoted, Row, echelon, reduce_row, residual
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -62,7 +68,8 @@ class Hyperplane(Value):
     The row is scaled to integers by the offset's denominator, then made
     primitive with a positive first nonzero entry by `linalg.residual`
     against no basis; that entry must lie in the normal. Rows that are
-    nonzero multiples of each other give equal hyperplanes.
+    nonzero multiples of each other give equal hyperplanes. So the row
+    enters elimination as it is, with its pivot (`pivoted`).
     """
 
     __slots__ = ("row",)
@@ -89,6 +96,15 @@ class Hyperplane(Value):
     @property
     def dim(self) -> int:
         return len(self.row) - 1
+
+    @property
+    def pivoted(self) -> Pivoted:
+        """(pivot, row), as elimination takes a row: the pivot is its first nonzero column."""
+        row = self.row
+        lead = 0
+        while not row[lead]:
+            lead += 1
+        return lead, row
 
     @property
     def normal(self) -> tuple[int, ...]:
@@ -151,19 +167,20 @@ def _subset_walk(
 
     `rank` is None when the subset has no common point. Each subset carries
     a table: for every hyperplane it can still add, the (pivot, primitive
-    residual) of its row against the subset's echelon basis. The pivot of the added
-    row's entry classifies a child with no elimination. A zero residual
-    (pivot past the last column) means the child is dependent (central,
-    rank unchanged), a pivot in the offset column means an empty
-    intersection, and a pivot in the normal raises the rank by one. The
-    walk descends from independent central subsets, from dependent ones
-    too when `expand_dependent`, and never from those with an empty
-    intersection, nor from a child with no larger index left to add. A
-    dependent child spans what its parent spans, so it shares its parent's
-    table. A child that raises the rank derives its table when it is
-    popped: each later entry that is nonzero at the new pivot takes one
-    elimination step against the child's residual row, and the others are
-    kept. So the stack holds one table per depth.
+    residual) of its row against the subset's echelon basis. The root table,
+    for the empty subset, holds each hyperplane's (pivot, row) as it is,
+    with no elimination. The pivot of the added row's entry classifies a
+    child with no elimination. A zero residual (pivot past the last column)
+    means the child is dependent (central, rank unchanged), a pivot in the
+    offset column means an empty intersection, and a pivot in the normal
+    raises the rank by one. The walk descends from independent central
+    subsets, from dependent ones too when `expand_dependent`, and never from
+    those with an empty intersection, nor from a child with no larger index
+    left to add. A dependent child spans what its parent spans, so it shares
+    its parent's table. A child that raises the rank derives its table when
+    it is popped: each later entry that is nonzero at the new pivot takes
+    one `reduce_row` step against the child's residual row, and the others
+    are kept as they are. So the stack holds one table per depth.
 
     With `nbc`, an independent central child S + i whose entry equals a
     later entry of S's table, that of some c > i, is refused: it is
@@ -174,14 +191,16 @@ def _subset_walk(
     # next index, size, rank, table, index of the table's first entry, and the pivoted row
     # that the table has yet to be reduced by (None when the table is the subset's own)
     stack: list[tuple[int, int, int, list[Pivoted], int, Pivoted | None]] = [
-        (0, 0, 0, [residual(h.row, ()) for h in arr.hyperplanes], 0, None)
+        (0, 0, 0, [h.pivoted for h in arr.hyperplanes], 0, None)
     ]
     while stack:
         start, size, r, table, first, pivot = stack.pop()
         if pivot is not None:
-            col = pivot[0]
-            table = [residual(e[1], (pivot,)) if e[1][col] else e for e in table[start - first:]]
-            first = start
+            col, prow = pivot
+            derived = []  # an inline loop, for the reason given in `linalg._primitive`
+            for e in table[start - first:]:
+                derived.append(reduce_row(e[1], col, prow) if e[1][col] else e)
+            table, first = derived, start
         for i in range(start, m):
             entry = table[i - first]
             lead = entry[0]
@@ -257,18 +276,19 @@ def intersection_poset(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> I
 
     Built rank by rank, until a rank has no flats. A flat keeps its
     sections: the cuts of the flat by the hyperplanes that meet it in a
-    hyperplane of the flat. A section is one residual against the flat's
-    system, primitive with a positive pivot, with the mask of the
-    hyperplanes whose residual it is. A hyperplane whose residual has a
+    hyperplane of the flat, as a dict from each cut's (pivot, row) to the
+    mask of the hyperplanes that make it. A cut is a residual against the
+    flat's system, primitive with a positive pivot, so equal cuts are equal
+    keys. The ambient space's sections are the hyperplanes' own rows, which
+    enter with their pivots as they are. A hyperplane whose residual has a
     zero normal is parallel to the flat; it contains no flat below it and
     is dropped. Each section gives one child, whose closure adds the
-    section's mask. The first parent to reach a child reduces the other
-    sections against the child's pivot row, one elimination step each
-    (none when the row already vanishes at the pivot), and regroups them
-    in one dict pass keyed by the residual, which `linalg.residual`
-    already returns primitive with a positive pivot. A point has no
-    sections, so none are computed for it. Every parent that reaches a
-    child is a cover of the child.
+    section's mask. The first parent to reach a child cuts the other
+    sections by the child's pivot row, one `linalg.reduce_row` step each;
+    a section that already vanishes at the pivot is kept as the same key.
+    The cuts are grouped in one dict pass, and that dict is the child's
+    sections. A point has no sections, so none are computed for it. Every
+    parent that reaches a child is a cover of the child.
 
     The Moebius function follows from the covers alone, by Weisner's
     theorem (see the module docstring): mu(V) = 1, and mu(X) = -sum of
@@ -280,25 +300,29 @@ def intersection_poset(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> I
     n = arr.dim
     flats = [Flat(n, 0)]
     mobius = [1]
-    # each flat of the current rank as (Moebius value, closure, sections as (mask, pivot, row))
-    layer = [(1, 0, [(1 << j, *residual(h.row, ())) for j, h in enumerate(arr.hyperplanes)])]
+    # each flat of the current rank as (Moebius value, closure, sections as {(pivot, row): mask})
+    layer = [(1, 0, {h.pivoted: 1 << j for j, h in enumerate(arr.hyperplanes)})]
     dim = n
     while layer:
         dim -= 1
         found: dict[int, list] = {}  # closure -> [mu summed over the covers so far, sections]
         for mu, mask, sections in layer:
-            for bits, lead, row in sections:
+            for section, bits in sections.items():
                 closure = mask | bits
                 child = found.get(closure)
                 if child is None:
                     grouped: dict[Pivoted, int] = {}
-                    for other_bits, other_lead, other in sections if dim else ():
-                        if other_bits == bits:
-                            continue
-                        cut = residual(other, ((lead, row),)) if other[lead] else (other_lead, other)
-                        if cut[0] < n:
-                            grouped[cut] = grouped.get(cut, 0) | other_bits
-                    child = found[closure] = [0, [(b, *cut) for cut, b in grouped.items()]]
+                    if dim:
+                        lead, row = section
+                        for other, other_bits in sections.items():
+                            if other[1][lead]:  # so is the section's own row, which is skipped
+                                if other is section:
+                                    continue
+                                other = reduce_row(other[1], lead, row)
+                                if other[0] >= n:  # parallel to the child
+                                    continue
+                            grouped[other] = grouped.get(other, 0) | other_bits
+                    child = found[closure] = [0, grouped]
                 if not mask & closure & -closure:  # the cover misses the child's lowest hyperplane
                     child[0] -= mu
         layer = []
@@ -401,11 +425,10 @@ def _restrict_rows(rows: Iterable[Row], target: Row) -> Arrangement:
     Arrangement deduplication.
     """
     j0 = next(j for j, x in enumerate(target) if x)
-    basis = ((j0, target),)
     n = len(target) - 1
     restricted: list[Hyperplane] = []
     for row in rows:
-        lead, out = residual(row, basis)
+        lead, out = reduce_row(row, j0, target)
         if lead < n:
             restricted.append(Hyperplane(out[:j0] + out[j0 + 1:]))
         else:

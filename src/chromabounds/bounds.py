@@ -21,7 +21,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import NamedTuple
 
-from .errors import GRID_CELL_BUDGET, CoeffSequenceError, ResourceLimitError
+from .errors import GRID_CELL_BUDGET, CoeffSequenceError, ResourceLimitError, quoted
 from .exactmath import IntPolynomial, binomial_row
 
 
@@ -119,7 +119,7 @@ def verify_bounds(s: CoeffSequence, q_min: int, q_max: int) -> BoundsReport:
     first = max(q_min, -s.r - 1)
     cells = max(q_max - first + 1, 0) * (first + q_max + 2 * s.r + 4) // 2  # sum of q+r+2 over the shifts
     if cells > GRID_CELL_BUDGET:
-        raise ResourceLimitError(f"bound grid has {cells} cells; the budget is {GRID_CELL_BUDGET}")
+        raise ResourceLimitError(f"bound grid has {quoted(str(cells))} cells; the budget is {GRID_CELL_BUDGET}")
     top = q_max + s.r + 1
     sums = _partial_sums(s, first, top)
     records = []

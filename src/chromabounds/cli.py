@@ -19,8 +19,10 @@ exceeded or out of memory; a reader closing stdout early is not a failure
 (exit 0). JSON reports keep every potentially large integer as a decimal
 string so arbitrary precision survives serialization, and no integer is
 too long to print: `main` lifts the int-string digit limit while a
-command runs and restores the caller's limit after it. An error echoes an
-input line or token in quotes, cut to 40 characters plus its length.
+command runs and restores the caller's limit after it. An integer flag
+takes the token grammar's integers, at most 4300 digits. An error echoes
+an input line, token or flag value in quotes, cut to 40 characters plus
+its length (`errors.quoted`).
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import bounds as bnd
-from .errors import DEFAULT_COLORING_CAP, DEFAULT_SUBSET_GUARD, InputError, InvariantError, ResourceLimitError
+from .errors import (
+    DEFAULT_COLORING_CAP, DEFAULT_SUBSET_GUARD, InputError, InvariantError, ResourceLimitError, quoted,
+)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -61,13 +65,6 @@ def _meaningful_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _quoted(text: str) -> str:
-    """`text` in quotes for an error message; past 40 characters, its first 40 and its length."""
-    if len(text) <= 40:
-        return f"'{text}'"
-    return f"'{text[:40]}...' ({len(text)} characters)"
-
-
 def parse_input(text: str, source: str = "<input>") -> SimpleGraph | Arrangement:
     """The graph or arrangement in `text`, by its first line's tag.
 
@@ -86,7 +83,7 @@ def parse_input(text: str, source: str = "<input>") -> SimpleGraph | Arrangement
     elif tag in ("p", "c", "e"):
         n, edges = _parse_dimacs(lines, source)
     else:
-        raise InputError(f"{source}: unrecognized header {_quoted(lines[0][1])}")
+        raise InputError(f"{source}: unrecognized header {quoted(lines[0][1])}")
     from .graphs import SimpleGraph
 
     return SimpleGraph(n, frozenset(edges))
@@ -97,11 +94,11 @@ def _header_count(lines: list[tuple[int, str]], source: str, what: str) -> int:
     lineno, header = lines[0]
     parts = header.split()
     if len(parts) != 2:
-        raise InputError(f"{source}:{lineno}: expected header '{parts[0]} <count>', got {_quoted(header)}")
+        raise InputError(f"{source}:{lineno}: expected header '{parts[0]} <count>', got {quoted(header)}")
     try:
         return int(parts[1])
     except ValueError:
-        raise InputError(f"{source}:{lineno}: {what} {_quoted(parts[1])} is not an integer")
+        raise InputError(f"{source}:{lineno}: {what} {quoted(parts[1])} is not an integer")
 
 
 def _parse_dimacs(lines: list[tuple[int, str]], source: str) -> tuple[int, set[tuple[int, int]]]:
@@ -114,15 +111,15 @@ def _parse_dimacs(lines: list[tuple[int, str]], source: str) -> tuple[int, set[t
         if tag == "p":
             parts = line.split()
             if len(parts) < 3 or parts[1] != "edge":
-                raise InputError(f"{source}:{lineno}: malformed problem line {_quoted(line)}")
+                raise InputError(f"{source}:{lineno}: malformed problem line {quoted(line)}")
             try:
                 n = int(parts[2])
             except ValueError:
-                raise InputError(f"{source}:{lineno}: vertex count {_quoted(parts[2])} is not an integer")
+                raise InputError(f"{source}:{lineno}: vertex count {quoted(parts[2])} is not an integer")
         elif tag == "e":
             edge_lines.append((lineno, " ".join(line.split()[1:])))
         else:
-            raise InputError(f"{source}:{lineno}: unrecognized DIMACS line {_quoted(line)}")
+            raise InputError(f"{source}:{lineno}: unrecognized DIMACS line {quoted(line)}")
     if n is None:
         raise InputError(f"{source}: DIMACS file has no 'p edge' line")
     return n, _collect_edges(edge_lines, n, source, base=1)
@@ -134,20 +131,26 @@ def _collect_edges(lines: list[tuple[int, str]], n: int, source: str, base: int)
     for lineno, line in lines:
         parts = line.split()
         if len(parts) != 2:
-            raise InputError(f"{source}:{lineno}: expected 'u v', got {_quoted(line)}")
+            raise InputError(f"{source}:{lineno}: expected 'u v', got {quoted(line)}")
         try:
             u, v = int(parts[0]) - base, int(parts[1]) - base
         except ValueError:
-            raise InputError(f"{source}:{lineno}: non-integer vertex in {_quoted(line)}")
+            raise InputError(f"{source}:{lineno}: non-integer vertex in {quoted(line)}")
         if u == v:
-            raise InputError(f"{source}:{lineno}: loop {_quoted(line)} is not allowed")
+            raise InputError(f"{source}:{lineno}: loop {quoted(line)} is not allowed")
         if not (0 <= u < n and 0 <= v < n):
-            raise InputError(f"{source}:{lineno}: vertex out of range in {_quoted(line)}")
+            raise InputError(f"{source}:{lineno}: vertex out of range in {quoted(line)}")
         e = (min(u, v), max(u, v))
         if e in edges:
-            print(f"warning: {source}:{lineno}: duplicate edge {_quoted(line)} collapsed", file=sys.stderr)
+            print(f"warning: {source}:{lineno}: duplicate edge {quoted(line)} collapsed", file=sys.stderr)
         edges.add(e)
     return edges
+
+
+# The token grammar (see `_rational`); an integer flag takes an integer token.
+_DIGITS = "[0-9]{1,4300}"
+_INTEGER = f"[+-]?{_DIGITS}"
+_RATIONAL = f"({_INTEGER})(?:/({_DIGITS}))?"
 
 
 def _rational(token: str) -> int | Fraction:
@@ -162,7 +165,7 @@ def _rational(token: str) -> int | Fraction:
     conversions cost time quadratic in the length. A file of integer
     tokens never loads `fractions`.
     """
-    match = re.fullmatch(r"([+-]?[0-9]{1,4300})(?:/([0-9]{1,4300}))?", token)
+    match = re.fullmatch(_RATIONAL, token)
     if match is None:
         raise ValueError(f"not a rational token: {token!r}")
     num, den = match.groups()
@@ -192,7 +195,7 @@ def _parse_arrangement(lines: list[tuple[int, str]], source: str) -> Arrangement
                 try:
                     _rational(tok)
                 except (ValueError, ZeroDivisionError):
-                    raise InputError(f"{source}:{lineno}: cannot parse rational {_quoted(tok)} in {_quoted(line)}")
+                    raise InputError(f"{source}:{lineno}: cannot parse rational {quoted(tok)} in {quoted(line)}")
         try:
             hyps.append(Hyperplane.make(values[:dim], values[dim]))
         except InputError as exc:
@@ -331,7 +334,7 @@ def _run_nbc(args: argparse.Namespace) -> tuple[dict, list]:
     try:  # `nbc_counts` checks that they are a permutation
         order = None if args.order is None else tuple(int(tok) for tok in args.order.split(","))
     except ValueError:
-        raise InputError(f"--order {_quoted(args.order)} is not a comma-separated integer list")
+        raise InputError(f"--order {quoted(args.order)} is not a comma-separated integer list")
     results = build_nbc_report(obj, order, cap_subsets=args.cap_subsets)
     return results, [_violation("nbc-coefficient", args.file, f"k={row['k']} order={order}")
                      for row in results["rows"] if not row["match"]]
@@ -438,15 +441,29 @@ def _print_text_verify(results: dict) -> None:
     print(f"{results['violation_count']} violations")
 
 
+def _integer(text: str) -> int:
+    """An integer flag value, `[+-]digits` with at most 4300 ASCII digits as in the token grammar."""
+    if re.fullmatch(_INTEGER, text) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {quoted(text)}")
+    return int(text)
+
+
+def _output_format(text: str) -> str:
+    """The --format value, one of 'text' and 'json'."""
+    if text not in ("text", "json"):
+        raise argparse.ArgumentTypeError(f"invalid choice: {quoted(text)} (choose from 'text', 'json')")
+    return text
+
+
 # The flags whose values a JSON report's `config` echoes; each command declares
 # only the ones it reads.
 _SHARED_FLAGS = {
-    "--format": {"dest": "output_format", "choices": ["text", "json"], "default": "text"},
-    "--q-min": {"dest": "q_min", "type": int, "default": -3},
-    "--q-max": {"dest": "q_max", "type": int, "default": 3},
-    "--seed": {"dest": "seed", "type": int, "default": 0},
-    "--cap-subsets": {"dest": "cap_subsets", "type": int, "default": DEFAULT_SUBSET_GUARD},
-    "--cap-colorings": {"dest": "cap_colorings", "type": int, "default": DEFAULT_COLORING_CAP},
+    "--format": {"dest": "output_format", "type": _output_format, "metavar": "{text,json}", "default": "text"},
+    "--q-min": {"dest": "q_min", "type": _integer, "default": -3},
+    "--q-max": {"dest": "q_max", "type": _integer, "default": 3},
+    "--seed": {"dest": "seed", "type": _integer, "default": 0},
+    "--cap-subsets": {"dest": "cap_subsets", "type": _integer, "default": DEFAULT_SUBSET_GUARD},
+    "--cap-colorings": {"dest": "cap_colorings", "type": _integer, "default": DEFAULT_COLORING_CAP},
 }
 
 
@@ -474,14 +491,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", default=None, help="comma-separated permutation of 0..m-1")
     p = command("decone", "decone a linear arrangement at an index", _run_decone, _print_text_decone,
                 "file", "--format", "--cap-subsets")
-    p.add_argument("k0", type=int)
+    p.add_argument("k0", type=_integer)
     p = command("verify", "run the full invariant suite on a seeded corpus", _run_verify, _print_text_verify,
                 *_SHARED_FLAGS)
-    p.add_argument("--graphs", type=int, default=200)
-    p.add_argument("--max-n", type=int, default=6)
-    p.add_argument("--arrangements", type=int, default=50)
-    p.add_argument("--max-dim", type=int, default=4)
-    p.add_argument("--max-m", type=int, default=7)
+    p.add_argument("--graphs", type=_integer, default=200)
+    p.add_argument("--max-n", type=_integer, default=6)
+    p.add_argument("--arrangements", type=_integer, default=50)
+    p.add_argument("--max-dim", type=_integer, default=4)
+    p.add_argument("--max-m", type=_integer, default=7)
     return parser
 
 
@@ -490,7 +507,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args, extras = _build_parser().parse_known_args(argv)
         if extras:  # with the subcommand's usage, which lists the flags it takes
-            args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            args.parser.error(f"unrecognized arguments: {quoted(' '.join(extras))}")
     except SystemExit as exc:  # argparse has printed the usage or the help
         return exc.code
     config = {spec["dest"]: getattr(args, spec["dest"]) for spec in _SHARED_FLAGS.values() if spec["dest"] in args}

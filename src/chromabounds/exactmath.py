@@ -82,7 +82,7 @@ class IntPolynomial(Value):
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: tuple[int, ...] = ()) -> None:
-        object.__setattr__(self, "coeffs", _trim(tuple(int(c) for c in coeffs)))
+        object.__setattr__(self, "coeffs", _trim(tuple(map(int, coeffs))))
 
     @classmethod
     def zero(cls) -> "IntPolynomial":

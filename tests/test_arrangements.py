@@ -34,10 +34,10 @@ from chromabounds import (
     rank,
     restrict,
 )
-from chromabounds import arrangements
+from chromabounds import arrangements, linalg
 from chromabounds.arrangements import Flat, IntersectionPoset, _subset_walk
 from chromabounds.corpus import coordinate_arrangement, named_graphs, random_hyperplane
-from chromabounds.linalg import echelon, residual
+from chromabounds.linalg import echelon, reduce_row, residual
 from strategies import (
     dense_graphs,
     linear_arrangements,
@@ -409,18 +409,21 @@ class TestSubsetWalk:
                 assert list(_subset_walk(arr, expand_dependent, nbc)) == expected
 
     def test_boolean_whitney_reduces_each_row_once(self, monkeypatch):
-        # every later row vanishes at a coordinate hyperplane's pivot, so no child eliminates
-        boolean = coordinate_arrangement(8)  # built before counting: each hyperplane's row is a residual too
+        # the rows enter as they are, and every later row vanishes at a coordinate hyperplane's
+        # pivot, so no child eliminates
+        boolean = coordinate_arrangement(8)  # built before counting
         calls = 0
 
         def counting(*args):
             nonlocal calls
             calls += 1
-            return residual(*args)
+            return reduce_row(*args)
 
-        monkeypatch.setattr(arrangements, "residual", counting)
+        # every elimination is one step, in `arrangements` and inside `linalg.residual` alike
+        monkeypatch.setattr(arrangements, "reduce_row", counting)
+        monkeypatch.setattr(linalg, "reduce_row", counting)
         assert char_poly_whitney(boolean) == boolean_char_poly(8, 8)
-        assert calls <= 8
+        assert calls == 0
 
     @settings(max_examples=150, deadline=None)
     @given(walk_arrangements)

@@ -223,7 +223,7 @@ class TestVerifyBounds:
             assert len(verify_bounds(s, q_min, q_max).records) == cells
         if cells:
             with patch.object(bounds, "GRID_CELL_BUDGET", cells - 1):
-                with pytest.raises(ResourceLimitError, match=f"has {cells} cells"):
+                with pytest.raises(ResourceLimitError, match=f"has '{cells}' cells"):
                     verify_bounds(s, q_min, q_max)
 
 

@@ -34,7 +34,7 @@ from chromabounds.cli import (
     parse_input_file,
 )
 from chromabounds.corpus import linear_central_corpus
-from chromabounds.errors import DEFAULT_SUBSET_GUARD, GRID_CELL_BUDGET
+from chromabounds.errors import DEFAULT_SUBSET_GUARD, GRID_CELL_BUDGET, quoted
 from strategies import digit_limit, random_affine_with_parallels, small_graphs, walk_arrangements
 
 K3_TEXT = "n 3\n0 1\n0 2\n1 2\n"
@@ -567,11 +567,13 @@ class TestResourceCaps:
         assert calls == []
 
     @pytest.mark.parametrize("argv, cells", [
-        (["bounds", "FILE", "--q-max", "1000"], 504510),
-        (["bounds", "FILE", "--q-min", "-3000", "--q-max", "3000"], 4513510),
-        (["bounds", "FILE", "--q-max", str(10**30)], (10**30 + 4) * (10**30 + 5) // 2),
+        (["bounds", "FILE", "--q-max", "1000"], "504510"),
+        (["bounds", "FILE", "--q-min", "-3000", "--q-max", "3000"], "4513510"),
+        (["bounds", "FILE", "--q-max", str(10**30)], str((10**30 + 4) * (10**30 + 5) // 2)),
+        # (q + 4)(q + 5) / 2 at q = 10^4300 - 1 is 5 10^8599 + 35 10^4299 + 6, too long for str()
+        (["bounds", "FILE", "--q-max", "9" * 4300], "5" + "0" * 4298 + "35" + "0" * 4298 + "6"),
         (["verify", "--graphs", "0", "--arrangements", "0", "--q-max", "1000"], None),
-    ], ids=["q-max-1000", "q-6000-wide", "q-max-1e30", "verify"])
+    ], ids=["q-max-1000", "q-6000-wide", "q-max-1e30", "q-max-4300-digits", "verify"])
     def test_grid_over_budget_exits_3(self, write, capsys, argv, cells):
         # K3 claims q + 4 cells per shift from q = -3 on; refused before any row is built
         start = time.perf_counter()
@@ -579,7 +581,26 @@ class TestResourceCaps:
         assert time.perf_counter() - start < 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("resource limit: bound grid has ") and len(err.encode()) < 1024
-        assert cells is None or err == f"resource limit: bound grid has {cells} cells; the budget is {GRID_CELL_BUDGET}\n"
+        # the count is echoed as an excerpt: past 40 digits, its first 40 and its length
+        assert cells is None or err == (
+            f"resource limit: bound grid has {quoted(cells)} cells; the budget is {GRID_CELL_BUDGET}\n"
+        )
+
+    @pytest.mark.parametrize("argv, excerpt", [
+        (["bounds", "FILE", "--q-max", "9" * 20000], "argument --q-max: invalid int value: '" + "9" * 40),
+        (["verify", "--graphs", "9" * 20000], "argument --graphs: invalid int value: '" + "9" * 40),
+        (["decone", "FILE", "1" * 4301], "argument k0: invalid int value: '" + "1" * 40),
+        (["chromatic", "FILE", "--format", "x" * 20000], "argument --format: invalid choice: '" + "x" * 40),
+        (["chromatic", "FILE", "x" * 20000], "unrecognized arguments: '" + "x" * 40),
+    ], ids=["q-max-20000-digits", "graphs-20000-digits", "k0-4301-digits", "format-20000-x", "extra-20000-x"])
+    def test_long_flag_value_is_refused_with_an_excerpt(self, write, capsys, argv, excerpt):
+        # an integer flag takes at most 4300 digits, as a token does, and a refused value is echoed cut
+        start = time.perf_counter()
+        assert main([write("k3.txt", K3_TEXT) if arg == "FILE" else arg for arg in argv]) == 2
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        length = len(max(argv, key=len))
+        assert out == "" and f"{excerpt}...' ({length} characters)" in err and len(err.encode()) < 1024
 
     @pytest.mark.parametrize("command, flag", [
         pytest.param("bounds", "--cap-subsets", id="--cap-subsets"),
@@ -597,7 +618,7 @@ class TestResourceCaps:
         assert main(argv) == 2
         err = capsys.readouterr().err
         # the usage of the command, which lists the flags it takes, not the top-level one
-        assert err.startswith(f"usage: chromabounds {command} ") and f"unrecognized arguments: {flag} 1" in err
+        assert err.startswith(f"usage: chromabounds {command} ") and f"unrecognized arguments: '{flag} 1'" in err
         assert "Traceback" not in err
 
     def test_coloring_cap_bounds_the_oracle_work(self, capsys):

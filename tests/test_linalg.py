@@ -1,10 +1,12 @@
 """Fraction-free elimination against sympy's exact rank, on small integer systems."""
 
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromabounds.linalg import echelon, residual
+from chromabounds.linalg import echelon, reduce_row, residual
 
 sympy = pytest.importorskip("sympy")
 
@@ -45,3 +47,41 @@ def test_residuals_are_primitive_and_vanish_at_earlier_leads():
     assert basis == [(0, (1, 2, 3, 4)), (1, (0, 1, 2, 3)), (2, (0, 0, 2, 1))]
     assert residual((5, 0, 0, 1), basis) == (3, (0, 0, 0, 1))
     assert residual((2, 5, 8, 11), basis) == (4, (0, 0, 0, 0))
+
+
+@st.composite
+def pivot_steps(draw):
+    """A row and a pivot row (lead, prow), prow nonzero at lead, over 1-4 unknowns plus an offset.
+
+    The pivot may sit in the offset column and its entry may be negative. The row is
+    arbitrary, a multiple of the pivot row (a zero residual), or such a multiple plus an
+    offset (a residual with its pivot in the offset column).
+    """
+    cols = draw(st.integers(1, 4)) + 1
+    entry = st.integers(-3, 3)
+    lead = draw(st.integers(0, cols - 1))
+    prow = [0] * lead + [draw(entry.filter(bool))] + draw(st.lists(entry, min_size=cols - lead - 1,
+                                                                    max_size=cols - lead - 1))
+    kind = draw(st.sampled_from(["any", "multiple", "offset"]))
+    if kind == "any":
+        return draw(st.lists(entry, min_size=cols, max_size=cols)), lead, tuple(prow)
+    c = draw(entry.filter(bool))
+    row = [c * x for x in prow]
+    if kind == "offset":
+        row[-1] += draw(entry.filter(bool))
+    return row, lead, tuple(prow)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pivot_steps())
+def test_step_is_the_residual_against_one_pivot_row(step):
+    row, lead, prow = step
+    pivot, out = reduce_row(row, lead, prow)
+    assert (pivot, out) == residual(row, ((lead, prow),))
+    # the combination prow[lead] row - row[lead] prow, made primitive with a positive pivot
+    combined = [prow[lead] * x - row[lead] * y for x, y in zip(row, prow)]
+    assert not out[lead] and all(x * b == y * a for x, y in zip(out, combined) for a, b in zip(out, combined))
+    if any(combined):
+        assert not any(out[:pivot]) and out[pivot] > 0 and gcd(*out) == 1
+    else:
+        assert pivot == len(row) and not any(out)

@@ -197,23 +197,26 @@ class TestNbcCoefficient:
         assert nbc_counts(arr, order) == reference_nbc_counts(arr, order)
 
     def test_pinned_elimination_counts(self, monkeypatch):
-        boolean = coordinate_arrangement(8)  # built before counting: each hyperplane's row is a residual too
+        boolean = coordinate_arrangement(8)  # built before counting
         calls = 0
+        reduce_row = linalg.reduce_row
 
         def counting(*args):
             nonlocal calls
             calls += 1
-            return linalg.residual(*args)
+            return reduce_row(*args)
 
-        monkeypatch.setattr(arrangements, "residual", counting)
-        # one residual per row for the root table; every later row vanishes at a coordinate
+        # every elimination is one step, in `arrangements` and inside `linalg.residual` alike
+        monkeypatch.setattr(arrangements, "reduce_row", counting)
+        monkeypatch.setattr(linalg, "reduce_row", counting)
+        # the root table holds the rows as they are; every later row vanishes at a coordinate
         # hyperplane's pivot, so no subset derives a table by elimination
         assert nbc_counts(boolean) == tuple(binom(8, k) for k in range(9))
-        assert calls == 8
-        # the root table, then one elimination per later row nonzero at each new pivot
+        assert calls == 0
+        # one elimination per later row nonzero at each new pivot
         calls = 0
         assert nbc_counts(K4_ARR) == (1, 6, 11, 6, 0, 0, 0)
-        assert calls == 13
+        assert calls == 7
 
     def test_every_ground_order_of_k4(self):
         # the broken circuits change with the ground order
