@@ -36,17 +36,17 @@ def main():
           f"{'at-lower':>9} {'at-upper':>9} {'max-position':>13}")
     for name, g in families(args.max_n):
         s = coeff_sequence(chromatic_poly(g), g.m)
-        report = verify_bounds(s, args.q_min, args.q_max)
-        tight = sum(rec.tight for rec in report.records)
-        at_lower = sum(rec.value == rec.lower for rec in report.records)
-        at_upper = sum(rec.value == rec.upper for rec in report.records)
+        records = verify_bounds(s, args.q_min, args.q_max).records
+        tight = sum(rec.tight for rec in records)
+        at_lower = sum(rec.value == rec.lower for rec in records)
+        at_upper = sum(rec.value == rec.upper for rec in records)
         positions = [
             Fraction(rec.value - rec.lower, rec.upper - rec.lower)
-            for rec in report.records
+            for rec in records
             if rec.upper > rec.lower
         ]
         worst = max(positions, default=Fraction(0))
-        print(f"{name:>6} {s.m:>3} {s.r:>3} {len(report.records):>8} {tight:>6} "
+        print(f"{name:>6} {s.m:>3} {s.r:>3} {len(records):>8} {tight:>6} "
               f"{at_lower:>9} {at_upper:>9} {str(worst):>13}")
 
 

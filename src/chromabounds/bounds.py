@@ -6,7 +6,9 @@ sum_i binom(q, k-i) a_i with 0 <= k <= q+r+1 is squeezed between
 binom(r+q, k) and binom(m+q, k), with equality throughout exactly when
 m = r. The binomials come as whole rows from `exactmath.binomial_row`.
 `verify_bounds` sums one row S_q(k) directly, at the window's first
-claimed shift, and walks it forward by Pascal's rule. The divided
+claimed shift, and walks it forward by Pascal's rule. Its grid is three
+rows per shift, binom(r+q, .), S_q(.) and binom(m+q, .), which the checks
+compare whole; the per-cell records are a view of those rows. The divided
 difference p -> (p(t) - p(1)) / (t - 1), the quotient of synthetic
 division by t - 1, realizes the q = -1 sums as coefficients, and iterating
 it realizes any negative q, checked against the direct sum at q = -j.
@@ -19,7 +21,8 @@ binom(r+q-j, k-j). The `coefficient-lower-bounds` check is h >= 0, and
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import NamedTuple
+from operator import le
+from typing import Iterator, NamedTuple
 
 from .errors import GRID_CELL_BUDGET, CoeffSequenceError, ResourceLimitError, quoted
 from .exactmath import IntPolynomial, binomial_row
@@ -81,18 +84,43 @@ class BoundsRecord(NamedTuple):
         return self.lower == self.value == self.upper
 
 
-class BoundsReport(NamedTuple):
-    """Grid of partial-sum bound checks over a window of shifts q."""
+class BoundsRow(NamedTuple):
+    """The grid at one shift q: lower[k] = binom(r+q, k), value[k] = S_q(k), upper[k] = binom(m+q, k), k <= q+r+1."""
 
-    records: tuple[BoundsRecord, ...]
+    q: int
+    lower: list[int]
+    value: list[int]
+    upper: list[int]
+
+
+class BoundsReport(NamedTuple):
+    """Grid of partial-sum bound checks over a window of shifts q, one `BoundsRow` per shift.
+
+    The checks compare whole rows; `records` is the same grid cell by
+    cell, in (q, k) order, built each time it is read.
+    """
+
+    rows: tuple[BoundsRow, ...]
+
+    def failures(self) -> Iterator[tuple[int, int]]:
+        """(q, k) of every cell outside its bounds, in record order; a row within them is passed whole."""
+        for q, lower, value, upper in self.rows:
+            if not (all(map(le, lower, value)) and all(map(le, value, upper))):
+                for k, (low, v, up) in enumerate(zip(lower, value, upper)):
+                    if not low <= v <= up:
+                        yield q, k
 
     @property
     def all_ok(self) -> bool:
-        return all(rec.ok for rec in self.records)
+        return next(self.failures(), None) is None
 
     @property
     def all_tight(self) -> bool:
-        return all(rec.tight for rec in self.records)
+        return all(lower == value == upper for _, lower, value, upper in self.rows)
+
+    @property
+    def records(self) -> tuple[BoundsRecord, ...]:
+        return tuple(BoundsRecord(q, k, *cell) for q, *row in self.rows for k, cell in enumerate(zip(*row)))
 
 
 def _partial_sums(s: CoeffSequence, q: int, top: int) -> list[int]:
@@ -102,17 +130,19 @@ def _partial_sums(s: CoeffSequence, q: int, top: int) -> list[int]:
 
 
 def verify_bounds(s: CoeffSequence, q_min: int, q_max: int) -> BoundsReport:
-    """Check the two-sided bounds for every admissible (q, k) in the window.
+    """The bound grid for every admissible (q, k) in the window, as one row per shift.
 
     Only pairs with 0 <= k <= q+r+1 are claimed, so only those are
-    iterated: q+r+2 cells per shift, from first = max(q_min, -r-1). A
+    computed: q+r+2 cells per shift, from first = max(q_min, -r-1). A
     window of more than `GRID_CELL_BUDGET` cells raises
     `ResourceLimitError` before any row is built.
 
     The sums S_q(k) are one row over k, up to q_max's top k, summed once
     at the first shift and moved forward by Pascal's rule, S_{q+1}(k) =
     S_q(k) + S_q(k-1). The rows binom(r+q, k) and binom(m+q, k) are built
-    directly once per q, so a record costs O(1) additions.
+    directly once per q, so a cell costs O(1) additions. Each shift keeps
+    its three rows, and no per-cell record is built unless
+    `BoundsReport.records` is read.
     """
     if q_min > q_max:
         raise ValueError("empty q window")
@@ -122,14 +152,14 @@ def verify_bounds(s: CoeffSequence, q_min: int, q_max: int) -> BoundsReport:
         raise ResourceLimitError(f"bound grid has {quoted(str(cells))} cells; the budget is {GRID_CELL_BUDGET}")
     top = q_max + s.r + 1
     sums = _partial_sums(s, first, top)
-    records = []
+    rows = []
     for q in range(first, q_max + 1):
         if q > first:
             for k in range(top, 0, -1):
                 sums[k] += sums[k - 1]
-        lower, upper = (binomial_row(x, q + s.r + 1) for x in (s.r + q, s.m + q))
-        records += (BoundsRecord(q, k, lower[k], sums[k], upper[k]) for k in range(q + s.r + 2))
-    return BoundsReport(tuple(records))
+        last = q + s.r + 1
+        rows.append(BoundsRow(q, binomial_row(s.r + q, last), sums[:last + 1], binomial_row(s.m + q, last)))
+    return BoundsReport(tuple(rows))
 
 
 def h_vector(s: CoeffSequence) -> tuple[int, ...]:

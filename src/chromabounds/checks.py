@@ -140,7 +140,7 @@ def _sequence_tail(tight_name: str, nbc_applies: Callable[[Case], bool] | None) 
     return (
         _equal("rank-vs-degree", lambda c: (c.seq.r, c.rank)),
         Check("nbc-coefficient", _nbc_counts, nbc_applies),
-        _once("two-sided-bounds", lambda c: (f"q={rec.q} k={rec.k}" for rec in c.bounds.records if not rec.ok)),
+        _once("two-sided-bounds", lambda c: (f"q={q} k={k}" for q, k in c.bounds.failures())),
         _equal(tight_name, lambda c: (c.bounds.all_tight, c.m == c.rank)),
         _once("coefficient-lower-bounds", lambda c: (f"h_{j}={v}" for j, v in enumerate(h_vector(c.seq)) if v < 0)),
     )

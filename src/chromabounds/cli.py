@@ -21,8 +21,8 @@ string so arbitrary precision survives serialization, and no integer is
 too long to print: `main` lifts the int-string digit limit while a
 command runs and restores the caller's limit after it. An integer flag
 takes the token grammar's integers, at most 4300 digits. An error echoes
-an input line, token or flag value in quotes, cut to 40 characters plus
-its length (`errors.quoted`).
+an input line, token, flag value or unknown command name in quotes, cut
+to 40 characters plus its length (`errors.quoted`).
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from typing import TYPE_CHECKING
 
 from . import bounds as bnd
 from .errors import (
-    DEFAULT_COLORING_CAP, DEFAULT_SUBSET_GUARD, InputError, InvariantError, ResourceLimitError, quoted,
+    CORPUS_INSTANCE_BUDGET, DEFAULT_COLORING_CAP, DEFAULT_SUBSET_GUARD, InputError, InvariantError,
+    ResourceLimitError, quoted,
 )
 
 if TYPE_CHECKING:
@@ -366,6 +367,10 @@ def _run_verify(args: argparse.Namespace) -> tuple[dict, list]:
                                ("--arrangements", args.arrangements, 0)):
         if value < least:
             raise InputError(f"{flag} must be at least {least}, got {value}")
+    drawn = args.graphs + args.arrangements
+    if drawn > CORPUS_INSTANCE_BUDGET:
+        raise ResourceLimitError(f"verify would draw {quoted(str(drawn))} random graphs and arrangements; "
+                                 f"the corpus budget is {CORPUS_INSTANCE_BUDGET}")
     from .checks import ARRANGEMENT_CHECKS, GRAPH_CHECKS, LINEAR_CENTRAL_CHECKS, Case, run_checks
     from .corpus import linear_central_corpus, named_graphs, random_arrangements, random_graphs, random_order
 
@@ -499,13 +504,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arrangements", type=_integer, default=50)
     p.add_argument("--max-dim", type=_integer, default=4)
     p.add_argument("--max-m", type=_integer, default=7)
+    parser.set_defaults(commands=tuple(sub.choices))
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
     """Parse argv, run the command and print its report; 1 exactly when it has violations."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser()
     try:
-        args, extras = _build_parser().parse_known_args(argv)
+        # argparse would echo an unknown command whole. The command is the first argument that it
+        # reads as positional: one not starting with '-', '-' itself or a negative number.
+        command = next((arg for arg in argv if not arg.startswith("-") or re.fullmatch(r"-|-\d+|-\d*\.\d+", arg)), None)
+        commands = parser.get_default("commands")
+        if command is not None and command not in commands:
+            parser.error(f"argument command: invalid choice: {quoted(command)} "
+                         f"(choose from {', '.join(map(repr, commands))})")
+        args, extras = parser.parse_known_args(argv)
         if extras:  # with the subcommand's usage, which lists the flags it takes
             args.parser.error(f"unrecognized arguments: {quoted(' '.join(extras))}")
     except SystemExit as exc:  # argparse has printed the usage or the help

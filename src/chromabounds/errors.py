@@ -4,13 +4,15 @@ The CLI maps these onto process exit codes: InputError -> 2,
 ResourceLimitError -> 3, InvariantError (and report-level violations) -> 1.
 The default caps live here too, beside the error they raise, so that the
 command line can offer them without loading the modules they guard, and
-so does the fixed budget of the bound grid, which no flag changes, and
-`quoted`, the excerpt of an input that an error message echoes.
+so do the fixed budgets of the bound grid and of the verify corpus, which
+no flag changes, and `quoted`, the excerpt of an input that an error
+message echoes.
 """
 
 DEFAULT_SUBSET_GUARD = 20  # hyperplanes or edges a subset enumeration may range over
 DEFAULT_COLORING_CAP = 10**8  # n^2 * 2^n steps the coloring oracle may take
 GRID_CELL_BUDGET = 10**5  # (q, k) cells one bound grid may hold
+CORPUS_INSTANCE_BUDGET = 10**4  # random graphs plus arrangements one verify run may draw
 
 
 def quoted(text: str) -> str:

@@ -12,9 +12,12 @@ independent-set polynomials per graph gives the number e_j of ordered
 partitions into j independent sets for every j, in about n^2 2^n steps.
 The count with t colors is sum_j C(t, j) e_j, which the oracle expands in
 integers as P(t) = sum_j (e_j / j!) t(t-1)...(t-j+1), so the count for
-any t is the value of that polynomial at t. The oracle and the
-deletion-contraction kernel share only the exact-arithmetic primitives of
-`exactmath`.
+any t is the value of that polynomial at t. The oracle's polynomials have
+nonnegative coefficients and are packed into integers (Kronecker
+substitution), so each step of its recurrence and each power is one
+integer operation; the deletion-contraction kernel keeps coefficient
+lists, whose signed coefficients do not pack. The oracle and the kernel
+share only the exact-arithmetic primitives of `exactmath`.
 
 `chromatic_poly` reduces a graph exactly before it branches: simplicial
 vertices are peeled off with a linear factor each, what is left factors
@@ -451,6 +454,11 @@ def chromatic_poly(g: SimpleGraph, memo: dict | None = None) -> IntPolynomial:
     return IntPolynomial(tuple(_evaluate(root, memo)))
 
 
+def _ones(count: int, width: int) -> int:
+    """1 + z + ... + z^(count - 1) packed at `width` >= 1 bits per coefficient."""
+    return ((1 << count * width) - 1) // ((1 << width) - 1)
+
+
 def _ordered_partitions(g: SimpleGraph, cap: int) -> list[int]:
     """e_j, the number of ordered partitions of the vertices into j nonempty independent sets, j = 0..n.
 
@@ -465,6 +473,20 @@ def _ordered_partitions(g: SimpleGraph, cap: int) -> list[int]:
     The work grows as n^2 2^n: a table of 2^n polynomials of degree <= n,
     each distinct one raised to the powers 1..n truncated at z^n. That
     count is checked against `cap` before the table is allocated.
+
+    Every polynomial here has nonnegative coefficients, so each is packed
+    into one integer, its value at z = 2^b for a width of b bits above all
+    of its coefficients (Kronecker substitution): a sum or a product is one
+    integer operation, no coefficient carries into the next, and
+    coefficient k is read back by shift and mask. The table packs r_S at
+    n + 1 bits, since [z^k] r_S counts k-subsets of S, at most
+    C(n, k) < 2^(n+1). With r_S - 1 = z w_S, the coefficients of w_S add up
+    to 2^|S| - 1 < 2^n, so those of w_S^j, and of any truncation of it, add
+    up to less than 2^(nj) <= 2^(n^2) for j <= n. So n^2 + 1 bits hold every
+    coefficient of the powers. They get (n + 1)^2, the width at which a
+    distinct w_S is spread from the table's width by one multiplication and
+    one mask, just before its powers are taken; the table itself stays
+    narrow.
     """
     n = g.n
     work = n * n << n
@@ -472,41 +494,38 @@ def _ordered_partitions(g: SimpleGraph, cap: int) -> list[int]:
         raise ResourceLimitError(
             f"coloring oracle on n={n} vertices needs n^2*2^n = {work} steps, over the cap of {cap}"
         )
-    closed = [1 << v for v in range(n)]
+    if n == 0:
+        return [1]  # the empty partition
+    adj = [0] * n
     for u, v in g.edges:
-        closed[u] |= 1 << v
-        closed[v] |= 1 << u
-    # table[S] holds r_S ascending; with v the lowest vertex of S, the
-    # independent sets of S either avoid v or are v plus one of S - N[v]:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    # table[S] holds r_S; with v the highest vertex of S, the independent
+    # sets of S either avoid v or are v plus one of S - N[v]:
     # r_S = r_{S - v} + z r_{S - N[v]}.
-    table = [(1,)] * (1 << n)
-    for s in range(1, 1 << n):
-        low = s & -s
-        without, with_v = table[s ^ low], table[s & ~closed[low.bit_length() - 1]]
-        r = list(without)
-        if len(with_v) == len(r):
-            r.append(0)
-        for i, c in enumerate(with_v):
-            r[i + 1] += c
-        table[s] = tuple(r)
-    e = [1 if n == 0 else 0] + [0] * n
+    narrow, wide = n + 1, (n + 1) ** 2
+    table = [1]
+    for v in range(n):
+        avoid = ~adj[v]
+        table += [r + (table[s & avoid] << narrow) for s, r in enumerate(table)]
+    # w_S spans n * narrow = wide - narrow bits. Times `copies` it lies n
+    # times side by side, copy k shifted by k (wide - narrow) bits, which
+    # puts its coefficient k at bit k * wide, where `fields` keeps it.
+    copies, fields = _ones(n, wide - narrow), ((1 << narrow) - 1) * _ones(n, wide)
+    # (j, bit of z^(n-j), mask of z^0..z^(n-j)): w^j is needed only up to z^(n-j).
+    steps = [(j, (n - j) * wide, (1 << (n - j + 1) * wide) - 1) for j in range(1, n + 1)]
+    e = [0] * (n + 1)
     # Many subsets share one r_S, and each distinct one is expanded once.
     for r, count in Counter(table).items():
-        if len(r) == 1:
+        if r == 1:
             continue  # S is empty: (r_S - 1)^j vanishes for j >= 1
-        weight = -count if (n - r[1]) % 2 else count  # r[1] = |S|
         # r_S - 1 = z w(z), so [z^n] (r_S - 1)^j = [z^(n-j)] w^j.
-        w = r[1:]
-        power = [1]
-        for j in range(1, n + 1):
-            size = n - j + 1  # w^j is needed only below degree n - j + 1
-            nxt = [0] * min(size, len(power) + len(w) - 1)
-            for i, x in enumerate(power[:size]):
-                for k, y in enumerate(w[:size - i]):
-                    nxt[i + k] += x * y
-            power = nxt
-            if len(power) == size:
-                e[j] += weight * power[-1]
+        w = (r >> narrow) * copies & fields
+        weight = -count if (n ^ w) & 1 else count  # w(0) = |S|
+        power = 1
+        for j, top, mask in steps:
+            power = power * w & mask
+            e[j] += weight * (power >> top)
     return e
 
 

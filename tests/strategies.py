@@ -28,6 +28,10 @@ sort-key lambda, the slow paths that the kernel's inline mask loops must
 match output for output. `regular_graphs` feeds them 6-regular graphs like
 those of the benchmark's graph-dc workload.
 
+`reference_ordered_partitions` is the coloring oracle's ranked
+inclusion-exclusion on coefficient lists, the slow path that its packed
+integers must match e_j for e_j.
+
 `digit_limit` reads the interpreter's int-string digit limit, which no
 test may leave changed.
 """
@@ -35,6 +39,7 @@ test may leave changed.
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -42,6 +47,7 @@ from hypothesis import strategies as st
 from chromabounds import Arrangement, Hyperplane, SimpleGraph, graphic_arrangement
 from chromabounds.arrangements import Flat
 from chromabounds.corpus import random_arrangement
+from chromabounds.errors import ResourceLimitError
 from chromabounds.linalg import echelon, residual
 
 
@@ -148,6 +154,65 @@ def reference_reduce(adj, live, todo):
             else:
                 comps.append((shift, reference_canonical(adj, comp)))
     return offsets, comps
+
+
+def reference_ordered_partitions(g: SimpleGraph, cap: int) -> list[int]:
+    """e_j, the number of ordered partitions of the vertices into j nonempty independent sets, j = 0..n.
+
+    Ranked inclusion-exclusion (Bjorklund, Husfeldt & Koivisto, "Set
+    partitioning via inclusion-exclusion", SIAM J. Comput. 39(2), 2009):
+    with r_S(z) the sum of z^|I| over the independent sets I of S,
+    e_j = sum over S of (-1)^(n - |S|) [z^n] (r_S(z) - 1)^j. The coefficient
+    counts j-tuples of nonempty independent subsets of S whose sizes add up
+    to n; the alternating sum keeps those that cover every vertex, which
+    are then disjoint.
+
+    The work grows as n^2 2^n: a table of 2^n polynomials of degree <= n,
+    each distinct one raised to the powers 1..n truncated at z^n. That
+    count is checked against `cap` before the table is allocated.
+    """
+    n = g.n
+    work = n * n << n
+    if work > cap:
+        raise ResourceLimitError(
+            f"coloring oracle on n={n} vertices needs n^2*2^n = {work} steps, over the cap of {cap}"
+        )
+    closed = [1 << v for v in range(n)]
+    for u, v in g.edges:
+        closed[u] |= 1 << v
+        closed[v] |= 1 << u
+    # table[S] holds r_S ascending; with v the lowest vertex of S, the
+    # independent sets of S either avoid v or are v plus one of S - N[v]:
+    # r_S = r_{S - v} + z r_{S - N[v]}.
+    table = [(1,)] * (1 << n)
+    for s in range(1, 1 << n):
+        low = s & -s
+        without, with_v = table[s ^ low], table[s & ~closed[low.bit_length() - 1]]
+        r = list(without)
+        if len(with_v) == len(r):
+            r.append(0)
+        for i, c in enumerate(with_v):
+            r[i + 1] += c
+        table[s] = tuple(r)
+    e = [1 if n == 0 else 0] + [0] * n
+    # Many subsets share one r_S, and each distinct one is expanded once.
+    for r, count in Counter(table).items():
+        if len(r) == 1:
+            continue  # S is empty: (r_S - 1)^j vanishes for j >= 1
+        weight = -count if (n - r[1]) % 2 else count  # r[1] = |S|
+        # r_S - 1 = z w(z), so [z^n] (r_S - 1)^j = [z^(n-j)] w^j.
+        w = r[1:]
+        power = [1]
+        for j in range(1, n + 1):
+            size = n - j + 1  # w^j is needed only below degree n - j + 1
+            nxt = [0] * min(size, len(power) + len(w) - 1)
+            for i, x in enumerate(power[:size]):
+                for k, y in enumerate(w[:size - i]):
+                    nxt[i + k] += x * y
+            power = nxt
+            if len(power) == size:
+                e[j] += weight * power[-1]
+    return e
 
 
 @st.composite

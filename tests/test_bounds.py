@@ -25,7 +25,7 @@ from chromabounds import (
 )
 from chromabounds import bounds
 from chromabounds.errors import ResourceLimitError
-from strategies import binom
+from strategies import binom, small_graphs
 
 
 class ForestEquivalence(NamedTuple):
@@ -209,6 +209,28 @@ class TestVerifyBounds:
         # every window starts from one direct sum at its first claimed shift, max(q_min, -r - 1),
         # and walks only forward; K4 has r = 3, so (-40, -5) claims no cell
         _assert_matches_slow_path(K4_SEQ, q_min, q_max)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_row_scans_match_the_record_scans(self, data):
+        # all_ok, all_tight and failures() compare whole rows; scans of the term-by-term records are the
+        # reference. One a_i of a chromatic sequence is moved, so that some grids fail, and windows lie
+        # on both sides of -r - 1
+        g = data.draw(small_graphs(max_n=6))
+        s = coeff_sequence(chromatic_poly(g), g.m)
+        a = list(s.a)
+        a[data.draw(st.integers(0, s.r), label="i")] += data.draw(st.integers(-3, 3), label="shift")
+        s = s._replace(a=tuple(a))
+        q_min = data.draw(st.integers(-s.r - 5, 3), label="q_min")
+        q_max = data.draw(st.integers(q_min, q_min + 6), label="q_max")
+        report = verify_bounds(s, q_min, q_max)
+        expected = [bounds.BoundsRecord(q, k, lower, reference_partial_binomial_sum(s, q, k), upper)
+                    for q in range(q_min, q_max + 1) for k in range(q + s.r + 2)
+                    for lower, upper in [reference_partial_sum_bounds(s.m, s.r, q, k)]]
+        assert report.records == tuple(expected)
+        assert report.all_ok == all(rec.ok for rec in expected)
+        assert report.all_tight == all(rec.tight for rec in expected)
+        assert list(report.failures()) == [(rec.q, rec.k) for rec in expected if not rec.ok]
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

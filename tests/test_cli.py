@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromabounds import (
-    Arrangement, InputError, IntPolynomial, SimpleGraph, arrangements, bounds, checks, decone, graphic_arrangement,
-    graphs, nbc_counts,
+    Arrangement, InputError, IntPolynomial, SimpleGraph, arrangements, bounds, checks, cli, decone,
+    graphic_arrangement, graphs, nbc_counts,
 )
 from chromabounds.cli import (
     _build_parser,
@@ -34,7 +34,7 @@ from chromabounds.cli import (
     parse_input_file,
 )
 from chromabounds.corpus import linear_central_corpus
-from chromabounds.errors import DEFAULT_SUBSET_GUARD, GRID_CELL_BUDGET, quoted
+from chromabounds.errors import CORPUS_INSTANCE_BUDGET, DEFAULT_SUBSET_GUARD, GRID_CELL_BUDGET, quoted
 from strategies import digit_limit, random_affine_with_parallels, small_graphs, walk_arrangements
 
 K3_TEXT = "n 3\n0 1\n0 2\n1 2\n"
@@ -592,7 +592,10 @@ class TestResourceCaps:
         (["decone", "FILE", "1" * 4301], "argument k0: invalid int value: '" + "1" * 40),
         (["chromatic", "FILE", "--format", "x" * 20000], "argument --format: invalid choice: '" + "x" * 40),
         (["chromatic", "FILE", "x" * 20000], "unrecognized arguments: '" + "x" * 40),
-    ], ids=["q-max-20000-digits", "graphs-20000-digits", "k0-4301-digits", "format-20000-x", "extra-20000-x"])
+        (["y" * 20000, "FILE"], "argument command: invalid choice: '" + "y" * 40),
+        (["-" + "9" * 20000, "FILE"], "argument command: invalid choice: '-" + "9" * 39),
+    ], ids=["q-max-20000-digits", "graphs-20000-digits", "k0-4301-digits", "format-20000-x", "extra-20000-x",
+            "command-20000-y", "command-negative-20000-digits"])
     def test_long_flag_value_is_refused_with_an_excerpt(self, write, capsys, argv, excerpt):
         # an integer flag takes at most 4300 digits, as a token does, and a refused value is echoed cut
         start = time.perf_counter()
@@ -601,6 +604,30 @@ class TestResourceCaps:
         out, err = capsys.readouterr()
         length = len(max(argv, key=len))
         assert out == "" and f"{excerpt}...' ({length} characters)" in err and len(err.encode()) < 1024
+
+    def test_unknown_command_keeps_the_usage_line(self, capsys):
+        assert main(["yyy", "FILE"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: chromabounds [-h] {chromatic,bounds,nbc,decone,verify}")
+        assert ("argument command: invalid choice: 'yyy' "
+                "(choose from 'chromatic', 'bounds', 'nbc', 'decone', 'verify')") in err
+
+    def test_corpus_over_budget_exits_3(self, capsys):
+        # a corpus size of 4300 digits is refused before anything is drawn, its count echoed cut
+        start = time.perf_counter()
+        assert main(["verify", "--graphs", "9" * 4300, "--arrangements", "0"]) == 3
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.encode()) < 1024
+        assert err == (f"resource limit: verify would draw {quoted('9' * 4300)} random graphs and arrangements; "
+                       f"the corpus budget is {CORPUS_INSTANCE_BUDGET}\n")
+
+    def test_corpus_budget_counts_graphs_plus_arrangements(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "CORPUS_INSTANCE_BUDGET", 3)
+        small = ["--max-n", "2", "--max-dim", "1", "--max-m", "1"]
+        assert main(["verify", "--graphs", "2", "--arrangements", "1", *small]) == 0
+        assert main(["verify", "--graphs", "2", "--arrangements", "2", *small]) == 3
+        assert "verify would draw '4' random graphs and arrangements; the corpus budget is 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, flag", [
         pytest.param("bounds", "--cap-subsets", id="--cap-subsets"),
@@ -838,8 +865,8 @@ VERIFY_BOUNDS = bounds.verify_bounds
 
 def overshooting_bounds(s, q_min, q_max):
     """The real bound grid with every value one above its upper bound."""
-    records = VERIFY_BOUNDS(s, q_min, q_max).records
-    return bounds.BoundsReport(tuple(rec._replace(value=rec.upper + 1) for rec in records))
+    rows = VERIFY_BOUNDS(s, q_min, q_max).rows
+    return bounds.BoundsReport(tuple(row._replace(value=[upper + 1 for upper in row.upper]) for row in rows))
 
 
 def wrong_counts(*args, **kwargs):

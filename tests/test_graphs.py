@@ -30,6 +30,7 @@ from strategies import (
     dense_graphs,
     reference_canonical,
     reference_linear_product,
+    reference_ordered_partitions,
     reference_reduce,
     regular_graphs,
     small_graphs,
@@ -205,6 +206,24 @@ class TestOracleAgainstBacktracking:
         assert chromatic_poly_interpolated(SimpleGraph(4), cap=256) == IntPolynomial.term(1, 4)
         with pytest.raises(ResourceLimitError, match="n=4 .* 256"):
             chromatic_poly_interpolated(SimpleGraph(4), cap=255)
+
+
+class TestPackedOracleAgainstTheListCode:
+    """The oracle's packed polynomials against the list code they replaced, e_j for e_j."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_graphs(max_n=8) | dense_graphs(max_n=8))
+    def test_drawn_graphs(self, g):
+        assert graphs._ordered_partitions(g, 10**9) == reference_ordered_partitions(g, 10**9)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_edgeless_complete_and_random_graphs(self, n):
+        # edgeless: the widest coefficients; complete: the fewest distinct r_S; and two seeded G(n, 1/2)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        halves = [random.Random(100 * n + seed) for seed in range(2)]
+        drawn = [SimpleGraph(n, frozenset(e for e in pairs if rng.random() < 0.5)) for rng in halves]
+        for g in (SimpleGraph(n), complete(n), *drawn):
+            assert graphs._ordered_partitions(g, 10**9) == reference_ordered_partitions(g, 10**9)
 
 
 class TestInterpolation:
