@@ -32,6 +32,22 @@ mu(X) = -(sum of mu(Y) over the covers Y of X that do not lie in H), and
 each Moebius value is summed as the covers are found, with no set of the
 flats above X.
 
+A linear arrangement of rank r closes at its center. Every hyperplane
+holds the origin, so the center, the intersection of all m hyperplanes,
+is a flat of dimension n - r that lies in every flat, and each coatom (a
+flat of dimension n - r + 1) has the center as its only child. So the
+poset gives each coatom the one section of all hyperplanes, with no
+elimination, and appends the center from the coatoms. Its Moebius value
+is Weisner's sum with H = hyperplane 0, the lowest bit of the center's
+closure since the center lies in every hyperplane: mu(center) = -(sum of
+mu(Y) over the coatoms Y whose closure lacks bit 0). On a generic linear
+arrangement the rank-k flats number C(m, k) and each cuts about m
+sections, so their sections cost Theta(m^(k+1)) eliminations; skipping
+those of rank r - 1 takes the count from Theta(m^r) to Theta(m^(r-1)).
+The rank is one echelon pass over the normals, which stops once they
+span the ambient space. An arrangement with an offset, even one whose
+hyperplanes share a point, takes the loop as it is.
+
 The sweeps over subsets of hyperplanes (`char_poly_whitney`,
 `is_general_position` and the no-broken-circuit count `nbc_counts`) share
 one depth-first walk, `_subset_walk`. It grows each subset by larger
@@ -287,8 +303,13 @@ def intersection_poset(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> I
     sections by the child's pivot row, one `linalg.reduce_row` step each;
     a section that already vanishes at the pivot is kept as the same key.
     The cuts are grouped in one dict pass, and that dict is the child's
-    sections. A point has no sections, so none are computed for it. Every
-    parent that reaches a child is a cover of the child.
+    sections. A point has no sections, so none are computed for it. When
+    every offset is zero (the test `is_central` makes first), r = rank(arr)
+    gives the dimension n - r of the center: no sections are computed for
+    a coatom or the center, each coatom's one section is the center (every
+    hyperplane), and the center comes last, one rank below the coatoms
+    (see the module docstring). Every parent that reaches a child is a
+    cover of the child.
 
     The Moebius function follows from the covers alone, by Weisner's
     theorem (see the module docstring): mu(V) = 1, and mu(X) = -sum of
@@ -298,6 +319,12 @@ def intersection_poset(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> I
     """
     _check_guard(arr, guard)
     n = arr.dim
+    # dimension -> the sections its flats get with no elimination: a point has none, and in a
+    # linear arrangement the center has none and each coatom has one, the center (its key is unused)
+    preset: dict[int, dict] = {0: {}}
+    if all(h.is_linear() for h in arr.hyperplanes):
+        center = n - rank(arr)
+        preset = {center: {}, center + 1: {None: (1 << arr.m) - 1}}
     flats = [Flat(n, 0)]
     mobius = [1]
     # each flat of the current rank as (Moebius value, closure, sections as {(pivot, row): mask})
@@ -311,8 +338,9 @@ def intersection_poset(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> I
                 closure = mask | bits
                 child = found.get(closure)
                 if child is None:
-                    grouped: dict[Pivoted, int] = {}
-                    if dim:
+                    grouped = preset.get(dim)
+                    if grouped is None:
+                        grouped = {}
                         lead, row = section
                         for other, other_bits in sections.items():
                             if other[1][lead]:  # so is the section's own row, which is skipped

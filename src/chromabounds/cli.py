@@ -8,10 +8,13 @@ the text; the JSON `config` echoes the command, its input file and flags.
 Every input text goes through one reader, `parse_input`, which dispatches
 once on its first line's tag. Numbers follow the README's token grammar,
 `[+-]digits` or `[+-]digits/digits` in ASCII digits; any other token exits 2.
+Header counts and vertex indices are integer tokens. A hyperplane line is
+scaled to integers by the lcm of its denominators, and an offset is
+printed as num/den from its row, so arrangements stay in integers.
 
 Each command imports the modules it runs when it runs them: a graph
-command never loads `arrangements` or `linalg`, and only `verify` loads
-`checks` and `corpus`.
+command never loads `arrangements` or `linalg`, only `verify` loads
+`checks` and `corpus`, and no command loads `fractions`.
 
 Exit codes: 0 success, 1 verification failure (the report's violations or
 a broken internal invariant), 2 input or usage error, 3 resource cap
@@ -33,6 +36,7 @@ import os
 import random
 import re
 import sys
+from math import gcd, lcm
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -43,8 +47,6 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from .arrangements import Arrangement
     from .checks import Check
     from .exactmath import IntPolynomial
@@ -97,7 +99,7 @@ def _header_count(lines: list[tuple[int, str]], source: str, what: str) -> int:
     if len(parts) != 2:
         raise InputError(f"{source}:{lineno}: expected header '{parts[0]} <count>', got {quoted(header)}")
     try:
-        return int(parts[1])
+        return _integer_token(parts[1])
     except ValueError:
         raise InputError(f"{source}:{lineno}: {what} {quoted(parts[1])} is not an integer")
 
@@ -114,7 +116,7 @@ def _parse_dimacs(lines: list[tuple[int, str]], source: str) -> tuple[int, set[t
             if len(parts) < 3 or parts[1] != "edge":
                 raise InputError(f"{source}:{lineno}: malformed problem line {quoted(line)}")
             try:
-                n = int(parts[2])
+                n = _integer_token(parts[2])
             except ValueError:
                 raise InputError(f"{source}:{lineno}: vertex count {quoted(parts[2])} is not an integer")
         elif tag == "e":
@@ -134,7 +136,7 @@ def _collect_edges(lines: list[tuple[int, str]], n: int, source: str, base: int)
         if len(parts) != 2:
             raise InputError(f"{source}:{lineno}: expected 'u v', got {quoted(line)}")
         try:
-            u, v = int(parts[0]) - base, int(parts[1]) - base
+            u, v = _integer_token(parts[0]) - base, _integer_token(parts[1]) - base
         except ValueError:
             raise InputError(f"{source}:{lineno}: non-integer vertex in {quoted(line)}")
         if u == v:
@@ -148,14 +150,24 @@ def _collect_edges(lines: list[tuple[int, str]], n: int, source: str, base: int)
     return edges
 
 
-# The token grammar (see `_rational`); an integer flag takes an integer token.
-_DIGITS = "[0-9]{1,4300}"
-_INTEGER = f"[+-]?{_DIGITS}"
-_RATIONAL = f"({_INTEGER})(?:/({_DIGITS}))?"
+# The token grammar (see `_rational`); a header count, a vertex index and an integer flag take an integer token.
+_MAX_DIGITS = 4300
 
 
-def _rational(token: str) -> int | Fraction:
-    """`[+-]digits` as an int, `[+-]digits/digits` as a `Fraction`; ValueError for any other token.
+def _is_digits(text: str) -> bool:
+    """Whether `text` is 1 to 4300 ASCII digits; no other characters pass `isdigit` in ASCII."""
+    return text.isascii() and text.isdigit() and len(text) <= _MAX_DIGITS
+
+
+def _integer_token(token: str) -> int:
+    """`[+-]digits` as an int; ValueError for any other token (see `_rational`)."""
+    if not _is_digits(token[1:] if token[:1] in ("+", "-") else token):
+        raise ValueError("not an integer token")
+    return int(token)
+
+
+def _rational(token: str) -> int | tuple[int, int]:
+    """`[+-]digits` as an int, `[+-]digits/digits` as the pair (num, den); ValueError for any other token.
 
     This is the README's token grammar. Its digits are ASCII 0-9, whatever
     `int` accepts, so decimals, exponents, `_` separators and other
@@ -163,22 +175,23 @@ def _rational(token: str) -> int | Fraction:
     denominator has at most 4300 digits, the interpreter's default limit
     on converting an int from a string (`main` lifts that limit for the
     span of a command so that results of any length print), since both
-    conversions cost time quadratic in the length. A file of integer
-    tokens never loads `fractions`.
+    conversions cost time quadratic in the length. A zero denominator is
+    rejected; the pair is not reduced.
     """
-    match = re.fullmatch(_RATIONAL, token)
-    if match is None:
-        raise ValueError(f"not a rational token: {token!r}")
-    num, den = match.groups()
-    if den is None:
-        return int(num)
-    from fractions import Fraction
-
-    return Fraction(int(num), int(den))
+    num, slash, den = token.partition("/")
+    if not slash:
+        return _integer_token(num)
+    denominator = int(den) if _is_digits(den) else 0
+    if not denominator:
+        raise ValueError("not a rational token with a nonzero denominator")
+    return _integer_token(num), denominator
 
 
 def _parse_arrangement(lines: list[tuple[int, str]], source: str) -> Arrangement:
-    """One hyperplane per line after the header: dim rational coordinates then the offset."""
+    """One hyperplane per line after the header: dim rational coordinates then the offset.
+
+    Each line is scaled to an integer row by the lcm of its denominators.
+    """
     from .arrangements import Arrangement, Hyperplane
 
     dim = _header_count(lines, source, "dimension")
@@ -186,19 +199,18 @@ def _parse_arrangement(lines: list[tuple[int, str]], source: str) -> Arrangement
     for lineno, line in lines[1:]:
         tokens = line.split()
         if len(tokens) != dim + 1:
-            raise InputError(
-                f"{source}:{lineno}: expected {dim} coordinates plus an offset, got {len(tokens)} values"
-            )
+            raise InputError(f"{source}:{lineno}: expected {quoted(str(dim))} coordinates plus an offset, "
+                             f"got {len(tokens)} values")
+        row = []
+        for tok in tokens:
+            try:
+                row.append(_rational(tok))
+            except ValueError:
+                raise InputError(f"{source}:{lineno}: cannot parse rational {quoted(tok)} in {quoted(line)}")
+        scale = lcm(*(x[1] for x in row if type(x) is tuple))
+        row = [x[0] * (scale // x[1]) if type(x) is tuple else x * scale for x in row]
         try:
-            values = [_rational(tok) for tok in tokens]
-        except (ValueError, ZeroDivisionError):
-            for tok in tokens:  # find the token that was rejected
-                try:
-                    _rational(tok)
-                except (ValueError, ZeroDivisionError):
-                    raise InputError(f"{source}:{lineno}: cannot parse rational {quoted(tok)} in {quoted(line)}")
-        try:
-            hyps.append(Hyperplane.make(values[:dim], values[dim]))
+            hyps.append(Hyperplane(row))
         except InputError as exc:
             raise InputError(f"{source}:{lineno}: {exc}")
     return Arrangement(dim, tuple(hyps))
@@ -219,10 +231,13 @@ def _is_graph(obj: SimpleGraph | Arrangement) -> bool:
 
 
 def format_arrangement(arr: Arrangement) -> str:
+    """The arrangement in the input format: each primitive normal, then the offset for it as num/den."""
     lines = [f"dim {arr.dim}"]
     for h in arr.hyperplanes:
-        coords = " ".join(str(x) for x in h.normal)
-        lines.append(f"{coords} {h.offset}")
+        *normal, offset = h.row
+        den = gcd(*normal)  # the row is primitive, so offset/den is in lowest terms
+        coords = " ".join([str(x // den) for x in normal])
+        lines.append(f"{coords} {offset}" if den == 1 else f"{coords} {offset}/{den}")
     return "\n".join(lines)
 
 
@@ -333,7 +348,7 @@ def _run_bounds(args: argparse.Namespace) -> tuple[dict, list]:
 def _run_nbc(args: argparse.Namespace) -> tuple[dict, list]:
     obj = parse_input_file(args.file)
     try:  # `nbc_counts` checks that they are a permutation
-        order = None if args.order is None else tuple(int(tok) for tok in args.order.split(","))
+        order = None if args.order is None else tuple(_integer_token(tok) for tok in args.order.split(","))
     except ValueError:
         raise InputError(f"--order {quoted(args.order)} is not a comma-separated integer list")
     results = build_nbc_report(obj, order, cap_subsets=args.cap_subsets)
@@ -447,10 +462,11 @@ def _print_text_verify(results: dict) -> None:
 
 
 def _integer(text: str) -> int:
-    """An integer flag value, `[+-]digits` with at most 4300 ASCII digits as in the token grammar."""
-    if re.fullmatch(_INTEGER, text) is None:
+    """An integer flag value, an integer token of the token grammar."""
+    try:
+        return _integer_token(text)
+    except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {quoted(text)}")
-    return int(text)
 
 
 def _output_format(text: str) -> str:

@@ -84,10 +84,16 @@ def residual(row: Sequence[int], basis: Iterable[Pivoted]) -> Pivoted:
 
 
 def echelon(rows: Iterable[Sequence[int]]) -> list[Pivoted]:
-    """Echelon basis of the row span, one (pivot, primitive nonzero residual) per independent row."""
+    """Echelon basis of the row span, one (pivot, primitive nonzero residual) per independent row.
+
+    A basis with as many rows as columns spans every row of that width, so
+    the rows after it are not read.
+    """
     basis: list[Pivoted] = []
     for row in rows:
         lead, r = residual(row, basis)
         if lead < len(r):
             basis.append((lead, r))
+            if len(basis) == len(r):
+                break
     return basis

@@ -11,7 +11,11 @@ intersections to prune), random linear ones (every subset central, many
 dependent), generic affine ones (general position occurs) and graphic
 arrangements of small graphs. `linear_arrangements` feeds the property
 tests of restriction and deconing with wider normals, repeated directions
-and scaled copies.
+and scaled copies. `concurrent_arrangements` feeds the poset's test
+against the pairwise scan with hyperplanes through one point, whose
+normals often span less than the space: linear ones, which the poset
+closes at their center, and ones through a point off the origin, which
+take its full loop.
 
 `reference_flat_of` computes one intersection from a fresh elimination, the
 slow path that the poset, the walk and the NBC sweep are checked against.
@@ -31,6 +35,10 @@ those of the benchmark's graph-dc workload.
 `reference_ordered_partitions` is the coloring oracle's ranked
 inclusion-exclusion on coefficient lists, the slow path that its packed
 integers must match e_j for e_j.
+
+`reference_format_arrangement` prints an arrangement with each offset
+as a `Fraction`, the slow path that the command line's integer printer
+must match byte for byte on `fractional_arrangements`.
 
 `digit_limit` reads the interpreter's int-string digit limit, which no
 test may leave changed.
@@ -282,6 +290,39 @@ def linear_arrangements(draw, max_dim=5, max_m=8):
     dim = draw(st.integers(1, max_dim))
     normals = st.lists(st.integers(-9, 9), min_size=dim, max_size=dim).filter(any)
     return Arrangement(dim, tuple(Hyperplane.make(normal, 0) for normal in draw(st.lists(normals, max_size=max_m))))
+
+
+@st.composite
+def concurrent_arrangements(draw, max_dim=5, max_m=8):
+    """Hyperplanes through the origin or one rational point off it, normals drawn from a span of rank <= dim."""
+    dim = draw(st.integers(1, max_dim))
+    span = draw(st.lists(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim), min_size=1, max_size=dim))
+    combinations = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(span), max_size=len(span)),
+                                 max_size=max_m))
+    normals = [[sum(c * v[j] for c, v in zip(cs, span)) for j in range(dim)] for cs in combinations]
+    point = draw(st.one_of(st.just([0] * dim),
+                           st.lists(st.fractions(-3, 3, max_denominator=4), min_size=dim, max_size=dim)))
+    hyps = [Hyperplane.make(normal, sum(a * x for a, x in zip(normal, point))) for normal in normals if any(normal)]
+    return Arrangement(dim, tuple(hyps))
+
+
+@st.composite
+def fractional_arrangements(draw, max_dim=4, max_m=6):
+    """Arrangements read from rational coordinates and offsets, some denominators and numerators long."""
+    dim = draw(st.integers(1, max_dim))
+    values = st.one_of(st.fractions(min_value=-9, max_value=9, max_denominator=12),
+                       st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**25)))
+    normals = st.lists(values, min_size=dim, max_size=dim).filter(any)
+    rows = draw(st.lists(st.tuples(normals, values), max_size=max_m))
+    return Arrangement(dim, tuple(Hyperplane.make(normal, offset) for normal, offset in rows))
+
+
+def reference_format_arrangement(arr: Arrangement) -> str:
+    lines = [f"dim {arr.dim}"]
+    for h in arr.hyperplanes:
+        coords = " ".join(str(x) for x in h.normal)
+        lines.append(f"{coords} {h.offset}")
+    return "\n".join(lines)
 
 
 def reference_flat_of(arr, subset):

@@ -39,6 +39,7 @@ from chromabounds.arrangements import Flat, IntersectionPoset, _subset_walk
 from chromabounds.corpus import coordinate_arrangement, named_graphs, random_hyperplane
 from chromabounds.linalg import echelon, reduce_row, residual
 from strategies import (
+    concurrent_arrangements,
     dense_graphs,
     linear_arrangements,
     random_affine_with_parallels,
@@ -224,10 +225,45 @@ class TestIntersectionPoset:
             sys.settrace(previous)
         assert poset == IntersectionPoset((Flat(dim, 0),), (1,))
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.one_of(walk_arrangements, linear_arrangements(), dense_graphs().map(graphic_arrangement)))
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(walk_arrangements, linear_arrangements(), dense_graphs().map(graphic_arrangement),
+                     concurrent_arrangements(), concurrent_arrangements(max_m=1), linear_arrangements(max_m=1),
+                     st.integers(0, 5).map(Arrangement)))
     def test_matches_the_pairwise_scan(self, arr):
+        # linear arrangements, rank-deficient ones among them, close at their center; those through a
+        # point off the origin and every other affine one take the full loop
         assert intersection_poset(arr) == reference_intersection_poset(arr)
+        assert char_poly(arr) == char_poly_whitney(arr)
+
+    def test_pinned_elimination_counts(self, monkeypatch):
+        # drawn as the linear family of scripts/arrangement_growth.py draws them, and built before counting
+        growth = {(m, seed): growth_arrangement(seed, m) for m in (8, 12, 16) for seed in (1, 2, 3)}
+        k4 = graphic_arrangement(complete(4))
+        for arr in growth.values():
+            assert intersection_poset(arr) == reference_intersection_poset(arr)
+        calls = 0
+        reduce_row = linalg.reduce_row
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return reduce_row(*args)
+
+        # every elimination is one step, in `arrangements` and inside `linalg.residual` alike
+        monkeypatch.setattr(arrangements, "reduce_row", counting)
+        monkeypatch.setattr(linalg, "reduce_row", counting)
+        counts = {}
+        for key, arr in growth.items():
+            calls = 0
+            intersection_poset(arr)
+            counts[key] = calls
+        calls = 0
+        assert len(intersection_poset(k4).flats) == 15
+        # no coatom's sections are cut, for the price of the rank; before, the linear counts were
+        # 421, 436, 456 (m = 8), 2115, 2295, 2345 (m = 12) and 7396, 7107, 7977 (m = 16), and K4's 19
+        assert counts == {(8, 1): 216, (8, 2): 200, (8, 3): 204, (12, 1): 692, (12, 2): 732, (12, 3): 715,
+                          (16, 1): 1671, (16, 2): 1687, (16, 3): 1825}
+        assert calls == 19
 
     def test_braid_arrangement_of_k6(self):
         # the partition lattice of six elements, where most intervals are not boolean
@@ -251,6 +287,17 @@ class TestIntersectionPoset:
         for arr in samples:
             by_subset = {reference_flat_of(arr, _bits(mask)) for mask in range(1 << arr.m)} - {None}
             assert by_subset == set(intersection_poset(arr).flats)
+
+
+def growth_arrangement(seed, m, dim=4):
+    """m distinct linear hyperplanes in dimension 4, as scripts/arrangement_growth.py draws its linear family."""
+    rng = random.Random(f"arrangement-growth:linear:{seed}:{m}")
+    hyps = []
+    while len(hyps) < m:
+        h = random_hyperplane(rng, dim, True)
+        if h is not None and h not in hyps:
+            hyps.append(h)
+    return Arrangement(dim, tuple(hyps))
 
 
 def reference_intersection_poset(arr):

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromabounds import (
-    Arrangement, InputError, IntPolynomial, SimpleGraph, arrangements, bounds, checks, cli, decone,
+    Arrangement, Hyperplane, InputError, IntPolynomial, SimpleGraph, arrangements, bounds, checks, cli, decone,
     graphic_arrangement, graphs, nbc_counts,
 )
 from chromabounds.cli import (
@@ -35,7 +35,10 @@ from chromabounds.cli import (
 )
 from chromabounds.corpus import linear_central_corpus
 from chromabounds.errors import CORPUS_INSTANCE_BUDGET, DEFAULT_SUBSET_GUARD, GRID_CELL_BUDGET, quoted
-from strategies import digit_limit, random_affine_with_parallels, small_graphs, walk_arrangements
+from strategies import (
+    digit_limit, fractional_arrangements, random_affine_with_parallels, reference_format_arrangement, small_graphs,
+    walk_arrangements,
+)
 
 K3_TEXT = "n 3\n0 1\n0 2\n1 2\n"
 K4_TEXT = "n 4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
@@ -44,6 +47,7 @@ GENERIC_LINES_TEXT = "dim 2\n1 0 0\n0 1 0\n1 1 1\n"
 PARALLEL_TEXT = "dim 2\n1 0 0\n1 0 1\n"
 LINEAR_LINES_TEXT = "dim 2\n1 0 0\n0 1 0\n1 1 0\n"
 DIMACS_TEXT = "c a triangle\np edge 3 3\ne 1 2\ne 1 3\ne 2 3\n"
+FRACTIONAL_TEXT = "dim 3\n1/2 -1/2 -1/2 0/3\n2/3 2/3 2/3 0\n0 1/3 -1/5 0\n"
 LONG = 1200
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -54,12 +58,13 @@ def long_graph_text(n, closed):
     return f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
 
 
-# what `_rational` makes of each token: (type, value), or the error it raises
+# what `_rational` makes of each token: (type, value), with a pair (num, den) read as a Fraction,
+# or the error it raises
 TOKENS = {
     "0": (int, 0), "-7": (int, -7), "+12": (int, 12), "007": (int, 7), "-0": (int, 0),
     "1/2": (Fraction, Fraction(1, 2)), "-3/6": (Fraction, Fraction(-1, 2)), "+4/2": (Fraction, Fraction(2)),
-    "0/5": (Fraction, Fraction(0)), "012/08": (Fraction, Fraction(3, 2)), "1/0": ZeroDivisionError,
-    **dict.fromkeys(["", "+", "-", "--1", "+-1", "1/-2", "1/+2", "/2", "1/", "1/2/3", "1//2", "1.5", ".5", "1.",
+    "0/5": (Fraction, Fraction(0)), "012/08": (Fraction, Fraction(3, 2)),
+    **dict.fromkeys(["1/0", "", "+", "-", "--1", "+-1", "1/-2", "1/+2", "/2", "1/", "1/2/3", "1//2", "1.5", ".5", "1.",
                      "1e3", "1E3", "1e1000000", "1_000", "1/1_0", "0x10", "inf", "nan", "\u0663", "\u00b2",
                      "\uff11", "1\u0663", "\u0663/2", " 1", "1 ", "1\n", "\u22121"], ValueError),
     # a numerator or denominator has at most 4300 digits, the interpreter's default int-string limit
@@ -88,7 +93,19 @@ REJECTIONS = [
     ("dim-arity", ["bounds", "FILE"], "dim\n", "FILE:1: expected header 'dim <count>', got 'dim'"),
     ("dim-count", ["nbc", "FILE"], "dim two\n", "FILE:1: dimension 'two' is not an integer"),
     ("hyperplane-arity", ["bounds", "FILE"], "dim 2\n1 0\n",
-     "FILE:2: expected 2 coordinates plus an offset, got 2 values"),
+     "FILE:2: expected '2' coordinates plus an offset, got 2 values"),
+    # header counts and vertex indices are integer tokens too
+    ("n-separator", ["chromatic", "FILE"], "n 1_0\n", "FILE:1: vertex count '1_0' is not an integer"),
+    ("n-script-digit", ["chromatic", "FILE"], "n \u0663\n", "FILE:1: vertex count '\u0663' is not an integer"),
+    ("vertex-script-digit", ["bounds", "FILE"], "n 3\n0 \u0661\n", "FILE:2: non-integer vertex in '0 \u0661'"),
+    ("dimacs-separator", ["chromatic", "FILE"], "p edge 1_0 1\n", "FILE:1: vertex count '1_0' is not an integer"),
+    ("n-long-count", ["chromatic", "FILE"], f"n {'9' * 300000}\n",
+     f"FILE:1: vertex count '{'9' * 40}...' (300000 characters) is not an integer"),
+    ("dim-long-count", ["bounds", "FILE"], f"dim {'9' * 300000}\n1 0\n",
+     f"FILE:1: dimension '{'9' * 40}...' (300000 characters) is not an integer"),
+    # the longest count a header takes, echoed as an excerpt
+    ("dim-arity-long", ["nbc", "FILE"], f"dim {'9' * 4300}\n1 0\n",
+     f"FILE:2: expected '{'9' * 40}...' (4300 characters) coordinates plus an offset, got 2 values"),
     ("zero-normal", ["bounds", "FILE"], "dim 2\n1 0 0\n0 0 1\n", "FILE:3: hyperplane normal must be nonzero"),
     ("decimal", ["bounds", "FILE"], "dim 2\n1 1.5 0\n", "FILE:2: cannot parse rational '1.5' in '1 1.5 0'"),
     ("zero-denominator", ["nbc", "FILE"], "dim 1\n1/0 1\n", "FILE:2: cannot parse rational '1/0' in '1/0 1'"),
@@ -108,6 +125,8 @@ REJECTIONS = [
      "--order '0,x,1' is not a comma-separated integer list"),
     ("long-order", ["nbc", "FILE", "--order", "0," * 100000 + "x"], "n 3\n0 1\n",
      f"--order '{'0,' * 20}...' (200001 characters) is not a comma-separated integer list"),
+    ("order-separator", ["nbc", "FILE", "--order", "0,1_0,2"], "n 3\n0 1\n",
+     "--order '0,1_0,2' is not a comma-separated integer list"),
     ("decone-index", ["decone", "FILE", "3"], "dim 2\n1 0 0\n0 1 0\n1 1 0\n",
      "hyperplane index 3 out of range for m=3"),
     ("decone-affine", ["decone", "FILE", "0"], "dim 1\n1 1\n",
@@ -165,12 +184,16 @@ class TestParsing:
         assert arr.hyperplanes[0].normal == (3, -2)
 
     def test_token_grammar(self):
-        # exactly [+-]digits and [+-]digits/digits in ASCII digits, the same on every Python version
+        # exactly [+-]digits and [+-]digits/digits in ASCII digits, the same on every Python version;
+        # a fraction comes back as an integer pair, not reduced, with a positive denominator
         def parse(token):
             try:
                 value = _rational(token)
-            except (ValueError, ZeroDivisionError) as exc:
+            except ValueError as exc:
                 return type(exc)
+            if type(value) is tuple:
+                assert [type(x) for x in value] == [int, int] and value[1] > 0
+                return Fraction, Fraction(*value)
             return type(value), value
 
         assert {token: parse(token) for token in TOKENS} == TOKENS
@@ -178,10 +201,19 @@ class TestParsing:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.lists(st.integers(-20, 20), min_size=3, max_size=3), min_size=1, max_size=5))
     def test_integer_file_matches_the_fraction_path(self, rows):
-        # "k/1" is not an integer token, so the second text parses through `Fraction`
+        # "k/1" is not an integer token, so the second text parses through (num, den) pairs
         text = "dim 2\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows if any(row[:2]))
         slow = "dim 2\n" + "".join(" ".join(f"{x}/1" for x in row) + "\n" for row in rows if any(row[:2]))
         assert parse_input(text) == parse_input(slow)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 40)), min_size=3, max_size=3)
+                    .filter(lambda row: any(num for num, _ in row[:2])), min_size=1, max_size=5))
+    def test_fraction_lines_match_hyperplane_make(self, rows):
+        # each line is scaled by the lcm of its unreduced denominators, which `Fraction` would reduce first
+        text = "dim 2\n" + "".join(" ".join(f"{num}/{den}" for num, den in row) + "\n" for row in rows)
+        values = [[Fraction(num, den) for num, den in row] for row in rows]
+        assert parse_input(text) == Arrangement(2, tuple(Hyperplane.make(v[:2], v[2]) for v in values))
 
     def test_arrangement_wrong_arity(self):
         with pytest.raises(InputError, match="coordinates"):
@@ -230,6 +262,12 @@ class TestParsing:
         arrangements_ += [decone(arr, k0) for arr in linear_central_corpus(rng) for k0 in range(arr.m)]
         for arr in arrangements_:
             assert parse_input(format_arrangement(arr)) == arr
+
+    @settings(max_examples=200, deadline=None)
+    @given(fractional_arrangements())
+    def test_written_offsets_match_the_fraction_printer(self, arr):
+        assert format_arrangement(arr) == reference_format_arrangement(arr)
+        assert parse_input(format_arrangement(arr)) == arr
 
     def test_written_graphs_read_back(self, graph_corpus):
         for _, g in graph_corpus:
@@ -316,12 +354,13 @@ print(json.dumps([package_alone, sorted(loaded)]))
 @pytest.mark.parametrize("text, commands, absent", [
     (None, [], {"graphs", "arrangements", "linalg", "checks", "corpus"}),
     (K4_TEXT, [["bounds"], ["chromatic"]], {"arrangements", "linalg", "checks", "corpus", "fractions"}),
-    (LINEAR_LINES_TEXT, [["nbc"], ["decone", "0"]], {"graphs", "checks", "corpus"}),
-    # hyperplanes are integer rows, so only parsing rationals needs `fractions`
-    # (`decone` loads it to print offsets)
+    (LINEAR_LINES_TEXT, [["nbc"], ["decone", "0"]], {"graphs", "checks", "corpus", "fractions"}),
     (LINEAR_LINES_TEXT, [["nbc"]], {"graphs", "checks", "corpus", "fractions"}),
+    # hyperplanes are integer rows: a line of fractions is scaled by the lcm of its denominators,
+    # and `decone` prints the offset -1/2 as num/den from its row
+    (FRACTIONAL_TEXT, [["nbc"], ["bounds"], ["decone", "0"]], {"graphs", "checks", "corpus", "fractions"}),
     (None, [["verify", "--graphs", "2", "--arrangements", "2", "--seed", "1"]], {"fractions"}),
-], ids=["import", "graph", "arrangement", "integer-nbc", "verify"])
+], ids=["import", "graph", "arrangement", "integer-nbc", "fractional", "verify"])
 def test_each_command_loads_only_the_modules_it_runs(write, text, commands, absent):
     # every process compiles what it imports when bytecode writing is off, so an unused module costs start-up
     path = write("input.txt", text) if text is not None else None

@@ -49,6 +49,16 @@ def test_residuals_are_primitive_and_vanish_at_earlier_leads():
     assert residual((2, 5, 8, 11), basis) == (4, (0, 0, 0, 0))
 
 
+def test_a_full_basis_reads_no_further_rows():
+    # two independent rows of width 2 span every row of that width
+    def rows():
+        yield (0, 2)
+        yield (3, 1)
+        raise AssertionError("a row after a spanning basis was read")
+
+    assert echelon(rows()) == [(1, (0, 1)), (0, (1, 0))]
+
+
 @st.composite
 def pivot_steps(draw):
     """A row and a pivot row (lead, prow), prow nonzero at lead, over 1-4 unknowns plus an offset.
