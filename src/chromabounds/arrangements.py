@@ -48,11 +48,20 @@ The rank is one echelon pass over the normals, which stops once they
 span the ambient space. An arrangement with an offset, even one whose
 hyperplanes share a point, takes the loop as it is.
 
+The poset enumerates no subsets, so no subset guard applies to it. Its
+cost is bounded by the work it does: each new flat whose sections are
+computed counts the sections its parent's grouping loop reads, an upper
+bound on that flat's `reduce_row` steps, and past `POSET_STEP_BUDGET`
+steps the build stops with `ResourceLimitError`. Preset flats (a point,
+and in a linear arrangement each coatom and the center) cost no step.
+
 The sweeps over subsets of hyperplanes (`char_poly_whitney`,
 `is_general_position` and the no-broken-circuit count `nbc_counts`) share
-one depth-first walk, `_subset_walk`. It grows each subset by larger
-indices only. Each subset carries the residuals of the rows it can still
-add against its echelon basis, so the pivot of a child's entry
+one depth-first walk, `_subset_walk`, and it alone checks the subset
+guard: a walk over more hyperplanes than the guard raises
+`ResourceLimitError` before its first subset. It grows each subset by
+larger indices only. Each subset carries the residuals of the rows it can
+still add against its echelon basis, so the pivot of a child's entry
 classifies the child with no elimination. A child of higher rank derives
 its own table from its parent's, one elimination step for each later row
 that is nonzero at the new pivot; a dependent child shares its parent's.
@@ -68,7 +77,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import DEFAULT_SUBSET_GUARD, InputError, ResourceLimitError
+from .errors import DEFAULT_SUBSET_GUARD, POSET_STEP_BUDGET, InputError, ResourceLimitError
 from .exactmath import IntPolynomial, Value, binomial_row
 from .linalg import Pivoted, Row, echelon, reduce_row, residual
 
@@ -176,10 +185,15 @@ class Flat(NamedTuple):
 
 def _subset_walk(
     arr: Arrangement,
+    guard: int,
     expand_dependent: bool = False,
     nbc: bool = False,
 ) -> Iterator[tuple[int, int | None]]:
     """Depth-first over nonempty subsets grown by larger indices; yields (size, rank).
+
+    The one place that enumerates subsets, so the one place that checks the
+    subset guard: more than `guard` hyperplanes raise `ResourceLimitError`
+    before the first subset is yielded.
 
     `rank` is None when the subset has no common point. Each subset carries
     a table: for every hyperplane it can still add, the (pivot, primitive
@@ -204,6 +218,8 @@ def _subset_walk(
     refuses exactly the subsets holding a broken circuit.
     """
     n, m = arr.dim, arr.m
+    if m > guard:
+        raise ResourceLimitError(f"arrangement has {m} hyperplanes; subset enumeration guard is {guard}")
     # next index, size, rank, table, index of the table's first entry, and the pivoted row
     # that the table has yet to be reduced by (None when the table is the subset's own)
     stack: list[tuple[int, int, int, list[Pivoted], int, Pivoted | None]] = [
@@ -254,13 +270,6 @@ def is_boolean(arr: Arrangement) -> bool:
     return True
 
 
-def _check_guard(arr: Arrangement, guard: int) -> None:
-    if arr.m > guard:
-        raise ResourceLimitError(
-            f"arrangement has {arr.m} hyperplanes; subset enumeration guard is {guard}"
-        )
-
-
 def is_general_position(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> bool:
     """Every subset of size <= r is boolean, every larger subset non-central.
 
@@ -268,9 +277,8 @@ def is_general_position(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> 
     stops at size r + 1: only independent subsets are descended from, and
     none of size r + 1 can be central without failing the test.
     """
-    _check_guard(arr, guard)
     r = rank(arr)
-    for size, sub_rank in _subset_walk(arr):
+    for size, sub_rank in _subset_walk(arr, guard):
         if sub_rank != (size if size <= r else None):
             return False
     return True
@@ -287,7 +295,7 @@ class IntersectionPoset(NamedTuple):
     mobius: tuple[int, ...]
 
 
-def intersection_poset(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> IntersectionPoset:
+def intersection_poset(arr: Arrangement) -> IntersectionPoset:
     """All distinct nonempty intersections, with Moebius values.
 
     Built rank by rank, until a rank has no flats. A flat keeps its
@@ -311,14 +319,20 @@ def intersection_poset(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> I
     (see the module docstring). Every parent that reaches a child is a
     cover of the child.
 
+    The build counts its elimination steps: each new flat whose sections
+    are computed adds the number of its parent's sections, which bounds
+    its `reduce_row` calls. Once the count passes `POSET_STEP_BUDGET`,
+    `ResourceLimitError` names the budget and the flats built so far. The
+    check runs as each flat is found, so no layer runs unbounded.
+
     The Moebius function follows from the covers alone, by Weisner's
     theorem (see the module docstring): mu(V) = 1, and mu(X) = -sum of
     mu(Y) over the covers Y of X whose closure lacks the lowest set bit of
     X's closure. Each cover adds its term as it reaches the child, so a
     rank keeps only its flats' values and sections.
     """
-    _check_guard(arr, guard)
     n = arr.dim
+    steps = 0  # sections read by the grouping loops, a bound on the reduce_row calls
     # dimension -> the sections its flats get with no elimination: a point has none, and in a
     # linear arrangement the center has none and each coatom has one, the center (its key is unused)
     preset: dict[int, dict] = {0: {}}
@@ -340,6 +354,11 @@ def intersection_poset(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> I
                 if child is None:
                     grouped = preset.get(dim)
                     if grouped is None:
+                        steps += len(sections)
+                        if steps > POSET_STEP_BUDGET:
+                            raise ResourceLimitError(
+                                f"intersection poset passed its budget of {POSET_STEP_BUDGET} elimination steps "
+                                f"after {len(flats) + len(found)} flats")
                         grouped = {}
                         lead, row = section
                         for other, other_bits in sections.items():
@@ -362,9 +381,12 @@ def intersection_poset(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> I
     return IntersectionPoset(tuple(flats), tuple(mobius))
 
 
-def char_poly(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> IntPolynomial:
-    """Characteristic polynomial: sum of mu(X) t^dim(X) over the poset."""
-    poset = intersection_poset(arr, guard=guard)
+def char_poly(arr: Arrangement) -> IntPolynomial:
+    """Characteristic polynomial: sum of mu(X) t^dim(X) over the poset.
+
+    Takes no subset guard: the poset is bounded by `POSET_STEP_BUDGET`.
+    """
+    poset = intersection_poset(arr)
     coeffs = [0] * (arr.dim + 1)
     for flat, mu in zip(poset.flats, poset.mobius):
         coeffs[flat.dim] += mu
@@ -376,10 +398,9 @@ def char_poly_whitney(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> In
 
     Independent of the poset route; the two must agree on every input.
     """
-    _check_guard(arr, guard)
     coeffs = [0] * (arr.dim + 1)
     coeffs[arr.dim] = 1  # empty subset
-    for size, r in _subset_walk(arr, expand_dependent=True):
+    for size, r in _subset_walk(arr, guard, expand_dependent=True):
         if r is not None:
             coeffs[arr.dim - r] += -1 if size % 2 else 1
     return IntPolynomial(tuple(coeffs))
@@ -425,10 +446,9 @@ def nbc_counts(
         if sorted(order) != list(range(arr.m)):
             raise InputError(f"order {order} is not a permutation of 0..{arr.m - 1}")
         arr = Arrangement(arr.dim, tuple([arr.hyperplanes[j] for j in order]))
-    _check_guard(arr, guard)
     counts = [0] * (arr.m + 1)
     counts[0] = 1  # empty subset
-    for size, r in _subset_walk(arr, nbc=True):
+    for size, r in _subset_walk(arr, guard, nbc=True):
         if r is not None:
             counts[size] += 1
     return tuple(counts)

@@ -129,8 +129,14 @@ def _parse_dimacs(lines: list[tuple[int, str]], source: str) -> tuple[int, set[t
 
 
 def _collect_edges(lines: list[tuple[int, str]], n: int, source: str, base: int) -> set[tuple[int, int]]:
-    """The edges of 'u v' lines whose vertices are numbered from `base`, as 0-based pairs."""
+    """The edges of 'u v' lines whose vertices are numbered from `base`, as 0-based pairs.
+
+    Repeated edges collapse to one; after the read, one warning gives their
+    count and the first of them.
+    """
     edges: set[tuple[int, int]] = set()
+    duplicates = 0
+    first = ""  # where the first duplicate is, and its excerpt
     for lineno, line in lines:
         parts = line.split()
         if len(parts) != 2:
@@ -145,8 +151,12 @@ def _collect_edges(lines: list[tuple[int, str]], n: int, source: str, base: int)
             raise InputError(f"{source}:{lineno}: vertex out of range in {quoted(line)}")
         e = (min(u, v), max(u, v))
         if e in edges:
-            print(f"warning: {source}:{lineno}: duplicate edge {quoted(line)} collapsed", file=sys.stderr)
+            if not duplicates:
+                first = f"{source}:{lineno}: duplicate edge {quoted(line)}"
+            duplicates += 1
         edges.add(e)
+    if duplicates:
+        print(f"warning: {first} collapsed ({duplicates} duplicate edges in all)", file=sys.stderr)
     return edges
 
 
@@ -272,7 +282,7 @@ def _as_arrangement(obj: SimpleGraph | Arrangement) -> Arrangement:
     return graphic_arrangement(obj) if _is_graph(obj) else obj
 
 
-def _polynomial(obj: SimpleGraph | Arrangement, cap_subsets: int) -> IntPolynomial:
+def _polynomial(obj: SimpleGraph | Arrangement) -> IntPolynomial:
     """The chromatic polynomial of a graph, the characteristic polynomial of an arrangement."""
     if _is_graph(obj):
         from .graphs import chromatic_poly
@@ -280,11 +290,11 @@ def _polynomial(obj: SimpleGraph | Arrangement, cap_subsets: int) -> IntPolynomi
         return chromatic_poly(obj)
     from .arrangements import char_poly
 
-    return char_poly(obj, guard=cap_subsets)
+    return char_poly(obj)
 
 
-def build_bounds_report(obj: SimpleGraph | Arrangement, *, q_min: int, q_max: int, cap_subsets: int) -> dict:
-    poly = _polynomial(obj, cap_subsets)
+def build_bounds_report(obj: SimpleGraph | Arrangement, *, q_min: int, q_max: int) -> dict:
+    poly = _polynomial(obj)
     seq = bnd.coeff_sequence(poly, obj.m)
     report = bnd.verify_bounds(seq, q_min, q_max)
     return {
@@ -301,7 +311,7 @@ def build_nbc_report(obj: SimpleGraph | Arrangement, order: tuple[int, ...] | No
 
     # The counts first: their subset guard depends only on m and trips before any polynomial is built.
     counts = nbc_counts(_as_arrangement(obj), order=order, guard=cap_subsets)
-    poly = _polynomial(obj, cap_subsets)
+    poly = _polynomial(obj)
     seq = bnd.coeff_sequence(poly, obj.m)
     rows = [{"k": k, "nbc_count": str(counts[k]), "abs_coefficient": str(seq.a[k]),
              "match": counts[k] == seq.a[k]} for k in range(seq.r + 1)]
@@ -339,8 +349,7 @@ def _run_chromatic(args: argparse.Namespace) -> tuple[dict, list]:
 
 
 def _run_bounds(args: argparse.Namespace) -> tuple[dict, list]:
-    results = build_bounds_report(parse_input_file(args.file), q_min=args.q_min, q_max=args.q_max,
-                                  cap_subsets=args.cap_subsets)
+    results = build_bounds_report(parse_input_file(args.file), q_min=args.q_min, q_max=args.q_max)
     return results, [_violation("two-sided-bounds", args.file, f"q={rec['q']} k={rec['k']}")
                      for rec in results["records"] if not rec["ok"]]
 
@@ -362,8 +371,8 @@ def _run_decone(args: argparse.Namespace) -> tuple[dict, list]:
     arr = _as_arrangement(parse_input_file(args.file))
     k0 = args.k0
     deconed = decone(arr, k0)
-    chi = char_poly(arr, guard=args.cap_subsets)
-    chi_deconed = char_poly(deconed, guard=args.cap_subsets)
+    chi = char_poly(arr)
+    chi_deconed = char_poly(deconed)
     expected = bnd.divided_difference(chi)
     results = {
         "deconed": format_arrangement(deconed),
@@ -506,12 +515,12 @@ def _build_parser() -> argparse.ArgumentParser:
     command("chromatic", "chromatic polynomial of a graph file", _run_chromatic, _print_text_chromatic,
             "file", "--format")
     command("bounds", "two-sided bound grid for a graph or arrangement file", _run_bounds, _print_text_bounds,
-            "file", "--format", "--q-min", "--q-max", "--cap-subsets")
+            "file", "--format", "--q-min", "--q-max")
     p = command("nbc", "no-broken-circuit counts vs. coefficients", _run_nbc, _print_text_nbc,
                 "file", "--format", "--cap-subsets")
     p.add_argument("--order", default=None, help="comma-separated permutation of 0..m-1")
     p = command("decone", "decone a linear arrangement at an index", _run_decone, _print_text_decone,
-                "file", "--format", "--cap-subsets")
+                "file", "--format")
     p.add_argument("k0", type=_integer)
     p = command("verify", "run the full invariant suite on a seeded corpus", _run_verify, _print_text_verify,
                 *_SHARED_FLAGS)

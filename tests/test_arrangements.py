@@ -30,6 +30,7 @@ from chromabounds import (
     is_boolean,
     is_central,
     is_general_position,
+    nbc_counts,
     path,
     rank,
     restrict,
@@ -180,9 +181,33 @@ class TestIntersectionPoset:
     def test_three_generic_lines(self):
         assert len(intersection_poset(GENERIC_LINES).flats) == 7
 
-    def test_guard(self):
-        with pytest.raises(ResourceLimitError):
-            intersection_poset(coordinate_arrangement(5), guard=4)
+    def test_guard(self, monkeypatch):
+        # the poset takes no subset guard; its step budget counts the sections each new flat is cut
+        # from. The boolean arrangement in dimension 5 cuts 5 sections for each of its 5 flats of
+        # dimension 4, 4 for each of 10 of dimension 3 and 3 for each of 10 of dimension 2; its
+        # coatoms and its center are preset. The 26th flat is the one over budget.
+        boolean = coordinate_arrangement(5)
+        monkeypatch.setattr(arrangements, "POSET_STEP_BUDGET", 25 + 40 + 30)
+        assert len(intersection_poset(boolean).flats) == 2**5
+        monkeypatch.setattr(arrangements, "POSET_STEP_BUDGET", 25 + 40 + 30 - 1)
+        with pytest.raises(ResourceLimitError, match="budget of 94 elimination steps after 25 flats"):
+            intersection_poset(boolean)
+
+    def test_step_budget_bounds_the_eliminations(self, monkeypatch):
+        # K6's graphic arrangement: the budget counts at least as many steps as reduce_row takes
+        k6 = graphic_arrangement(complete(6))
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return reduce_row(*args)
+
+        monkeypatch.setattr(arrangements, "reduce_row", counting)
+        intersection_poset(k6)
+        monkeypatch.setattr(arrangements, "POSET_STEP_BUDGET", calls - 1)
+        with pytest.raises(ResourceLimitError, match="intersection poset passed its budget"):
+            intersection_poset(k6)
 
     def test_mobius_defining_recursion(self, arrangement_corpus):
         samples = [K3_ARR, GENERIC_LINES, PARALLEL_LINES] + [
@@ -453,7 +478,21 @@ class TestSubsetWalk:
         for expand_dependent in (False, True):
             for nbc in (False, True):
                 expected = [(size, r) for _, size, r in reference_subset_walk(arr, expand_dependent, nbc)]
-                assert list(_subset_walk(arr, expand_dependent, nbc)) == expected
+                assert list(_subset_walk(arr, arr.m, expand_dependent, nbc)) == expected
+
+    @pytest.mark.parametrize("sweep", [char_poly_whitney, nbc_counts, is_general_position])
+    def test_guard_is_checked_by_the_walk(self, sweep):
+        # every subset sweep takes the walk's guard: m = guard passes, m = guard + 1 is refused
+        boolean = coordinate_arrangement(5)
+        sweep(boolean, guard=5)
+        with pytest.raises(ResourceLimitError, match="^arrangement has 5 hyperplanes; subset enumeration guard is 4$"):
+            sweep(boolean, guard=4)
+
+    def test_poset_takes_no_subset_guard(self):
+        # 21 hyperplanes, over the default subset guard of 20; the poset has 877 flats
+        k7 = graphic_arrangement(complete(7))
+        assert len(intersection_poset(k7).flats) == 877
+        assert char_poly(k7) == chromatic_poly(complete(7))
 
     def test_boolean_whitney_reduces_each_row_once(self, monkeypatch):
         # the rows enter as they are, and every later row vanishes at a coordinate hyperplane's

@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromabounds import (
-    Arrangement, Hyperplane, InputError, IntPolynomial, SimpleGraph, arrangements, bounds, checks, cli, decone,
-    graphic_arrangement, graphs, nbc_counts,
+    Arrangement, Hyperplane, InputError, IntPolynomial, SimpleGraph, arrangements, bounds, checks, cli, complete,
+    decone, graphic_arrangement, graphs, nbc_counts,
 )
 from chromabounds.cli import (
     _build_parser,
@@ -34,7 +34,9 @@ from chromabounds.cli import (
     parse_input_file,
 )
 from chromabounds.corpus import linear_central_corpus
-from chromabounds.errors import CORPUS_INSTANCE_BUDGET, DEFAULT_SUBSET_GUARD, GRID_CELL_BUDGET, quoted
+from chromabounds.errors import (
+    CORPUS_INSTANCE_BUDGET, DEFAULT_SUBSET_GUARD, GRID_CELL_BUDGET, POSET_STEP_BUDGET, quoted,
+)
 from strategies import (
     digit_limit, fractional_arrangements, random_affine_with_parallels, reference_format_arrangement, small_graphs,
     walk_arrangements,
@@ -169,6 +171,15 @@ class TestParsing:
         g = parse_input("n 3\n0 1\n1 0\n")
         assert g.m == 1
         assert "duplicate edge" in capsys.readouterr().err
+
+    def test_many_duplicate_edges_give_one_warning(self, write, capsys):
+        path = write("dup.txt", "n 3\n" + "0 1\n" * 100000)
+        start = time.perf_counter()
+        assert main(["chromatic", path]) == 0
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err == f"warning: {path}:3: duplicate edge '0 1' collapsed (99999 duplicate edges in all)\n"
+        assert len(err.encode()) < 1024
 
     def test_bad_header(self):
         with pytest.raises(InputError, match="header"):
@@ -500,7 +511,7 @@ class TestDirectReports:
     @given(st.one_of(small_graphs(), walk_arrangements), st.integers(-4, 2), st.integers(0, 4), st.randoms())
     def test_same_reports_as_through_case(self, obj, q_min, width, rng):
         q_max = q_min + width
-        report = build_bounds_report(obj, q_min=q_min, q_max=q_max, cap_subsets=DEFAULT_SUBSET_GUARD)
+        report = build_bounds_report(obj, q_min=q_min, q_max=q_max)
         assert report == case_bounds_report(obj, q_min, q_max)
         order = tuple(rng.sample(range(obj.m), obj.m))
         for chosen in (None, order):
@@ -573,11 +584,18 @@ SHARED_FLAGS = ("--format", "--q-min", "--q-max", "--seed", "--cap-subsets", "--
 # the shared flags each file command reads; `verify` reads all of them
 FLAGS_READ = {
     "chromatic": {"--format"},
-    "bounds": {"--format", "--q-min", "--q-max", "--cap-subsets"},
+    "bounds": {"--format", "--q-min", "--q-max"},
     "nbc": {"--format", "--cap-subsets"},
-    "decone": {"--format", "--cap-subsets"},
+    "decone": {"--format"},
 }
 UNREAD_FLAGS = [(command, flag) for command, read in FLAGS_READ.items() for flag in SHARED_FLAGS if flag not in read]
+
+
+# C20's graphic arrangement: 20 hyperplanes, within the subset guard, and 1,048,556 flats
+C20_ARRANGEMENT = graphic_arrangement(parse_input(long_graph_text(20, True)))
+# 19 affine hyperplanes in dimension 12, entries in -3..3
+DIM12_ARRANGEMENT = Arrangement(12, tuple(Hyperplane([rng.randint(-3, 3) for _ in range(13)])
+                                          for rng in [random.Random(1)] for _ in range(19)))
 
 
 class TestResourceCaps:
@@ -669,11 +687,11 @@ class TestResourceCaps:
         assert "verify would draw '4' random graphs and arrangements; the corpus budget is 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, flag", [
-        pytest.param("bounds", "--cap-subsets", id="--cap-subsets"),
+        pytest.param("nbc", "--cap-subsets", id="--cap-subsets"),
         pytest.param("verify", "--cap-colorings", id="--cap-colorings"),
     ])
     def test_nonpositive_cap_rejected(self, write, capsys, command, flag):
-        file = [write("k3.txt", K3_TEXT)] if command == "bounds" else []
+        file = [write("k3.txt", K3_TEXT)] if command == "nbc" else []
         assert main([command, *file, flag, "0"]) == 2
         assert "caps must be positive" in capsys.readouterr().err
 
@@ -686,6 +704,38 @@ class TestResourceCaps:
         # the usage of the command, which lists the flags it takes, not the top-level one
         assert err.startswith(f"usage: chromabounds {command} ") and f"unrecognized arguments: '{flag} 1'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [["bounds"], ["decone", "0"]], ids=["bounds", "decone"])
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_poset_admits_complete_graph_arrangements(self, write, capsys, command, n):
+        # 21 and 28 hyperplanes, over the subset guard: the poset (877 and 4140 flats) takes no subset guard
+        path = write(f"k{n}.txt", format_arrangement(graphic_arrangement(complete(n))))
+        start = time.perf_counter()
+        assert main([command[0], path, *command[1:]]) == 0
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == ""
+
+    def test_nbc_keeps_the_subset_guard(self, write, capsys):
+        path = write("k7.txt", format_arrangement(graphic_arrangement(complete(7))))
+        assert main(["nbc", path]) == 3
+        assert capsys.readouterr().err == "resource limit: arrangement has 21 hyperplanes; subset enumeration guard is 20\n"
+
+    @pytest.mark.parametrize("arr, command", [
+        (C20_ARRANGEMENT, ["bounds"]),
+        (C20_ARRANGEMENT, ["decone", "0"]),
+        (DIM12_ARRANGEMENT, ["bounds"]),
+    ], ids=["C20-bounds", "C20-decone", "dim-12-bounds"])
+    def test_poset_over_budget_exits_3(self, write, arr, command):
+        # a process of its own with a timeout, so that a poset with no budget fails the test and does not stall it
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        timed = ("import sys, time; from chromabounds.cli import main; start = time.perf_counter(); "
+                 "code = main(sys.argv[1:]); print(time.perf_counter() - start); sys.exit(code)")
+        argv = [command[0], write("arr.txt", format_arrangement(arr)), *command[1:]]
+        proc = subprocess.run([sys.executable, "-c", timed, *argv], env=env, capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 3, proc.stderr
+        assert float(proc.stdout) < 1
+        assert proc.stderr.startswith(f"resource limit: intersection poset passed its budget of {POSET_STEP_BUDGET} ")
+        assert len(proc.stderr.encode()) < 1024
 
     def test_coloring_cap_bounds_the_oracle_work(self, capsys):
         # the named graphs start P1, P2, P3, P4: n^2 2^n first exceeds 100 at n = 4
@@ -837,10 +887,25 @@ class TestVerifyCommand:
         assert f"{flag} must be at least {least}" in capsys.readouterr().err
 
     def test_small_subset_cap_skips_instead_of_failing(self, capsys):
-        # graphs with more than 8 edges exceed the cap: Whitney and NBC skip them, as graphic-char-poly does
+        # graphs with more than 8 edges exceed the cap: Whitney and NBC skip them
         args = ["verify", "--graphs", "3", "--arrangements", "2", "--seed", "5", "--cap-subsets", "8"]
         assert main(args) == 0
         assert "0 violations" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("graphs_, arrangements_, seed, cap", [
+        ("3", "0", "5", "5"),  # the linear corpus builds K4's poset (m = 6), which no subset cap bounds
+        ("0", "5", "1", "3"),  # arrangements with more than 3 hyperplanes skip Whitney, NBC and general position
+    ], ids=["linear-corpus", "arrangements"])
+    def test_tiny_subset_cap_skips_the_walks(self, capsys, graphs_, arrangements_, seed, cap):
+        args = ["verify", "--graphs", graphs_, "--arrangements", arrangements_, "--seed", seed, "--cap-subsets", cap]
+        assert main(args) == 0
+        assert "0 violations" in capsys.readouterr().out
+
+    def test_graphic_poset_over_budget_skips_its_check(self):
+        # K9's graphic poset (21,147 flats) passes the step budget, K8's (4,140 flats) does not
+        table = [check for check in checks.GRAPH_CHECKS if check.name == "graphic-char-poly"]
+        assert [ok for _, ok, _ in checks.run_checks(table, checks.Case("K8", complete(8), 0, 1))] == [True]
+        assert list(checks.run_checks(table, checks.Case("K9", complete(9), 0, 1))) == []
 
     @pytest.mark.parametrize("oracle, check", [
         ("chromatic_poly_interpolated", "coloring-oracle"),
