@@ -1,5 +1,5 @@
 import sys
 
-from .cli import main
+from .cli import process_main
 
-sys.exit(main())
+sys.exit(process_main())

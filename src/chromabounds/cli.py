@@ -19,7 +19,9 @@ command never loads `arrangements` or `linalg`, only `verify` loads
 Exit codes: 0 success, 1 verification failure (the report's violations or
 a broken internal invariant), 2 input or usage error, 3 resource cap
 exceeded or out of memory; a reader closing stdout early is not a failure
-(exit 0). JSON reports keep every potentially large integer as a decimal
+(exit 0). A process runs `main` through `process_main`, which then
+freezes the heap so that the interpreter's finalization does not collect
+it. JSON reports keep every potentially large integer as a decimal
 string so arbitrary precision survives serialization, and no integer is
 too long to print: `main` lifts the int-string digit limit while a
 command runs and restores the caller's limit after it. An integer flag
@@ -31,6 +33,7 @@ to 40 characters plus its length (`errors.quoted`).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import random
@@ -593,5 +596,20 @@ def main(argv: list[str] | None = None) -> int:
             sys.set_int_max_str_digits(limit)
 
 
+def process_main() -> int:
+    """The process entry of `python -m chromabounds` and of the `chromabounds` script: `main`, then `gc.freeze()`.
+
+    The process is about to end, and its memory goes with it. Frozen
+    objects are left out of the collections that the interpreter's
+    finalization runs, so the heap that the command and its imports built
+    is not walked, nor are its reference cycles freed one by one.
+    Finalization still runs atexit handlers and flushes stdout and stderr.
+    `main` itself leaves the collector as it found it.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(process_main())

@@ -232,7 +232,9 @@ def _evaluate(term: Term, memo: dict) -> list[int]:
     for d in offsets:
         counts[d] = counts.get(d, 0) + 1
     for d, e in counts.items():
-        if e > 1:
+        if not d:
+            out = [0] * e + out  # times t^e
+        elif e > 1:
             out = _mul(out, _linear_power(d, e))
         else:
             # times (t - d), in place from the top coefficient down

@@ -5,6 +5,7 @@ seeded random graphs on up to 6 vertices, and 50 seeded random rational
 arrangements in dimension up to 4 with up to 7 hyperplanes.
 """
 
+import gc
 import random
 import sys
 
@@ -68,3 +69,19 @@ def _digit_limit_restored():
     if left != DIGIT_LIMIT:
         sys.set_int_max_str_digits(DIGIT_LIMIT)
         pytest.fail(f"int-string digit limit left at {left}, was {DIGIT_LIMIT}")
+
+
+@pytest.fixture(autouse=True)
+def _collector_untouched():
+    """Fail any test that changes whether the collector is enabled or how many objects it holds frozen.
+
+    Only the process entry freezes the heap, after `main` has returned; `main` in-process must not.
+    """
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    yield
+    left = gc.isenabled(), gc.get_freeze_count()
+    if left != (enabled, frozen):
+        gc.unfreeze()
+        (gc.enable if enabled else gc.disable)()
+        pytest.fail(f"collector left enabled={left[0]} with {left[1]} frozen objects, "
+                    f"was enabled={enabled} with {frozen}")

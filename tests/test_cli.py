@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -336,6 +337,49 @@ class TestChromaticCommand:
             err = proc.stderr.read()
             assert proc.wait(timeout=120) == 0, err
         assert err == b""
+
+
+# Runs `python -m chromabounds` with the arguments after it, as the interpreter does, and
+# prints from atexit whether the heap was frozen once the command had returned.
+PROCESS_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(f"frozen at exit: {gc.get_freeze_count() > 0}"))
+sys.argv = ["chromabounds", *sys.argv[1:]]
+runpy.run_module("chromabounds", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("text, argv, status", [
+    (None, ["verify", "--seed", "7", "--graphs", "4", "--arrangements", "2"], 0),
+    ("n 3\n0 x\n", ["bounds"], 2),
+    (K3_TEXT, ["bounds", "--q-max", "1000"], 3),  # past the grid budget
+], ids=["ok", "malformed-file", "grid-budget"])
+def test_module_runs_through_the_process_entry(write, capsys, text, argv, status):
+    # the process freezes its heap after the command and keeps main's output and exit code
+    if text is not None:
+        argv = [argv[0], write("input.txt", text), *argv[1:]]
+    assert main(argv) == status
+    expected = capsys.readouterr()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", PROCESS_PROBE, *argv], env=env, capture_output=True, timeout=60)
+    assert proc.returncode == status, proc.stderr
+    assert proc.stdout == expected.out.encode() + b"frozen at exit: True\n"
+    assert proc.stderr == expected.err.encode()
+
+
+def test_script_and_module_share_the_process_entry():
+    # the installed `chromabounds` script and `python -m chromabounds` call the same function
+    tomllib = pytest.importorskip("tomllib")
+    script = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]["chromabounds"]
+    module, function = script.split(":")
+    tree = ast.parse((ROOT / "src" / "chromabounds" / "__main__.py").read_text())
+    imported = {f"chromabounds.{node.module}:{alias.name}" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
+    exited = [ast.unparse(node.args[0]) for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and ast.unparse(node.func) == "sys.exit"]
+    assert script in imported and exited == [f"{function}()"]
+    assert module == "chromabounds.cli" and getattr(cli, function) is cli.process_main
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():

@@ -2,7 +2,7 @@ import random
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chromabounds import (
@@ -425,7 +425,8 @@ class TestUniversalVertices:
         chromatic_poly(h, alone)
         assert joined.keys() == alone.keys()
 
-    @given(st.integers(-6, 6), st.integers(0, 12))
+    @given(st.integers(-6, 6), st.integers(0, 30))
+    @example(0, 30)
     def test_linear_power_is_the_product_of_its_factors(self, d, e):
         assert graphs._linear_power(d, e) == reference_linear_product([d] * e)
 
