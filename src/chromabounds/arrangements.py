@@ -58,7 +58,7 @@ and in a linear arrangement each coatom and the center) cost no step.
 The sweeps over subsets of hyperplanes (`char_poly_whitney`,
 `is_general_position` and the no-broken-circuit count `nbc_counts`) share
 one depth-first walk, `_subset_walk`, and it alone checks the subset
-guard: a walk over more hyperplanes than the guard raises
+guard: a walk over more than `SUBSET_GUARD` hyperplanes raises
 `ResourceLimitError` before its first subset. It grows each subset by
 larger indices only. Each subset carries the residuals of the rows it can
 still add against its echelon basis, so the pivot of a child's entry
@@ -77,7 +77,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import DEFAULT_SUBSET_GUARD, POSET_STEP_BUDGET, InputError, ResourceLimitError
+from .errors import POSET_STEP_BUDGET, SUBSET_GUARD, InputError, ResourceLimitError
 from .exactmath import IntPolynomial, Value, binomial_row
 from .linalg import Pivoted, Row, echelon, reduce_row, residual
 
@@ -185,14 +185,13 @@ class Flat(NamedTuple):
 
 def _subset_walk(
     arr: Arrangement,
-    guard: int,
     expand_dependent: bool = False,
     nbc: bool = False,
 ) -> Iterator[tuple[int, int | None]]:
     """Depth-first over nonempty subsets grown by larger indices; yields (size, rank).
 
     The one place that enumerates subsets, so the one place that checks the
-    subset guard: more than `guard` hyperplanes raise `ResourceLimitError`
+    subset guard: more than `SUBSET_GUARD` hyperplanes raise `ResourceLimitError`
     before the first subset is yielded.
 
     `rank` is None when the subset has no common point. Each subset carries
@@ -218,8 +217,8 @@ def _subset_walk(
     refuses exactly the subsets holding a broken circuit.
     """
     n, m = arr.dim, arr.m
-    if m > guard:
-        raise ResourceLimitError(f"arrangement has {m} hyperplanes; subset enumeration guard is {guard}")
+    if m > SUBSET_GUARD:
+        raise ResourceLimitError(f"arrangement has {m} hyperplanes; subset enumeration guard is {SUBSET_GUARD}")
     # next index, size, rank, table, index of the table's first entry, and the pivoted row
     # that the table has yet to be reduced by (None when the table is the subset's own)
     stack: list[tuple[int, int, int, list[Pivoted], int, Pivoted | None]] = [
@@ -270,7 +269,7 @@ def is_boolean(arr: Arrangement) -> bool:
     return True
 
 
-def is_general_position(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> bool:
+def is_general_position(arr: Arrangement) -> bool:
     """Every subset of size <= r is boolean, every larger subset non-central.
 
     Every superset of a non-central subset is non-central, so the walk
@@ -278,7 +277,7 @@ def is_general_position(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> 
     none of size r + 1 can be central without failing the test.
     """
     r = rank(arr)
-    for size, sub_rank in _subset_walk(arr, guard):
+    for size, sub_rank in _subset_walk(arr):
         if sub_rank != (size if size <= r else None):
             return False
     return True
@@ -393,24 +392,20 @@ def char_poly(arr: Arrangement) -> IntPolynomial:
     return IntPolynomial(tuple(coeffs))
 
 
-def char_poly_whitney(arr: Arrangement, guard: int = DEFAULT_SUBSET_GUARD) -> IntPolynomial:
+def char_poly_whitney(arr: Arrangement) -> IntPolynomial:
     """Signed sum over central subsets B of (-1)^|B| t^(n - rank(B)).
 
     Independent of the poset route; the two must agree on every input.
     """
     coeffs = [0] * (arr.dim + 1)
     coeffs[arr.dim] = 1  # empty subset
-    for size, r in _subset_walk(arr, guard, expand_dependent=True):
+    for size, r in _subset_walk(arr, expand_dependent=True):
         if r is not None:
             coeffs[arr.dim - r] += -1 if size % 2 else 1
     return IntPolynomial(tuple(coeffs))
 
 
-def nbc_counts(
-    arr: Arrangement,
-    order: Sequence[int] | None = None,
-    guard: int = DEFAULT_SUBSET_GUARD,
-) -> tuple[int, ...]:
+def nbc_counts(arr: Arrangement, order: Sequence[int] | None = None) -> tuple[int, ...]:
     """Entry k, for k = 0..m: the k-subsets with nonempty intersection and no broken circuit.
 
     Matches the absolute coefficient of t^(n-k) in the characteristic
@@ -448,7 +443,7 @@ def nbc_counts(
         arr = Arrangement(arr.dim, tuple([arr.hyperplanes[j] for j in order]))
     counts = [0] * (arr.m + 1)
     counts[0] = 1  # empty subset
-    for size, r in _subset_walk(arr, guard, nbc=True):
+    for size, r in _subset_walk(arr, nbc=True):
         if r is not None:
             counts[size] += 1
     return tuple(counts)

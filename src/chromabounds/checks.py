@@ -10,16 +10,17 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
+from . import arrangements
 from .arrangements import (
     Arrangement, boolean_char_poly, char_poly, char_poly_whitney, decone, delete, essentialize,
     general_position_char_poly, graphic_arrangement, is_boolean, is_central, is_general_position, nbc_counts,
     rank, restrict,
 )
 from .bounds import (
-    coeff_sequence, divided_difference, divided_difference_formula, divided_difference_iter, h_vector,
-    is_logconcave, verify_bounds,
+    BoundsReport, CoeffSequence, coeff_sequence, divided_difference, divided_difference_formula,
+    divided_difference_iter, h_vector, is_logconcave, verify_bounds,
 )
-from .errors import DEFAULT_COLORING_CAP, DEFAULT_SUBSET_GUARD, ResourceLimitError
+from .errors import ResourceLimitError
 from .exactmath import IntPolynomial
 from .graphs import (
     SimpleGraph, chromatic_poly, chromatic_poly_interpolated, contract_edge, delete_edge, is_forest,
@@ -30,11 +31,10 @@ from .graphs import (
 class Case:
     """A graph or arrangement under test, with the values its checks share.
 
-    `orders(m)` gives the NBC ground orders (None is the identity order); it
-    is called only when the NBC check applies. A graph's graphic
-    arrangement and its characteristic polynomial are built on first use.
-    `memo` is the chromatic memo its graph polynomials share; None gives
-    the case a fresh one.
+    The constructor keeps what identifies the instance; every other value is
+    built on first use. `orders(m)` gives the NBC ground orders (None is the
+    identity order); it is called only when the NBC check applies. `memo` is
+    the chromatic memo its graph polynomials share; None gives a fresh one.
     """
 
     def __init__(
@@ -44,8 +44,6 @@ class Case:
         q_min: int,
         q_max: int,
         orders: Callable[[int], Sequence[tuple[int, ...] | None]] = lambda m: [None],
-        cap_subsets: int = DEFAULT_SUBSET_GUARD,
-        cap_colorings: int = DEFAULT_COLORING_CAP,
         memo: dict | None = None,
     ) -> None:
         self.label = label
@@ -53,21 +51,33 @@ class Case:
         self.q_min = q_min
         self.q_max = q_max
         self.orders = orders
-        self.cap_subsets = cap_subsets
-        self.cap_colorings = cap_colorings
         self.memo = {} if memo is None else memo
-        self.m = obj.m
-        if isinstance(obj, SimpleGraph):
-            self.poly = chromatic_poly(obj, memo=self.memo)
-            self.rank = rank_info(obj).rank
-            size = {"n": obj.n, "m": obj.m}
-        else:
-            self.poly = char_poly(obj)
-            self.rank = rank(obj)
-            size = {"dim": obj.dim, "m": obj.m}
-        self.seq = coeff_sequence(self.poly, self.m)  # raises on any sign-pattern defect
-        self.bounds = verify_bounds(self.seq, self.q_min, self.q_max)
-        self.row = {"instance": self.label, **size, "rank": self.rank, "logconcave": is_logconcave(self.seq)}
+
+    @property
+    def m(self) -> int:
+        return self.obj.m
+
+    @cached_property
+    def poly(self) -> IntPolynomial:
+        """The chromatic polynomial of a graph, the characteristic polynomial of an arrangement."""
+        return chromatic_poly(self.obj, memo=self.memo) if isinstance(self.obj, SimpleGraph) else char_poly(self.obj)
+
+    @cached_property
+    def rank(self) -> int:
+        return rank_info(self.obj).rank if isinstance(self.obj, SimpleGraph) else rank(self.obj)
+
+    @cached_property
+    def seq(self) -> CoeffSequence:
+        return coeff_sequence(self.poly, self.m)  # raises on any sign-pattern defect
+
+    @cached_property
+    def bounds(self) -> BoundsReport:
+        return verify_bounds(self.seq, self.q_min, self.q_max)
+
+    @cached_property
+    def row(self) -> dict:
+        size = {"n": self.obj.n} if isinstance(self.obj, SimpleGraph) else {"dim": self.obj.dim}
+        return {"instance": self.label, **size, "m": self.m, "rank": self.rank, "logconcave": is_logconcave(self.seq)}
 
     @cached_property
     def arrangement(self) -> Arrangement:
@@ -83,7 +93,7 @@ class Case:
 
     @cached_property
     def general_position(self) -> bool:
-        return is_general_position(self.obj, guard=self.cap_subsets)
+        return is_general_position(self.obj)
 
     @cached_property
     def essential(self) -> Arrangement:
@@ -133,7 +143,7 @@ def _deletion_restriction(c: Case) -> Iterator[tuple[bool, str]]:
 
 def _nbc_counts(c: Case) -> Iterator[tuple[bool, str]]:
     for order in c.orders(c.m):
-        counts = nbc_counts(c.arrangement, order=order, guard=c.cap_subsets)
+        counts = nbc_counts(c.arrangement, order=order)
         for k in range(c.seq.r + 1):
             yield counts[k] == c.seq.a[k], f"k={k} order={order}"
 
@@ -147,7 +157,7 @@ def _divided_difference_closed_form(c: Case) -> Iterator[tuple[bool, str]]:
 
 def _walkable(c: Case) -> bool:
     """Whether the subset walks (Whitney, NBC, general position) may range over the case's hyperplanes."""
-    return c.m <= c.cap_subsets
+    return c.m <= arrangements.SUBSET_GUARD  # the walk's own guard: a lowered one skips the walks, not trips them
 
 
 def _sequence_tail(tight_name: str, nbc_applies: Callable[[Case], bool]) -> tuple[Check, ...]:
@@ -162,22 +172,22 @@ def _sequence_tail(tight_name: str, nbc_applies: Callable[[Case], bool]) -> tupl
 
 
 GRAPH_CHECKS: tuple[Check, ...] = (
-    _equal("coloring-oracle", lambda c: (c.poly, chromatic_poly_interpolated(c.obj, cap=c.cap_colorings))),
+    _equal("coloring-oracle", lambda c: (c.poly, chromatic_poly_interpolated(c.obj))),
     # m > n rules out a forest outright; otherwise compare to the product form.
     _equal("forest-formula",
            lambda c: (is_forest(c.obj), c.m <= c.obj.n and c.poly == boolean_char_poly(c.obj.n, c.m))),
     Check("deletion-contraction", _deletion_contraction),
-    # skipped, as a subset walk over the cap is, when the graphic arrangement's poset passes its budget
+    # skipped, as a subset walk over the guard is, when the graphic arrangement's poset passes its budget
     _equal("graphic-char-poly", lambda c: (c.graphic_poly, c.poly), lambda c: c.graphic_poly is not None),
     # Graphs get the 2^m-subset Whitney sum up to m = 10 and NBC enumeration up to m = 12,
-    # both within --cap-subsets.
-    _equal("whitney-agreement", lambda c: (char_poly_whitney(c.arrangement, guard=c.cap_subsets), c.poly),
-           lambda c: c.m <= min(10, c.cap_subsets)),
-    *_sequence_tail("bounds-tight-iff-forest", lambda c: c.m <= min(12, c.cap_subsets)),
+    # both within the subset guard.
+    _equal("whitney-agreement", lambda c: (char_poly_whitney(c.arrangement), c.poly),
+           lambda c: _walkable(c) and c.m <= 10),
+    *_sequence_tail("bounds-tight-iff-forest", lambda c: _walkable(c) and c.m <= 12),
 )
 
 ARRANGEMENT_CHECKS: tuple[Check, ...] = (
-    _equal("whitney-agreement", lambda c: (char_poly_whitney(c.obj, guard=c.cap_subsets), c.poly), _walkable),
+    _equal("whitney-agreement", lambda c: (char_poly_whitney(c.obj), c.poly), _walkable),
     Check("deletion-restriction", _deletion_restriction),
     _equal("boolean-formula", lambda c: (c.poly, boolean_char_poly(c.obj.dim, c.m)), lambda c: is_boolean(c.obj)),
     _equal("general-position-iff-shape",

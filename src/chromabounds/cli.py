@@ -16,18 +16,19 @@ Each command imports the modules it runs when it runs them: a graph
 command never loads `arrangements` or `linalg`, only `verify` loads
 `checks` and `corpus`, and no command loads `fractions`.
 
-Exit codes: 0 success, 1 verification failure (the report's violations or
-a broken internal invariant), 2 input or usage error, 3 resource cap
-exceeded or out of memory; a reader closing stdout early is not a failure
-(exit 0). A process runs `main` through `process_main`, which then
-freezes the heap so that the interpreter's finalization does not collect
-it. JSON reports keep every potentially large integer as a decimal
-string so arbitrary precision survives serialization, and no integer is
-too long to print: `main` lifts the int-string digit limit while a
-command runs and restores the caller's limit after it. An integer flag
-takes the token grammar's integers, at most 4300 digits. An error echoes
-an input line, token, flag value or unknown command name in quotes, cut
-to 40 characters plus its length (`errors.quoted`).
+Exit codes: 0 success, 1 verification failure (the report's violations
+or a broken internal invariant), 2 input or usage error, 3 one of the
+fixed resource budgets of `errors` exceeded, which no flag changes, or
+out of memory; a reader closing stdout early is not a failure (exit 0).
+A process runs `main` through `process_main`, which then freezes the
+heap so that the interpreter's finalization does not collect it. JSON
+reports keep every potentially large integer as a decimal string so
+arbitrary precision survives serialization, and no integer is too long
+to print: `main` lifts the int-string digit limit while a command runs
+and restores the caller's limit after it. An integer flag takes the
+token grammar's integers, at most 4300 digits. An error echoes an input
+line, token, flag value or unknown command name in quotes, cut to 40
+characters plus its length (`errors.quoted`).
 """
 
 from __future__ import annotations
@@ -44,10 +45,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import bounds as bnd
-from .errors import (
-    CORPUS_INSTANCE_BUDGET, DEFAULT_COLORING_CAP, DEFAULT_SUBSET_GUARD, InputError, InvariantError,
-    ResourceLimitError, quoted,
-)
+from .errors import CORPUS_INSTANCE_BUDGET, InputError, InvariantError, ResourceLimitError, quoted
 
 if TYPE_CHECKING:
     from .arrangements import Arrangement
@@ -296,24 +294,25 @@ def _polynomial(obj: SimpleGraph | Arrangement) -> IntPolynomial:
     return char_poly(obj)
 
 
-def build_bounds_report(obj: SimpleGraph | Arrangement, *, q_min: int, q_max: int) -> dict:
+def build_bounds_report(obj: SimpleGraph | Arrangement, *, q_min: int, q_max: int) -> tuple[dict, bnd.BoundsReport]:
+    """The `bounds` report, and the grid it was built from, whose `failures` are the report's violations."""
     poly = _polynomial(obj)
     seq = bnd.coeff_sequence(poly, obj.m)
-    report = bnd.verify_bounds(seq, q_min, q_max)
+    grid = bnd.verify_bounds(seq, q_min, q_max)
     return {
         "polynomial": str(poly),
         "sequence": _seq_json(seq),
-        "records": [_record_json(rec) for rec in report.records],
-        "all_ok": report.all_ok,
-        "all_tight": report.all_tight,
-    }
+        "records": [_record_json(rec) for rec in grid.records],
+        "all_ok": grid.all_ok,
+        "all_tight": grid.all_tight,
+    }, grid
 
 
-def build_nbc_report(obj: SimpleGraph | Arrangement, order: tuple[int, ...] | None, *, cap_subsets: int) -> dict:
+def build_nbc_report(obj: SimpleGraph | Arrangement, order: tuple[int, ...] | None) -> dict:
     from .arrangements import nbc_counts
 
     # The counts first: their subset guard depends only on m and trips before any polynomial is built.
-    counts = nbc_counts(_as_arrangement(obj), order=order, guard=cap_subsets)
+    counts = nbc_counts(_as_arrangement(obj), order=order)
     poly = _polynomial(obj)
     seq = bnd.coeff_sequence(poly, obj.m)
     rows = [{"k": k, "nbc_count": str(counts[k]), "abs_coefficient": str(seq.a[k]),
@@ -352,9 +351,8 @@ def _run_chromatic(args: argparse.Namespace) -> tuple[dict, list]:
 
 
 def _run_bounds(args: argparse.Namespace) -> tuple[dict, list]:
-    results = build_bounds_report(parse_input_file(args.file), q_min=args.q_min, q_max=args.q_max)
-    return results, [_violation("two-sided-bounds", args.file, f"q={rec['q']} k={rec['k']}")
-                     for rec in results["records"] if not rec["ok"]]
+    results, grid = build_bounds_report(parse_input_file(args.file), q_min=args.q_min, q_max=args.q_max)
+    return results, [_violation("two-sided-bounds", args.file, f"q={q} k={k}") for q, k in grid.failures()]
 
 
 def _run_nbc(args: argparse.Namespace) -> tuple[dict, list]:
@@ -363,7 +361,7 @@ def _run_nbc(args: argparse.Namespace) -> tuple[dict, list]:
         order = None if args.order is None else tuple(_integer_token(tok) for tok in args.order.split(","))
     except ValueError:
         raise InputError(f"--order {quoted(args.order)} is not a comma-separated integer list")
-    results = build_nbc_report(obj, order, cap_subsets=args.cap_subsets)
+    results = build_nbc_report(obj, order)
     return results, [_violation("nbc-coefficient", args.file, f"k={row['k']} order={order}")
                      for row in results["rows"] if not row["match"]]
 
@@ -406,8 +404,8 @@ def _run_verify(args: argparse.Namespace) -> tuple[dict, list]:
 
     def verify(table: tuple[Check, ...], label: str, obj: SimpleGraph | Arrangement) -> dict:
         case = Case(label, obj, args.q_min, args.q_max,
-                    orders=lambda m: [None] + [random_order(rng, m) for _ in range(2)],
-                    cap_subsets=args.cap_subsets, cap_colorings=args.cap_colorings)
+                    orders=lambda m: [None] + [random_order(rng, m) for _ in range(2)])
+        case.poly  # before any oracle, so that a budget the instance's own polynomial passes is the one reported
         outcomes.extend((name, label, ok, detail) for name, ok, detail in run_checks(table, case))
         return case.row
 
@@ -495,8 +493,6 @@ _SHARED_FLAGS = {
     "--q-min": {"dest": "q_min", "type": _integer, "default": -3},
     "--q-max": {"dest": "q_max", "type": _integer, "default": 3},
     "--seed": {"dest": "seed", "type": _integer, "default": 0},
-    "--cap-subsets": {"dest": "cap_subsets", "type": _integer, "default": DEFAULT_SUBSET_GUARD},
-    "--cap-colorings": {"dest": "cap_colorings", "type": _integer, "default": DEFAULT_COLORING_CAP},
 }
 
 
@@ -520,7 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
     command("bounds", "two-sided bound grid for a graph or arrangement file", _run_bounds, _print_text_bounds,
             "file", "--format", "--q-min", "--q-max")
     p = command("nbc", "no-broken-circuit counts vs. coefficients", _run_nbc, _print_text_nbc,
-                "file", "--format", "--cap-subsets")
+                "file", "--format")
     p.add_argument("--order", default=None, help="comma-separated permutation of 0..m-1")
     p = command("decone", "decone a linear arrangement at an index", _run_decone, _print_text_decone,
                 "file", "--format")
@@ -556,8 +552,6 @@ def run(argv: list[str] | None = None) -> int:
     config = {spec["dest"]: getattr(args, spec["dest"]) for spec in _SHARED_FLAGS.values() if spec["dest"] in args}
     if config.get("q_min", 0) > config.get("q_max", 0):
         raise InputError("q window is empty (q_min > q_max)")
-    if min(config.get("cap_subsets", 1), config.get("cap_colorings", 1)) <= 0:
-        raise InputError("caps must be positive")
     results, violations = args.handler(args)
     if args.output_format == "json":
         config.update(command=args.command, inputs=[args.file] if "file" in args else [])

@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import DEFAULT_COLORING_CAP, InputError, InvariantError, ResourceLimitError
+from .errors import COLORING_BUDGET, InputError, InvariantError, ResourceLimitError
 from .exactmath import IntPolynomial, Value, binomial_row
 
 # A component expands by addition-contraction when at least this share of
@@ -461,7 +461,7 @@ def _ones(count: int, width: int) -> int:
     return ((1 << count * width) - 1) // ((1 << width) - 1)
 
 
-def _ordered_partitions(g: SimpleGraph, cap: int) -> list[int]:
+def _ordered_partitions(g: SimpleGraph) -> list[int]:
     """e_j, the number of ordered partitions of the vertices into j nonempty independent sets, j = 0..n.
 
     Ranked inclusion-exclusion (Bjorklund, Husfeldt & Koivisto, "Set
@@ -474,7 +474,7 @@ def _ordered_partitions(g: SimpleGraph, cap: int) -> list[int]:
 
     The work grows as n^2 2^n: a table of 2^n polynomials of degree <= n,
     each distinct one raised to the powers 1..n truncated at z^n. That
-    count is checked against `cap` before the table is allocated.
+    count is checked against `COLORING_BUDGET` before the table is allocated.
 
     Every polynomial here has nonnegative coefficients, so each is packed
     into one integer, its value at z = 2^b for a width of b bits above all
@@ -492,9 +492,9 @@ def _ordered_partitions(g: SimpleGraph, cap: int) -> list[int]:
     """
     n = g.n
     work = n * n << n
-    if work > cap:
+    if work > COLORING_BUDGET:
         raise ResourceLimitError(
-            f"coloring oracle on n={n} vertices needs n^2*2^n = {work} steps, over the cap of {cap}"
+            f"coloring oracle on n={n} vertices needs n^2*2^n = {work} steps, over the cap of {COLORING_BUDGET}"
         )
     if n == 0:
         return [1]  # the empty partition
@@ -531,7 +531,7 @@ def _ordered_partitions(g: SimpleGraph, cap: int) -> list[int]:
     return e
 
 
-def chromatic_poly_interpolated(g: SimpleGraph, cap: int = DEFAULT_COLORING_CAP) -> IntPolynomial:
+def chromatic_poly_interpolated(g: SimpleGraph) -> IntPolynomial:
     """The oracle's counts at every t at once, expanded in integers.
 
     P(t) = sum_j C(t, j) e_j = sum_j (e_j / j!) t(t-1)...(t-j+1), with the
@@ -539,7 +539,7 @@ def chromatic_poly_interpolated(g: SimpleGraph, cap: int = DEFAULT_COLORING_CAP)
     ordered partition can be put in any of j! orders, so j! divides e_j;
     a remainder means the table is wrong.
     """
-    e = _ordered_partitions(g, cap)
+    e = _ordered_partitions(g)
     coeffs = [0] * (g.n + 1)
     falling, factorial = [1], 1
     for j, count in enumerate(e):

@@ -478,15 +478,17 @@ class TestSubsetWalk:
         for expand_dependent in (False, True):
             for nbc in (False, True):
                 expected = [(size, r) for _, size, r in reference_subset_walk(arr, expand_dependent, nbc)]
-                assert list(_subset_walk(arr, arr.m, expand_dependent, nbc)) == expected
+                assert list(_subset_walk(arr, expand_dependent, nbc)) == expected
 
     @pytest.mark.parametrize("sweep", [char_poly_whitney, nbc_counts, is_general_position])
-    def test_guard_is_checked_by_the_walk(self, sweep):
+    def test_guard_is_checked_by_the_walk(self, sweep, monkeypatch):
         # every subset sweep takes the walk's guard: m = guard passes, m = guard + 1 is refused
         boolean = coordinate_arrangement(5)
-        sweep(boolean, guard=5)
+        monkeypatch.setattr(arrangements, "SUBSET_GUARD", 5)
+        sweep(boolean)
+        monkeypatch.setattr(arrangements, "SUBSET_GUARD", 4)
         with pytest.raises(ResourceLimitError, match="^arrangement has 5 hyperplanes; subset enumeration guard is 4$"):
-            sweep(boolean, guard=4)
+            sweep(boolean)
 
     def test_poset_takes_no_subset_guard(self):
         # 21 hyperplanes, over the default subset guard of 20; the poset has 877 flats

@@ -18,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromabounds import (
-    Arrangement, Hyperplane, InputError, IntPolynomial, SimpleGraph, arrangements, bounds, checks, cli, complete,
-    decone, graphic_arrangement, graphs, nbc_counts,
+    Arrangement, Hyperplane, InputError, IntPolynomial, ResourceLimitError, SimpleGraph, arrangements, bounds, checks,
+    cli, complete, decone, graphic_arrangement, graphs, nbc_counts,
 )
 from chromabounds.cli import (
     _build_parser,
@@ -34,10 +34,8 @@ from chromabounds.cli import (
     parse_input,
     parse_input_file,
 )
-from chromabounds.corpus import linear_central_corpus
-from chromabounds.errors import (
-    CORPUS_INSTANCE_BUDGET, DEFAULT_SUBSET_GUARD, GRID_CELL_BUDGET, POSET_STEP_BUDGET, quoted,
-)
+from chromabounds.corpus import coordinate_arrangement, linear_central_corpus
+from chromabounds.errors import CORPUS_INSTANCE_BUDGET, GRID_CELL_BUDGET, POSET_STEP_BUDGET, quoted
 from strategies import (
     digit_limit, fractional_arrangements, random_affine_with_parallels, reference_format_arrangement, small_graphs,
     walk_arrangements,
@@ -555,11 +553,11 @@ class TestDirectReports:
     @given(st.one_of(small_graphs(), walk_arrangements), st.integers(-4, 2), st.integers(0, 4), st.randoms())
     def test_same_reports_as_through_case(self, obj, q_min, width, rng):
         q_max = q_min + width
-        report = build_bounds_report(obj, q_min=q_min, q_max=q_max)
+        report, _ = build_bounds_report(obj, q_min=q_min, q_max=q_max)
         assert report == case_bounds_report(obj, q_min, q_max)
         order = tuple(rng.sample(range(obj.m), obj.m))
         for chosen in (None, order):
-            assert build_nbc_report(obj, chosen, cap_subsets=DEFAULT_SUBSET_GUARD) == case_nbc_report(obj, chosen)
+            assert build_nbc_report(obj, chosen) == case_nbc_report(obj, chosen)
 
 
 class TestNbcCommand:
@@ -624,15 +622,19 @@ def test_argparse_status_is_returned(capsys, argv, status):
     assert "usage: " in (captured.err if status else captured.out)
 
 
-SHARED_FLAGS = ("--format", "--q-min", "--q-max", "--seed", "--cap-subsets", "--cap-colorings")
-# the shared flags each file command reads; `verify` reads all of them
+SHARED_FLAGS = ("--format", "--q-min", "--q-max", "--seed")
+# flags that no command takes: the limits they set are fixed budgets in `errors`
+REMOVED_FLAGS = ("--cap-subsets", "--cap-colorings")
+# the shared flags each command reads
 FLAGS_READ = {
     "chromatic": {"--format"},
     "bounds": {"--format", "--q-min", "--q-max"},
-    "nbc": {"--format", "--cap-subsets"},
+    "nbc": {"--format"},
     "decone": {"--format"},
+    "verify": set(SHARED_FLAGS),
 }
-UNREAD_FLAGS = [(command, flag) for command, read in FLAGS_READ.items() for flag in SHARED_FLAGS if flag not in read]
+UNREAD_FLAGS = [(command, flag) for command, read in FLAGS_READ.items()
+                for flag in SHARED_FLAGS + REMOVED_FLAGS if flag not in read]
 
 
 # C20's graphic arrangement: 20 hyperplanes, within the subset guard, and 1,048,556 flats
@@ -642,18 +644,44 @@ DIM12_ARRANGEMENT = Arrangement(12, tuple(Hyperplane([rng.randint(-3, 3) for _ i
                                           for rng in [random.Random(1)] for _ in range(19)))
 
 
-class TestResourceCaps:
-    def test_subset_cap_exit_code(self, write):
-        code = main(["nbc", write("k4.txt", K4_TEXT), "--cap-subsets", "2"])
-        assert code == 3
+# Each fixed budget lowered on the module that reads it: (module, name, value, text, argv, message),
+# with FILE in argv standing for a file that holds `text`
+LOWERED_BUDGETS = [
+    pytest.param(arrangements, "SUBSET_GUARD", 2, K4_TEXT, ["nbc", "FILE"],
+                 "arrangement has 6 hyperplanes; subset enumeration guard is 2", id="SUBSET_GUARD"),
+    # the named graphs start P1, P2, P3, P4: n^2 2^n first exceeds 100 at n = 4
+    pytest.param(graphs, "COLORING_BUDGET", 100, None, ["verify", "--graphs", "0", "--arrangements", "0"],
+                 "coloring oracle on n=4 vertices needs n^2*2^n = 256 steps, over the cap of 100",
+                 id="COLORING_BUDGET"),
+    # the boolean arrangement in dimension 5 takes 25 + 40 + 30 steps (see `TestIntersectionPoset.test_guard`)
+    pytest.param(arrangements, "POSET_STEP_BUDGET", 94, format_arrangement(coordinate_arrangement(5)),
+                 ["bounds", "FILE"], "intersection poset passed its budget of 94 elimination steps after 25 flats",
+                 id="POSET_STEP_BUDGET"),
+    # K3 has q + 4 cells at each shift q = -3..3
+    pytest.param(bounds, "GRID_CELL_BUDGET", 27, K3_TEXT, ["bounds", "FILE"],
+                 "bound grid has '28' cells; the budget is 27", id="GRID_CELL_BUDGET"),
+    pytest.param(cli, "CORPUS_INSTANCE_BUDGET", 3, None, ["verify", "--graphs", "2", "--arrangements", "2"],
+                 "verify would draw '4' random graphs and arrangements; the corpus budget is 3",
+                 id="CORPUS_INSTANCE_BUDGET"),
+]
 
-    def test_bad_order_rejected_before_the_subset_cap(self, write):
-        # an order that is not a permutation is bad input, however small the cap
-        code = main(["nbc", write("k4.txt", K4_TEXT), "--order", "0,1", "--cap-subsets", "2"])
+
+class TestResourceCaps:
+    @pytest.mark.parametrize("module, name, value, text, argv, message", LOWERED_BUDGETS)
+    def test_lowered_budget_exits_3(self, write, monkeypatch, capsys, module, name, value, text, argv, message):
+        monkeypatch.setattr(module, name, value)
+        assert main([write("input.txt", text) if arg == "FILE" else arg for arg in argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"resource limit: {message}\n" and len(err.encode()) < 1024
+
+    def test_bad_order_rejected_before_the_subset_cap(self, write, monkeypatch):
+        # an order that is not a permutation is bad input, however small the guard
+        monkeypatch.setattr(arrangements, "SUBSET_GUARD", 2)
+        code = main(["nbc", write("k4.txt", K4_TEXT), "--order", "0,1"])
         assert code == 2
 
     def test_nbc_guard_trips_before_the_polynomial(self, write, monkeypatch, capsys):
-        # the circulant graph C13(1, 2, 3) has 39 edges, far above a subset cap of 5
+        # the circulant graph C13(1, 2, 3) has 39 edges, far above a subset guard of 5
         text = "n 13\n" + "".join(f"{i} {(i + k) % 13}\n" for i in range(13) for k in (1, 2, 3))
         calls = []
         chromatic_poly = graphs.chromatic_poly
@@ -663,7 +691,8 @@ class TestResourceCaps:
             return chromatic_poly(g, **kwargs)
 
         monkeypatch.setattr(graphs, "chromatic_poly", counting)
-        assert main(["nbc", write("c13.txt", text), "--cap-subsets", "5"]) == 3
+        monkeypatch.setattr(arrangements, "SUBSET_GUARD", 5)
+        assert main(["nbc", write("c13.txt", text)]) == 3
         assert "39 hyperplanes; subset enumeration guard is 5" in capsys.readouterr().err
         assert calls == []
 
@@ -730,19 +759,11 @@ class TestResourceCaps:
         assert main(["verify", "--graphs", "2", "--arrangements", "2", *small]) == 3
         assert "verify would draw '4' random graphs and arrangements; the corpus budget is 3" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, flag", [
-        pytest.param("nbc", "--cap-subsets", id="--cap-subsets"),
-        pytest.param("verify", "--cap-colorings", id="--cap-colorings"),
-    ])
-    def test_nonpositive_cap_rejected(self, write, capsys, command, flag):
-        file = [write("k3.txt", K3_TEXT)] if command == "nbc" else []
-        assert main([command, *file, flag, "0"]) == 2
-        assert "caps must be positive" in capsys.readouterr().err
-
     @pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
     def test_unread_shared_flag_rejected(self, write, capsys, command, flag):
-        # a flag that would change nothing but the JSON `config` echo is a usage error
-        argv = [command, write("k3.txt", K3_TEXT), *(["0"] if command == "decone" else []), flag, "1"]
+        # a flag that would change nothing but the JSON `config` echo, or one no command takes, is a usage error
+        file = [] if command == "verify" else [write("k3.txt", K3_TEXT)]
+        argv = [command, *file, *(["0"] if command == "decone" else []), flag, "1"]
         assert main(argv) == 2
         err = capsys.readouterr().err
         # the usage of the command, which lists the flags it takes, not the top-level one
@@ -780,11 +801,6 @@ class TestResourceCaps:
         assert float(proc.stdout) < 1
         assert proc.stderr.startswith(f"resource limit: intersection poset passed its budget of {POSET_STEP_BUDGET} ")
         assert len(proc.stderr.encode()) < 1024
-
-    def test_coloring_cap_bounds_the_oracle_work(self, capsys):
-        # the named graphs start P1, P2, P3, P4: n^2 2^n first exceeds 100 at n = 4
-        assert main(["verify", "--graphs", "0", "--arrangements", "0", "--cap-colorings", "100"]) == 3
-        assert "n=4 vertices needs n^2*2^n = 256 steps" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, header", [
         ("chromatic", "n 1000000000000000000000"),
@@ -930,20 +946,29 @@ class TestVerifyCommand:
         assert main(["verify", flag, str(least - 1)]) == 2
         assert f"{flag} must be at least {least}" in capsys.readouterr().err
 
-    def test_small_subset_cap_skips_instead_of_failing(self, capsys):
-        # graphs with more than 8 edges exceed the cap: Whitney and NBC skip them
-        args = ["verify", "--graphs", "3", "--arrangements", "2", "--seed", "5", "--cap-subsets", "8"]
+    def test_small_subset_cap_skips_instead_of_failing(self, monkeypatch, capsys):
+        # graphs with more than 8 edges exceed the guard: Whitney and NBC skip them
+        monkeypatch.setattr(arrangements, "SUBSET_GUARD", 8)
+        args = ["verify", "--graphs", "3", "--arrangements", "2", "--seed", "5"]
         assert main(args) == 0
         assert "0 violations" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("graphs_, arrangements_, seed, cap", [
-        ("3", "0", "5", "5"),  # the linear corpus builds K4's poset (m = 6), which no subset cap bounds
-        ("0", "5", "1", "3"),  # arrangements with more than 3 hyperplanes skip Whitney, NBC and general position
+    @pytest.mark.parametrize("graphs_, arrangements_, seed, guard", [
+        ("3", "0", "5", 5),  # the linear corpus builds K4's poset (m = 6), which no subset guard bounds
+        ("0", "5", "1", 3),  # arrangements with more than 3 hyperplanes skip Whitney, NBC and general position
     ], ids=["linear-corpus", "arrangements"])
-    def test_tiny_subset_cap_skips_the_walks(self, capsys, graphs_, arrangements_, seed, cap):
-        args = ["verify", "--graphs", graphs_, "--arrangements", arrangements_, "--seed", seed, "--cap-subsets", cap]
+    def test_tiny_subset_cap_skips_the_walks(self, monkeypatch, capsys, graphs_, arrangements_, seed, guard):
+        monkeypatch.setattr(arrangements, "SUBSET_GUARD", guard)
+        args = ["verify", "--graphs", graphs_, "--arrangements", arrangements_, "--seed", seed]
         assert main(args) == 0
         assert "0 violations" in capsys.readouterr().out
+
+    def test_case_builds_its_values_on_first_use(self, monkeypatch):
+        # an instance whose poset passes its budget is built without error; reading its polynomial raises
+        monkeypatch.setattr(arrangements, "POSET_STEP_BUDGET", 0)
+        case = checks.Case("boolean5", coordinate_arrangement(5), 0, 1)
+        with pytest.raises(ResourceLimitError, match="budget of 0 elimination steps"):
+            case.poly
 
     def test_graphic_poset_over_budget_skips_its_check(self):
         # K9's graphic poset (21,147 flats) passes the step budget, K8's (4,140 flats) does not
@@ -991,7 +1016,7 @@ class TestVerifyCommand:
         assert main(args) == 0
         out = capsys.readouterr().out
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "3f3d7e7ba373c6da7047e5bc790de9b8259a68cf6a3195e3e43ec5cd95c762ee"
+        assert digest == "06f85ed82f15fd354d120fada8b3bb6f9a443a4c1966215276ffc9070fb8a30d"
 
     def test_pinned_headline_hash(self, capsys):
         # the headline report at the default corpus sizes, byte for byte
@@ -999,7 +1024,7 @@ class TestVerifyCommand:
 
         assert main(["verify", "--seed", "42", "--format", "json"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digest == "96b8917209dbcf07eab37db83eb48972e6f0488af9f1c80b942a9658c10d2e87"
+        assert digest == "e1316a90ffdb59c878f7df507c45ae2e0478672eb0649bcf3539724591d93440"
 
     def test_pinned_headline_text_hash(self, capsys):
         assert main(["verify", "--seed", "42"]) == 0
