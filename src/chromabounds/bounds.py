@@ -16,16 +16,24 @@ it realizes any negative q, checked against the direct sum at q = -j.
 The sums rest on the h-vector of a (see `h_vector`): S_q(k) = sum_j h_j
 binom(r+q-j, k-j). The `coefficient-lower-bounds` check is h >= 0, and
 `verify_bounds` checks the grid directly, without h.
+
+`Instance` is every command's one path from an input to its polynomial,
+sequence and arrangement.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import accumulate
 from operator import le
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import GRID_CELL_BUDGET, CoeffSequenceError, ResourceLimitError, quoted
 from .exactmath import IntPolynomial, binomial_row
+
+if TYPE_CHECKING:
+    from .arrangements import Arrangement
+    from .graphs import SimpleGraph
 
 
 class CoeffSequence(NamedTuple):
@@ -66,6 +74,49 @@ def coeff_sequence(p: IntPolynomial, m: int) -> CoeffSequence:
     elif m != 0:
         raise CoeffSequenceError(f"rank 0 forces m = 0, got m = {m}")
     return CoeffSequence(n=n, m=m, r=r, a=tuple(a))
+
+
+class Instance:
+    """A graph or an arrangement, with the values that every command reads built on first use.
+
+    `is_graph` is the one test of the kind, and loads no module: only a
+    graph has edges. A value imports `graphs` or `arrangements` when it is
+    first read, and only the one that the input's kind needs. `memo` is the
+    chromatic memo that its graph polynomials share; None gives a fresh one.
+    """
+
+    def __init__(self, obj: SimpleGraph | Arrangement, memo: dict | None = None) -> None:
+        self.obj = obj
+        self.memo = {} if memo is None else memo
+        self.is_graph = hasattr(obj, "edges")
+
+    @property
+    def m(self) -> int:
+        return self.obj.m
+
+    @cached_property
+    def poly(self) -> IntPolynomial:
+        """The chromatic polynomial of a graph, the characteristic polynomial of an arrangement."""
+        if self.is_graph:
+            from .graphs import chromatic_poly
+
+            return chromatic_poly(self.obj, memo=self.memo)
+        from .arrangements import char_poly
+
+        return char_poly(self.obj)
+
+    @cached_property
+    def seq(self) -> CoeffSequence:
+        return coeff_sequence(self.poly, self.m)  # raises on any sign-pattern defect
+
+    @cached_property
+    def arrangement(self) -> Arrangement:
+        """The input as an arrangement: a graph's graphic arrangement."""
+        if not self.is_graph:
+            return self.obj
+        from .arrangements import graphic_arrangement
+
+        return graphic_arrangement(self.obj)
 
 
 class BoundsRecord(NamedTuple):

@@ -1,25 +1,28 @@
-"""The named invariants that `verify` and the acceptance suite evaluate.
+"""The named invariants that `verify` and the acceptance suite evaluate, and `verify`'s corpus run.
 
 One ordered table per instance kind; an entry has a name, a condition for
 when it applies, and the identity it evaluates. The table only drives the
-oracles: each side of an identity comes from the module that owns it.
+oracles: each side of an identity comes from the module that owns it. A
+`Case` is the `bounds.Instance` that the tables read, and `run_corpus`
+runs them over the seeded corpus.
 """
 
 from __future__ import annotations
 
+import random
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import arrangements
 from .arrangements import (
     Arrangement, boolean_char_poly, char_poly, char_poly_whitney, decone, delete, essentialize,
-    general_position_char_poly, graphic_arrangement, is_boolean, is_central, is_general_position, nbc_counts,
-    rank, restrict,
+    general_position_char_poly, is_boolean, is_central, is_general_position, nbc_counts, rank, restrict,
 )
 from .bounds import (
-    BoundsReport, CoeffSequence, coeff_sequence, divided_difference, divided_difference_formula,
-    divided_difference_iter, h_vector, is_logconcave, verify_bounds,
+    BoundsReport, Instance, coeff_sequence, divided_difference, divided_difference_formula, divided_difference_iter,
+    h_vector, is_logconcave, verify_bounds,
 )
+from .corpus import linear_central_corpus, named_graphs, random_arrangements, random_graphs, random_order
 from .errors import ResourceLimitError
 from .exactmath import IntPolynomial
 from .graphs import (
@@ -28,47 +31,25 @@ from .graphs import (
 )
 
 
-class Case:
-    """A graph or arrangement under test, with the values its checks share.
+class Case(Instance):
+    """A graph or arrangement under test: an `Instance` with a label, a q window and the values only the tables read.
 
-    The constructor keeps what identifies the instance; every other value is
-    built on first use. `orders(m)` gives the NBC ground orders (None is the
-    identity order); it is called only when the NBC check applies. `memo` is
-    the chromatic memo its graph polynomials share; None gives a fresh one.
+    `orders(m)` gives the NBC ground orders (None is the identity order); it
+    is called only when the NBC check applies.
     """
 
-    def __init__(
-        self,
-        label: str,
-        obj: SimpleGraph | Arrangement,
-        q_min: int,
-        q_max: int,
-        orders: Callable[[int], Sequence[tuple[int, ...] | None]] = lambda m: [None],
-        memo: dict | None = None,
-    ) -> None:
+    def __init__(self, label: str, obj: SimpleGraph | Arrangement, q_min: int, q_max: int,
+                 orders: Callable[[int], Sequence[tuple[int, ...] | None]] = lambda m: [None],
+                 memo: dict | None = None) -> None:
+        super().__init__(obj, memo)
         self.label = label
-        self.obj = obj
         self.q_min = q_min
         self.q_max = q_max
         self.orders = orders
-        self.memo = {} if memo is None else memo
-
-    @property
-    def m(self) -> int:
-        return self.obj.m
-
-    @cached_property
-    def poly(self) -> IntPolynomial:
-        """The chromatic polynomial of a graph, the characteristic polynomial of an arrangement."""
-        return chromatic_poly(self.obj, memo=self.memo) if isinstance(self.obj, SimpleGraph) else char_poly(self.obj)
 
     @cached_property
     def rank(self) -> int:
-        return rank_info(self.obj).rank if isinstance(self.obj, SimpleGraph) else rank(self.obj)
-
-    @cached_property
-    def seq(self) -> CoeffSequence:
-        return coeff_sequence(self.poly, self.m)  # raises on any sign-pattern defect
+        return rank_info(self.obj).rank if self.is_graph else rank(self.obj)
 
     @cached_property
     def bounds(self) -> BoundsReport:
@@ -76,12 +57,8 @@ class Case:
 
     @cached_property
     def row(self) -> dict:
-        size = {"n": self.obj.n} if isinstance(self.obj, SimpleGraph) else {"dim": self.obj.dim}
+        size = {"n": self.obj.n} if self.is_graph else {"dim": self.obj.dim}
         return {"instance": self.label, **size, "m": self.m, "rank": self.rank, "logconcave": is_logconcave(self.seq)}
-
-    @cached_property
-    def arrangement(self) -> Arrangement:
-        return graphic_arrangement(self.obj) if isinstance(self.obj, SimpleGraph) else self.obj
 
     @cached_property
     def graphic_poly(self) -> IntPolynomial | None:
@@ -161,12 +138,17 @@ def _walkable(c: Case) -> bool:
 
 
 def _sequence_tail(tight_name: str, nbc_applies: Callable[[Case], bool]) -> tuple[Check, ...]:
-    """Checks on the coefficient sequence; the grid is tight exactly when m = r."""
+    """Checks on the coefficient sequence; the grid is tight exactly when m = r.
+
+    Below the shift q = -r every cell has k = 0 and is tight, so the
+    sharpness check needs a shift q >= -r in the window: there the cell
+    (q, 1) is r+q <= m+q <= m+q, tight exactly when m = r.
+    """
     return (
         _equal("rank-vs-degree", lambda c: (c.seq.r, c.rank)),
         Check("nbc-coefficient", _nbc_counts, nbc_applies),
         _once("two-sided-bounds", lambda c: (f"q={q} k={k}" for q, k in c.bounds.failures())),
-        _equal(tight_name, lambda c: (c.bounds.all_tight, c.m == c.rank)),
+        _equal(tight_name, lambda c: (c.bounds.all_tight, c.m == c.rank), lambda c: c.q_max >= -c.seq.r),
         _once("coefficient-lower-bounds", lambda c: (f"h_{j}={v}" for j, v in enumerate(h_vector(c.seq)) if v < 0)),
     )
 
@@ -206,3 +188,38 @@ LINEAR_CENTRAL_CHECKS: tuple[Check, ...] = (
         for k0 in range(c.m))),
     Check("divided-difference-formula", _divided_difference_closed_form),
 )
+
+
+def run_corpus(seed: int, q_min: int, q_max: int, graph_count: int, max_n: int, arrangement_count: int, max_dim: int,
+               max_m: int) -> tuple[dict, list[tuple[str, str, str]]]:
+    """`verify`'s run over the corpus drawn from `seed`: its results, and the failing (check, instance, detail).
+
+    The named graphs, `graph_count` random graphs and `arrangement_count`
+    random arrangements each give a result row; the linear central corpus
+    gives none. Each instance's NBC orders are drawn only when that check
+    applies to it.
+    """
+    rng = random.Random(seed)
+    outcomes: list[tuple[str, str, bool, str]] = []
+
+    def verify(table: tuple[Check, ...], label: str, obj: SimpleGraph | Arrangement) -> dict:
+        case = Case(label, obj, q_min, q_max, orders=lambda m: [None] + [random_order(rng, m) for _ in range(2)])
+        case.poly  # before any oracle, so that a budget the instance's own polynomial passes is the one reported
+        outcomes.extend((name, label, ok, detail) for name, ok, detail in run_checks(table, case))
+        return case.row
+
+    graph_rows = [verify(GRAPH_CHECKS, f"named:{name}", g) for name, g in named_graphs()]
+    graph_rows += [verify(GRAPH_CHECKS, f"graph[{i}]", g) for i, g in enumerate(random_graphs(rng, graph_count, max_n))]
+    drawn = random_arrangements(rng, arrangement_count, max_dim, max_m)
+    arrangement_rows = [verify(ARRANGEMENT_CHECKS, f"arrangement[{i}]", a) for i, a in enumerate(drawn)]
+    for i, arr in enumerate(linear_central_corpus(rng)):
+        verify(LINEAR_CENTRAL_CHECKS, f"linear[{i}]", arr)
+    failures = [(name, label, detail) for name, label, ok, detail in outcomes if not ok]
+    results = {
+        "graphs": graph_rows,
+        "arrangements": arrangement_rows,
+        "instances": len(graph_rows) + len(arrangement_rows),
+        "checks": len(outcomes),
+        "violation_count": len(failures),
+    }
+    return results, failures

@@ -1,9 +1,11 @@
-"""Command-line front end: parse inputs, run computations, emit text or JSON.
+"""Command-line front end: argv, input files, report assembly and rendering.
 
 Each subcommand declares only the flags it reads and names its handler and
-text printer. A handler returns (results, violations), each violation a
-`_violation` record that `run` prints, in JSON or as a VIOLATION line after
-the text; the JSON `config` echoes the command, its input file and flags.
+text printer. A handler reads its input's polynomial, sequence and
+arrangement from one `bounds.Instance` (`verify` runs `checks.run_corpus`)
+and returns (results, violations), each violation a `_violation` record
+that `run` prints, in JSON or as a VIOLATION line after the text; the JSON
+`config` echoes the command, its input file and flags.
 
 Every input text goes through one reader, `parse_input`, which dispatches
 once on its first line's tag. Numbers follow the README's token grammar,
@@ -37,7 +39,6 @@ import argparse
 import gc
 import json
 import os
-import random
 import re
 import sys
 from math import gcd, lcm
@@ -49,8 +50,6 @@ from .errors import CORPUS_INSTANCE_BUDGET, InputError, InvariantError, Resource
 
 if TYPE_CHECKING:
     from .arrangements import Arrangement
-    from .checks import Check
-    from .exactmath import IntPolynomial
     from .graphs import SimpleGraph
 
 
@@ -236,11 +235,6 @@ def parse_input_file(path: str) -> SimpleGraph | Arrangement:
     return parse_input(text, source=path)
 
 
-def _is_graph(obj: SimpleGraph | Arrangement) -> bool:
-    """Whether a parsed input is a graph; only a graph has edges, and asking loads no module."""
-    return hasattr(obj, "edges")
-
-
 def format_arrangement(arr: Arrangement) -> str:
     """The arrangement in the input format: each primitive normal, then the offset for it as num/den."""
     lines = [f"dim {arr.dim}"]
@@ -277,99 +271,71 @@ def _violation(check: str, instance: str, detail: str) -> dict:
     return {"check": check, "instance": instance, "detail": detail}
 
 
-def _as_arrangement(obj: SimpleGraph | Arrangement) -> Arrangement:
-    from .arrangements import graphic_arrangement
-
-    return graphic_arrangement(obj) if _is_graph(obj) else obj
-
-
-def _polynomial(obj: SimpleGraph | Arrangement) -> IntPolynomial:
-    """The chromatic polynomial of a graph, the characteristic polynomial of an arrangement."""
-    if _is_graph(obj):
-        from .graphs import chromatic_poly
-
-        return chromatic_poly(obj)
-    from .arrangements import char_poly
-
-    return char_poly(obj)
-
-
-def build_bounds_report(obj: SimpleGraph | Arrangement, *, q_min: int, q_max: int) -> tuple[dict, bnd.BoundsReport]:
-    """The `bounds` report, and the grid it was built from, whose `failures` are the report's violations."""
-    poly = _polynomial(obj)
-    seq = bnd.coeff_sequence(poly, obj.m)
-    grid = bnd.verify_bounds(seq, q_min, q_max)
-    return {
-        "polynomial": str(poly),
-        "sequence": _seq_json(seq),
-        "records": [_record_json(rec) for rec in grid.records],
-        "all_ok": grid.all_ok,
-        "all_tight": grid.all_tight,
-    }, grid
-
-
-def build_nbc_report(obj: SimpleGraph | Arrangement, order: tuple[int, ...] | None) -> dict:
-    from .arrangements import nbc_counts
-
-    # The counts first: their subset guard depends only on m and trips before any polynomial is built.
-    counts = nbc_counts(_as_arrangement(obj), order=order)
-    poly = _polynomial(obj)
-    seq = bnd.coeff_sequence(poly, obj.m)
-    rows = [{"k": k, "nbc_count": str(counts[k]), "abs_coefficient": str(seq.a[k]),
-             "match": counts[k] == seq.a[k]} for k in range(seq.r + 1)]
-    return {
-        "polynomial": str(poly),
-        "order": list(order) if order is not None else list(range(obj.m)),
-        "rows": rows,
-        "all_match": all(row["match"] for row in rows),
-    }
-
-
 # ---------------------------------------------------------------------------
 # commands, text rendering and the entry point
 # ---------------------------------------------------------------------------
 
 
 def _run_chromatic(args: argparse.Namespace) -> tuple[dict, list]:
-    g = parse_input_file(args.file)
-    if not _is_graph(g):
+    inst = bnd.Instance(parse_input_file(args.file))
+    if not inst.is_graph:
         raise InputError(f"{args.file}: 'chromatic' expects a graph file")
-    from .graphs import chromatic_poly, rank_info
+    from .graphs import rank_info
 
-    p = chromatic_poly(g)
-    info = rank_info(g)
+    p = inst.poly
+    info = rank_info(inst.obj)
     results = {
         "polynomial": str(p),
-        "n": g.n,
-        "m": g.m,
+        "n": inst.obj.n,
+        "m": inst.m,
         "components": info.components,
         "rank": info.rank,
         "coefficients_ascending": [str(c) for c in p.coeffs],
-        "sequence": _seq_json(bnd.coeff_sequence(p, g.m)),
+        "sequence": _seq_json(inst.seq),
     }
     return results, []
 
 
 def _run_bounds(args: argparse.Namespace) -> tuple[dict, list]:
-    results, grid = build_bounds_report(parse_input_file(args.file), q_min=args.q_min, q_max=args.q_max)
+    inst = bnd.Instance(parse_input_file(args.file))
+    grid = bnd.verify_bounds(inst.seq, args.q_min, args.q_max)
+    results = {
+        "polynomial": str(inst.poly),
+        "sequence": _seq_json(inst.seq),
+        "records": [_record_json(rec) for rec in grid.records],
+        "all_ok": grid.all_ok,
+        "all_tight": grid.all_tight,
+    }
     return results, [_violation("two-sided-bounds", args.file, f"q={q} k={k}") for q, k in grid.failures()]
 
 
 def _run_nbc(args: argparse.Namespace) -> tuple[dict, list]:
-    obj = parse_input_file(args.file)
+    inst = bnd.Instance(parse_input_file(args.file))
     try:  # `nbc_counts` checks that they are a permutation
         order = None if args.order is None else tuple(_integer_token(tok) for tok in args.order.split(","))
     except ValueError:
         raise InputError(f"--order {quoted(args.order)} is not a comma-separated integer list")
-    results = build_nbc_report(obj, order)
+    from .arrangements import nbc_counts
+
+    # The counts first: their subset guard depends only on m and trips before any polynomial is built.
+    counts = nbc_counts(inst.arrangement, order=order)
+    a = inst.seq.a
+    rows = [{"k": k, "nbc_count": str(counts[k]), "abs_coefficient": str(a[k]), "match": counts[k] == a[k]}
+            for k in range(inst.seq.r + 1)]
+    results = {
+        "polynomial": str(inst.poly),
+        "order": list(order) if order is not None else list(range(inst.m)),
+        "rows": rows,
+        "all_match": all(row["match"] for row in rows),
+    }
     return results, [_violation("nbc-coefficient", args.file, f"k={row['k']} order={order}")
-                     for row in results["rows"] if not row["match"]]
+                     for row in rows if not row["match"]]
 
 
 def _run_decone(args: argparse.Namespace) -> tuple[dict, list]:
     from .arrangements import char_poly, decone
 
-    arr = _as_arrangement(parse_input_file(args.file))
+    arr = bnd.Instance(parse_input_file(args.file)).arrangement
     k0 = args.k0
     deconed = decone(arr, k0)
     chi = char_poly(arr)
@@ -396,35 +362,11 @@ def _run_verify(args: argparse.Namespace) -> tuple[dict, list]:
     if drawn > CORPUS_INSTANCE_BUDGET:
         raise ResourceLimitError(f"verify would draw {quoted(str(drawn))} random graphs and arrangements; "
                                  f"the corpus budget is {CORPUS_INSTANCE_BUDGET}")
-    from .checks import ARRANGEMENT_CHECKS, GRAPH_CHECKS, LINEAR_CENTRAL_CHECKS, Case, run_checks
-    from .corpus import linear_central_corpus, named_graphs, random_arrangements, random_graphs, random_order
+    from .checks import run_corpus
 
-    rng = random.Random(args.seed)
-    outcomes: list[tuple[str, str, bool, str]] = []
-
-    def verify(table: tuple[Check, ...], label: str, obj: SimpleGraph | Arrangement) -> dict:
-        case = Case(label, obj, args.q_min, args.q_max,
-                    orders=lambda m: [None] + [random_order(rng, m) for _ in range(2)])
-        case.poly  # before any oracle, so that a budget the instance's own polynomial passes is the one reported
-        outcomes.extend((name, label, ok, detail) for name, ok, detail in run_checks(table, case))
-        return case.row
-
-    graph_results = [verify(GRAPH_CHECKS, f"named:{name}", g) for name, g in named_graphs()]
-    graph_results += [verify(GRAPH_CHECKS, f"graph[{i}]", g)
-                      for i, g in enumerate(random_graphs(rng, args.graphs, args.max_n))]
-    arrangements = random_arrangements(rng, args.arrangements, args.max_dim, args.max_m)
-    arrangement_results = [verify(ARRANGEMENT_CHECKS, f"arrangement[{i}]", a) for i, a in enumerate(arrangements)]
-    for i, arr in enumerate(linear_central_corpus(rng)):
-        verify(LINEAR_CENTRAL_CHECKS, f"linear[{i}]", arr)
-    violations = [_violation(name, label, detail) for name, label, ok, detail in outcomes if not ok]
-    results = {
-        "graphs": graph_results,
-        "arrangements": arrangement_results,
-        "instances": len(graph_results) + len(arrangement_results),
-        "checks": len(outcomes),
-        "violation_count": len(violations),
-    }
-    return results, violations
+    results, failures = run_corpus(args.seed, args.q_min, args.q_max, args.graphs, args.max_n, args.arrangements,
+                                   args.max_dim, args.max_m)
+    return results, [_violation(*failure) for failure in failures]
 
 
 def _print_text_chromatic(results: dict) -> None:

@@ -84,21 +84,6 @@ class IntPolynomial(Value):
     def __init__(self, coeffs: tuple[int, ...] = ()) -> None:
         object.__setattr__(self, "coeffs", _trim(tuple(map(int, coeffs))))
 
-    @classmethod
-    def zero(cls) -> "IntPolynomial":
-        return cls(())
-
-    @classmethod
-    def constant(cls, c: int) -> "IntPolynomial":
-        return cls((c,))
-
-    @classmethod
-    def term(cls, c: int, power: int) -> "IntPolynomial":
-        """The monomial c * t^power."""
-        if power < 0:
-            raise ValueError("power must be nonnegative")
-        return cls((0,) * power + (c,))
-
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""

@@ -19,16 +19,12 @@ from hypothesis import strategies as st
 
 from chromabounds import (
     Arrangement, Hyperplane, InputError, IntPolynomial, ResourceLimitError, SimpleGraph, arrangements, bounds, checks,
-    cli, complete, decone, graphic_arrangement, graphs, nbc_counts,
+    cli, complete, decone, graphic_arrangement, graphs,
 )
 from chromabounds.cli import (
     _build_parser,
     _rational,
-    _record_json,
     _run_verify,
-    _seq_json,
-    build_bounds_report,
-    build_nbc_report,
     format_arrangement,
     main,
     parse_input,
@@ -520,46 +516,6 @@ class TestBoundsCommand:
         assert len(calls) == builds
 
 
-def case_bounds_report(obj, q_min, q_max):
-    """`build_bounds_report` as it was built on `checks.Case`, the reference for the direct path."""
-    case = checks.Case("<input>", obj, q_min, q_max)
-    return {
-        "polynomial": str(case.poly),
-        "sequence": _seq_json(case.seq),
-        "records": [_record_json(rec) for rec in case.bounds.records],
-        "all_ok": case.bounds.all_ok,
-        "all_tight": case.bounds.all_tight,
-    }
-
-
-def case_nbc_report(obj, order):
-    """`build_nbc_report` as it was built on `checks.Case`, the reference for the direct path."""
-    case = checks.Case("<input>", obj, -3, 3)
-    counts = nbc_counts(case.arrangement, order=order)
-    rows = [{"k": k, "nbc_count": str(counts[k]), "abs_coefficient": str(case.seq.a[k]),
-             "match": counts[k] == case.seq.a[k]} for k in range(case.seq.r + 1)]
-    return {
-        "polynomial": str(case.poly),
-        "order": list(order) if order is not None else list(range(case.m)),
-        "rows": rows,
-        "all_match": all(row["match"] for row in rows),
-    }
-
-
-class TestDirectReports:
-    """`bounds` and `nbc` build their reports without `checks.Case`, and give the same ones."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.one_of(small_graphs(), walk_arrangements), st.integers(-4, 2), st.integers(0, 4), st.randoms())
-    def test_same_reports_as_through_case(self, obj, q_min, width, rng):
-        q_max = q_min + width
-        report, _ = build_bounds_report(obj, q_min=q_min, q_max=q_max)
-        assert report == case_bounds_report(obj, q_min, q_max)
-        order = tuple(rng.sample(range(obj.m), obj.m))
-        for chosen in (None, order):
-            assert build_nbc_report(obj, chosen) == case_nbc_report(obj, chosen)
-
-
 class TestNbcCommand:
     def test_k3_table(self, write, capsys):
         assert main(["nbc", write("k3.txt", K3_TEXT)]) == 0
@@ -904,7 +860,7 @@ def test_main_keeps_the_exit_code_contract(file, data):
 class TestBrokenInvariant:
     @pytest.mark.parametrize("argv, module", [
         (["bounds", "FILE"], graphs),
-        (["verify", "--graphs", "1", "--arrangements", "0"], checks),
+        (["verify", "--graphs", "1", "--arrangements", "0"], graphs),
     ], ids=["bounds", "verify"])
     def test_malformed_polynomial_exits_1(self, write, monkeypatch, capsys, argv, module):
         # t^4 + t^3 - 3t^2 + 2t breaks the sign alternation at t^3: a bug, reported without a traceback
@@ -1030,6 +986,29 @@ class TestVerifyCommand:
         assert main(["verify", "--seed", "42"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "54ad0f4031bebd0892e0ed5df80d1d2aba9d3b1bc83271a88518b54051d80a13"
+
+    @pytest.mark.parametrize("window", [["--q-min", "-3", "--q-max", "-3"], ["--q-min", "-100", "--q-max", "-50"]],
+                             ids=["q-3", "q-100-to-50"])
+    def test_low_window_reports_no_sharpness_violation(self, capsys, window):
+        # below q = -r every cell has k = 0 and is tight, so the sharpness checks skip such a window
+        assert main(["verify", "--graphs", "0", "--arrangements", "0", *window]) == 0
+        assert capsys.readouterr().out.endswith("\n0 violations\n")
+
+
+class TestSharpnessWindow:
+    """`bounds-tight-iff-forest` and `bounds-tight-iff-boolean` run exactly when the window reaches q = -r."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(small_graphs(), walk_arrangements), st.data())
+    def test_entry_runs_and_holds_from_minus_r(self, obj, data):
+        graph = isinstance(obj, SimpleGraph)
+        table = checks.GRAPH_CHECKS if graph else checks.ARRANGEMENT_CHECKS
+        entry = table_entry(table, "bounds-tight-iff-forest" if graph else "bounds-tight-iff-boolean")
+        r = checks.Case("probe", obj, 0, 0).seq.r
+        q_max = data.draw(st.integers(-r - 8, -r + 4), label="q_max")
+        q_min = data.draw(st.integers(q_max - 6, q_max), label="q_min")
+        outcomes = list(checks.run_checks(entry, checks.Case("input", obj, q_min, q_max)))
+        assert outcomes == ([] if q_max < -r else [(entry[0].name, True, "")])
 
 
 TABLE_NAMES = {check.name for check in checks.GRAPH_CHECKS + checks.ARRANGEMENT_CHECKS + checks.LINEAR_CENTRAL_CHECKS}

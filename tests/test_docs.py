@@ -1,4 +1,4 @@
-"""README.md's command-line tables against the code they describe, so that the two cannot drift apart."""
+"""README.md's command-line tables and Layout block against the code they describe, so that they cannot drift apart."""
 
 import argparse
 import re
@@ -7,7 +7,8 @@ from pathlib import Path
 from chromabounds.checks import ARRANGEMENT_CHECKS, GRAPH_CHECKS, LINEAR_CENTRAL_CHECKS
 from chromabounds.cli import _build_parser
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
 
 
 def table(header):
@@ -37,3 +38,15 @@ def test_readme_tables_match_the_parser_and_the_check_tables():
     named = [quoted_names(row[0])[0] for row in table("| check | instance kind | evaluated when |")]
     checks = {check.name for check in GRAPH_CHECKS + ARRANGEMENT_CHECKS + LINEAR_CENTRAL_CHECKS}
     assert sorted(named) == sorted(checks)
+
+
+def test_readme_layout_names_every_package_file():
+    lines = README.splitlines()
+    start = lines.index("src/chromabounds/", lines.index("## Layout"))
+    listed = []
+    for line in lines[start + 1:]:
+        if not line.startswith("  "):  # the next top-level entry ends the package's block
+            break
+        if not line.startswith("   "):  # a wrapped description is indented further
+            listed.append(line.split()[0])
+    assert sorted(listed) == sorted(path.name for path in (ROOT / "src" / "chromabounds").glob("*.py"))

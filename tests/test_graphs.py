@@ -68,7 +68,7 @@ C4_POLY = IntPolynomial((0, -3, 6, -4, 1))
 def reference_chromatic_poly(g, memo):
     """The smallest-edge recurrence on labelled graphs that the bitmask kernel replaced."""
     if not g.edges:
-        return IntPolynomial.term(1, g.n)
+        return IntPolynomial((0,) * g.n + (1,))
     key = (g.n, tuple(g.sorted_edges()))
     if key not in memo:
         e = min(g.edges)
@@ -162,7 +162,7 @@ class TestRankInfo:
 
 class TestChromaticPoly:
     def test_edgeless(self):
-        assert chromatic_poly(SimpleGraph(4)) == IntPolynomial.term(1, 4)
+        assert chromatic_poly(SimpleGraph(4)) == IntPolynomial((0, 0, 0, 0, 1))
 
     def test_path3(self):
         assert chromatic_poly(path(3)) == IntPolynomial((0, 1, -2, 1))
@@ -205,7 +205,7 @@ class TestOracleAgainstBacktracking:
     def test_cap_counts_the_work(self, monkeypatch):
         # n^2 2^n = 256 for n = 4
         monkeypatch.setattr(graphs, "COLORING_BUDGET", 256)
-        assert chromatic_poly_interpolated(SimpleGraph(4)) == IntPolynomial.term(1, 4)
+        assert chromatic_poly_interpolated(SimpleGraph(4)) == IntPolynomial((0, 0, 0, 0, 1))
         monkeypatch.setattr(graphs, "COLORING_BUDGET", 255)
         with pytest.raises(ResourceLimitError, match="n=4 .* 256"):
             chromatic_poly_interpolated(SimpleGraph(4))
@@ -234,7 +234,7 @@ class TestInterpolation:
         assert chromatic_poly_interpolated(complete(3)) == IntPolynomial((0, 2, -3, 1))
 
     def test_edgeless_two(self):
-        assert chromatic_poly_interpolated(SimpleGraph(2)) == IntPolynomial.term(1, 2)
+        assert chromatic_poly_interpolated(SimpleGraph(2)) == IntPolynomial((0, 0, 1))
 
     def test_c4(self):
         assert chromatic_poly_interpolated(cycle(4)) == C4_POLY
