@@ -7,7 +7,9 @@ step on these rows. A flat is identified by its closure, the bitmask of
 the hyperplanes containing it, so flat equality and containment are bit
 operations. The characteristic polynomial is computed from the
 intersection poset's Moebius values, with an independent signed-subset
-expansion (`char_poly_whitney`) as a cross-check.
+expansion (`char_poly_whitney`) as a cross-check. `nbc_rule` and
+`decone_rule` are the NBC and deconing identities, each with its detail,
+for both `verify`'s check table and the `nbc` and `decone` commands.
 
 Both the intersection poset and the subset walk below take each
 hyperplane's row as it is, with its pivot (`Hyperplane.pivoted`): the row
@@ -449,6 +451,11 @@ def nbc_counts(arr: Arrangement, order: Sequence[int] | None = None) -> tuple[in
     return tuple(counts)
 
 
+def nbc_rule(counts: Sequence[int], a: Sequence[int], order: Sequence[int] | None) -> list[tuple[bool, str]]:
+    """The `nbc-coefficient` identity: (ok, "k=... order=...") for each k <= r, counts[k] in `order` against a_k."""
+    return [(counts[k] == a_k, f"k={k} order={order}") for k, a_k in enumerate(a)]
+
+
 def delete(arr: Arrangement, h: int) -> Arrangement:
     """Remove one hyperplane; ambient space unchanged."""
     if not 0 <= h < arr.m:
@@ -528,6 +535,11 @@ def decone(arr: Arrangement, k0: int) -> Arrangement:
     chart = arr.hyperplanes[k0].row[:-1] + (1,)
     others = [x.row for i, x in enumerate(arr.hyperplanes) if i != k0]
     return _restrict_rows(others, chart)
+
+
+def decone_rule(chi_deconed: IntPolynomial, expected: IntPolynomial, k0: int) -> tuple[bool, str]:
+    """The `decone-divided-difference` identity at k0: (ok, "k0=..."), chi of the deconing against Delta chi."""
+    return chi_deconed == expected, f"k0={k0}"
 
 
 def boolean_char_poly(n: int, m: int) -> IntPolynomial:

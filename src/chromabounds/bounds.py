@@ -161,6 +161,10 @@ class BoundsReport(NamedTuple):
                     if not low <= v <= up:
                         yield q, k
 
+    def failure_details(self) -> Iterator[str]:
+        """The `two-sided-bounds` detail "q=... k=..." of each of `failures`."""
+        return (f"q={q} k={k}" for q, k in self.failures())
+
     @property
     def all_ok(self) -> bool:
         return next(self.failures(), None) is None

@@ -2,9 +2,10 @@
 
 One ordered table per instance kind; an entry has a name, a condition for
 when it applies, and the identity it evaluates. The table only drives the
-oracles: each side of an identity comes from the module that owns it. A
-`Case` is the `bounds.Instance` that the tables read, and `run_corpus`
-runs them over the seeded corpus.
+oracles: each side of an identity comes from the module that owns it, and
+so does the outcome of `two-sided-bounds`, `nbc-coefficient` and
+`decone-divided-difference`, which the file commands report too. A `Case`
+is the `bounds.Instance` that the tables read; `run_corpus` runs them.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import arrangements
 from .arrangements import (
-    Arrangement, boolean_char_poly, char_poly, char_poly_whitney, decone, delete, essentialize,
-    general_position_char_poly, is_boolean, is_central, is_general_position, nbc_counts, rank, restrict,
+    Arrangement, boolean_char_poly, char_poly, char_poly_whitney, decone, decone_rule, delete, essentialize,
+    general_position_char_poly, is_boolean, is_central, is_general_position, nbc_counts, nbc_rule, rank, restrict,
 )
 from .bounds import (
     BoundsReport, Instance, coeff_sequence, divided_difference, divided_difference_formula, divided_difference_iter,
@@ -120,9 +121,7 @@ def _deletion_restriction(c: Case) -> Iterator[tuple[bool, str]]:
 
 def _nbc_counts(c: Case) -> Iterator[tuple[bool, str]]:
     for order in c.orders(c.m):
-        counts = nbc_counts(c.arrangement, order=order)
-        for k in range(c.seq.r + 1):
-            yield counts[k] == c.seq.a[k], f"k={k} order={order}"
+        yield from nbc_rule(nbc_counts(c.arrangement, order=order), c.seq.a, order)
 
 
 def _divided_difference_closed_form(c: Case) -> Iterator[tuple[bool, str]]:
@@ -147,7 +146,7 @@ def _sequence_tail(tight_name: str, nbc_applies: Callable[[Case], bool]) -> tupl
     return (
         _equal("rank-vs-degree", lambda c: (c.seq.r, c.rank)),
         Check("nbc-coefficient", _nbc_counts, nbc_applies),
-        _once("two-sided-bounds", lambda c: (f"q={q} k={k}" for q, k in c.bounds.failures())),
+        _once("two-sided-bounds", lambda c: c.bounds.failure_details()),
         _equal(tight_name, lambda c: (c.bounds.all_tight, c.m == c.rank), lambda c: c.q_max >= -c.seq.r),
         _once("coefficient-lower-bounds", lambda c: (f"h_{j}={v}" for j, v in enumerate(h_vector(c.seq)) if v < 0)),
     )
@@ -184,8 +183,7 @@ ARRANGEMENT_CHECKS: tuple[Check, ...] = (
 
 LINEAR_CENTRAL_CHECKS: tuple[Check, ...] = (
     Check("decone-divided-difference", lambda c: (
-        (char_poly(decone(c.obj, k0)) == divided_difference(c.poly), f"k0={k0}")
-        for k0 in range(c.m))),
+        decone_rule(char_poly(decone(c.obj, k0)), divided_difference(c.poly), k0) for k0 in range(c.m))),
     Check("divided-difference-formula", _divided_difference_closed_form),
 )
 

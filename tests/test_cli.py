@@ -176,6 +176,18 @@ class TestParsing:
         assert err == f"warning: {path}:3: duplicate edge '0 1' collapsed (99999 duplicate edges in all)\n"
         assert len(err.encode()) < 1024
 
+    def test_many_duplicate_hyperplanes_give_one_warning(self, write, capsys):
+        path = write("dup.txt", "dim 2\n1 0 0\n" + "2 0 0\n" * 100000)
+        start = time.perf_counter()
+        assert main(["bounds", path]) == 0
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert err == (f"warning: {path}:3: duplicate hyperplane '2 0 0' collapsed "
+                       "(100000 duplicate hyperplanes in all)\n")
+        assert len(err.encode()) < 1024
+        assert main(["bounds", write("one.txt", "dim 2\n1 0 0\n")]) == 0
+        assert capsys.readouterr() == (out, "")
+
     def test_bad_header(self):
         with pytest.raises(InputError, match="header"):
             parse_input("vertices 3\n")
@@ -236,6 +248,13 @@ class TestParsing:
         assert main([command, str(path), *(["0"] if command == "decone" else [])]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read {path}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [K4_TEXT, DIMACS_TEXT, FRACTIONAL_TEXT], ids=["edges", "dimacs", "arrangement"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, text):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert parse_input_file(str(marked)) == parse_input_file(str(plain))
 
     def test_dispatch(self, write):
         assert isinstance(parse_input_file(write("g.txt", K3_TEXT)), SimpleGraph)
@@ -452,9 +471,16 @@ GOLDEN = {
                            "fc0110b673ce4126642637e271f75be6f8cf305a607a0de8ca6316908897e09d"),
     ("decone", "LINEAR_LINES"): ("9331566606c64b7140304cf3c63403b9eba759efe51e09f7fa4aa0dfcc678390",
                                  "c9b4924040646f6fb0fdd6976682dc3b7034e90fecef0981326c22184a04a8af"),
+    # the one fixed text whose rows need lcm scaling and whose offsets `decone` prints as num/den
+    ("bounds", "FRACTIONAL"): ("b5856fd337564961d778611f7b823b6b509ffc9b59cd9a67aa8c92898e63296f",
+                               "ca75a6af706fe739062178a9e7c075259924f54f7ae2baba821450361163f7e5"),
+    ("nbc", "FRACTIONAL"): ("ae4d24c749202def29740a4b9d2f5e62d32f3a01b15e572c81d97d0794b1b651",
+                            "f8a087a637fe1bc6350f18ea700c0b4ebfd55ddbb605a0864bbe1323122bbdec"),
+    ("decone", "FRACTIONAL"): ("a78e2355091b04f49542b2ea3212072babaa0782e8a7c2e88d1f51a476f57e26",
+                               "2464012fe3a871ad8b749b4b71b7568aab49545a69f1987bc0c3be85696ddfe2"),
 }
 GOLDEN_TEXTS = {"K4": K4_TEXT, "DIMACS": DIMACS_TEXT, "LINEAR_LINES": LINEAR_LINES_TEXT,
-                "GENERIC_LINES": GENERIC_LINES_TEXT}
+                "GENERIC_LINES": GENERIC_LINES_TEXT, "FRACTIONAL": FRACTIONAL_TEXT}
 
 
 @pytest.mark.parametrize("command, text", sorted(GOLDEN))
