@@ -12,7 +12,12 @@ does.
 """
 
 SUBSET_GUARD = 20  # hyperplanes or edges a subset enumeration may range over
-COLORING_BUDGET = 10**8  # n^2 * 2^n steps the coloring oracle may take
+# The coloring oracle keeps a count vector per frontier state, so its time and
+# memory grow with the states it builds. 10^5 admits every graph that the tests
+# and the benchmark check, at most 785 states, and G(20, 1/2), at 51,522. It
+# stops G(24, 1/2) within a second, whose tables otherwise outgrew a 2 GB
+# address space (Python 3.11, one core).
+COLORING_BUDGET = 10**5  # frontier states one coloring-oracle call may build
 POSET_STEP_BUDGET = 10**5  # sections one intersection poset may cut (its reduce_row steps, at most)
 GRID_CELL_BUDGET = 10**5  # (q, k) cells one bound grid may hold
 CORPUS_INSTANCE_BUDGET = 10**4  # random graphs plus arrangements one verify run may draw

@@ -6,18 +6,24 @@ polynomial comes from the deletion-contraction kernel (`chromatic_poly`)
 and from the coloring oracle (`chromatic_poly_interpolated`); the two
 must agree coefficient-exact.
 
-The oracle counts proper colorings by ranked inclusion-exclusion over
-independent sets (Bjorklund, Husfeldt & Koivisto 2009): one table of
-independent-set polynomials per graph gives the number e_j of ordered
-partitions into j independent sets for every j, in about n^2 2^n steps.
-The count with t colors is sum_j C(t, j) e_j, which the oracle expands in
-integers as P(t) = sum_j (e_j / j!) t(t-1)...(t-j+1), so the count for
-any t is the value of that polynomial at t. The oracle's polynomials have
-nonnegative coefficients and are packed into integers (Kronecker
-substitution), so each step of its recurrence and each power is one
-integer operation; the deletion-contraction kernel keeps coefficient
-lists, whose signed coefficients do not pack. The oracle and the kernel
-share only the exact-arithmetic primitives of `exactmath`.
+The oracle expands P(t) = sum_k a_k t(t-1)...(t-k+1), where a_k counts
+the partitions of the vertices into k independent sets; giving the k
+blocks distinct colors makes a proper coloring. A dynamic program along
+a vertex order finds the a_k, by the bounded-width method of Noble
+(Combin. Probab. Comput. 7, 1998) and Andrzejak (Discrete Math. 190,
+1998). The frontier is the placed vertices that still have unplaced
+neighbours. The placed neighbours of an unplaced vertex all lie on the
+frontier, so it may join exactly the blocks whose frontier class holds
+none of them, and any of the k - f blocks with no frontier member, f
+being the number of classes. Partitions of the placed vertices that
+agree on k and on their frontier classes thus have the same completions,
+and one count per k is kept for each set of classes. A new vertex v
+joins a class with no neighbour of v, or one of the k - f blocks, or a
+new block; each partition comes from exactly one sequence of such
+choices. A vertex leaves the frontier once its last neighbour is placed,
+and states that become equal merge. The order (`_next_vertex`) changes
+how many states are built, never the counts. The two routes share only
+`_bits` and `IntPolynomial`.
 
 `chromatic_poly` reduces a graph exactly before it branches: simplicial
 vertices are peeled off with a linear factor each, what is left factors
@@ -36,10 +42,9 @@ recurrence itself.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import COLORING_BUDGET, InputError, InvariantError, ResourceLimitError
+from .errors import COLORING_BUDGET, InputError, ResourceLimitError
 from .exactmath import IntPolynomial, Value, binomial_row
 
 # A component expands by addition-contraction when at least this share of
@@ -456,100 +461,93 @@ def chromatic_poly(g: SimpleGraph, memo: dict | None = None) -> IntPolynomial:
     return IntPolynomial(tuple(_evaluate(root, memo)))
 
 
-def _ones(count: int, width: int) -> int:
-    """1 + z + ... + z^(count - 1) packed at `width` >= 1 bits per coefficient."""
-    return ((1 << count * width) - 1) // ((1 << width) - 1)
+def _next_vertex(adj: Sequence[int], unplaced: int, frontier: int) -> tuple[int, int]:
+    """The unplaced vertex v that leaves the smallest frontier, and the frontier vertices that v closes.
+
+    The candidates are the frontier's neighbours, or every unplaced vertex
+    when there is no frontier. Ties go to more placed neighbours, which
+    forbid more classes, then to fewer unplaced ones; so a new component
+    starts at a vertex of least degree.
+    """
+    closes: dict[int, int] = {}  # bit of x -> the frontier vertices whose last unplaced neighbour is x
+    candidates = 0
+    while frontier:
+        y = frontier & -frontier
+        frontier ^= y
+        rest = adj[y.bit_length() - 1] & unplaced
+        candidates |= rest
+        if not rest & (rest - 1):
+            closes[rest] = closes.get(rest, 0) | y
+    candidates = candidates or unplaced
+    best = None
+    while candidates:
+        b = candidates & -candidates
+        candidates ^= b
+        x = b.bit_length() - 1
+        rest = adj[x] & unplaced
+        # (growth of the frontier, minus the placed neighbours, the unplaced ones)
+        key = (bool(rest) - closes.get(b, 0).bit_count(), rest.bit_count() - adj[x].bit_count(), rest.bit_count())
+        if best is None or key < best:
+            best, v = key, x
+    return v, closes.get(1 << v, 0)
 
 
-def _ordered_partitions(g: SimpleGraph) -> list[int]:
-    """e_j, the number of ordered partitions of the vertices into j nonempty independent sets, j = 0..n.
+def _partition_counts(g: SimpleGraph) -> list[int]:
+    """a_k, the number of partitions of the vertices into k independent sets, k = 0..n.
 
-    Ranked inclusion-exclusion (Bjorklund, Husfeldt & Koivisto, "Set
-    partitioning via inclusion-exclusion", SIAM J. Comput. 39(2), 2009):
-    with r_S(z) the sum of z^|I| over the independent sets I of S,
-    e_j = sum over S of (-1)^(n - |S|) [z^n] (r_S(z) - 1)^j. The coefficient
-    counts j-tuples of nonempty independent subsets of S whose sizes add up
-    to n; the alternating sum keeps those that cover every vertex, which
-    are then disjoint.
-
-    The work grows as n^2 2^n: a table of 2^n polynomials of degree <= n,
-    each distinct one raised to the powers 1..n truncated at z^n. That
-    count is checked against `COLORING_BUDGET` before the table is allocated.
-
-    Every polynomial here has nonnegative coefficients, so each is packed
-    into one integer, its value at z = 2^b for a width of b bits above all
-    of its coefficients (Kronecker substitution): a sum or a product is one
-    integer operation, no coefficient carries into the next, and
-    coefficient k is read back by shift and mask. The table packs r_S at
-    n + 1 bits, since [z^k] r_S counts k-subsets of S, at most
-    C(n, k) < 2^(n+1). With r_S - 1 = z w_S, the coefficients of w_S add up
-    to 2^|S| - 1 < 2^n, so those of w_S^j, and of any truncation of it, add
-    up to less than 2^(nj) <= 2^(n^2) for j <= n. So n^2 + 1 bits hold every
-    coefficient of the powers. They get (n + 1)^2, the width at which a
-    distinct w_S is spread from the table's width by one multiplication and
-    one mask, just before its powers are taken; the table itself stays
-    narrow.
+    The frontier DP of the module docstring. A state is the frontier's
+    classes as a sorted tuple of disjoint masks, with the partial a_k. The
+    walk ends after n steps, one per vertex. A step stores at most B(w)
+    states, the Bell number of its frontier's width w, and each new state
+    is counted against `COLORING_BUDGET` before it is stored.
     """
     n = g.n
-    work = n * n << n
-    if work > COLORING_BUDGET:
-        raise ResourceLimitError(
-            f"coloring oracle on n={n} vertices needs n^2*2^n = {work} steps, over the cap of {COLORING_BUDGET}"
-        )
-    if n == 0:
-        return [1]  # the empty partition
     adj = [0] * n
     for u, v in g.edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    # table[S] holds r_S; with v the highest vertex of S, the independent
-    # sets of S either avoid v or are v plus one of S - N[v]:
-    # r_S = r_{S - v} + z r_{S - N[v]}.
-    narrow, wide = n + 1, (n + 1) ** 2
-    table = [1]
-    for v in range(n):
-        avoid = ~adj[v]
-        table += [r + (table[s & avoid] << narrow) for s, r in enumerate(table)]
-    # w_S spans n * narrow = wide - narrow bits. Times `copies` it lies n
-    # times side by side, copy k shifted by k (wide - narrow) bits, which
-    # puts its coefficient k at bit k * wide, where `fields` keeps it.
-    copies, fields = _ones(n, wide - narrow), ((1 << narrow) - 1) * _ones(n, wide)
-    # (j, bit of z^(n-j), mask of z^0..z^(n-j)): w^j is needed only up to z^(n-j).
-    steps = [(j, (n - j) * wide, (1 << (n - j + 1) * wide) - 1) for j in range(1, n + 1)]
-    e = [0] * (n + 1)
-    # Many subsets share one r_S, and each distinct one is expanded once.
-    for r, count in Counter(table).items():
-        if r == 1:
-            continue  # S is empty: (r_S - 1)^j vanishes for j >= 1
-        # r_S - 1 = z w(z), so [z^n] (r_S - 1)^j = [z^(n-j)] w^j.
-        w = (r >> narrow) * copies & fields
-        weight = -count if (n ^ w) & 1 else count  # w(0) = |S|
-        power = 1
-        for j, top, mask in steps:
-            power = power * w & mask
-            e[j] += weight * (power >> top)
-    return e
+    states: dict[tuple[int, ...], list[int]] = {(): [1] + [0] * n}
+    unplaced = (1 << n) - 1
+    frontier = built = 0
+    while unplaced:
+        v, closed = _next_vertex(adj, unplaced, frontier)
+        bit, nb = 1 << v, adj[v]
+        unplaced ^= bit
+        # the frontier vertices whose last unplaced neighbour is v leave, and so does v when it has none
+        keep = ~closed if nb & unplaced else ~(closed | bit)
+        frontier = (frontier | bit) & keep
+        table: dict[tuple[int, ...], list[int]] = {}
+        for classes, counts in states.items():
+            f = len(classes)
+            # v starts a frontier class: in one of the k - f blocks with no frontier member, or in a new block
+            moves = [(classes + (bit,), [k * a + b for k, a, b in zip(range(-f, n + 1), counts, [0, *counts])])]
+            # or joins a frontier class with no neighbour of v
+            moves += [(classes[:i] + (c | bit,) + classes[i + 1:], counts) for i, c in enumerate(classes) if not c & nb]
+            for state, counted in moves:
+                state = tuple(sorted([c & keep for c in state if c & keep]))
+                old = table.get(state)
+                if old is not None:
+                    table[state] = [a + b for a, b in zip(old, counted)]
+                    continue
+                built += 1
+                if built > COLORING_BUDGET:
+                    raise ResourceLimitError(
+                        f"coloring oracle reached {built} frontier states at vertex {n - unplaced.bit_count()} of {n}, "
+                        f"over the budget of {COLORING_BUDGET}"
+                    )
+                table[state] = counted
+        states = table
+    return states[()]
 
 
 def chromatic_poly_interpolated(g: SimpleGraph) -> IntPolynomial:
-    """The oracle's counts at every t at once, expanded in integers.
+    """The coloring oracle: P(t) = sum_k a_k t(t-1)...(t-k+1), a_k from `_partition_counts`.
 
-    P(t) = sum_j C(t, j) e_j = sum_j (e_j / j!) t(t-1)...(t-j+1), with the
-    falling factorials built one factor at a time. The j blocks of an
-    ordered partition can be put in any of j! orders, so j! divides e_j;
-    a remainder means the table is wrong.
+    Horner's rule in the falling factorials: from the top, p becomes
+    p (t - k) + a_k.
     """
-    e = _ordered_partitions(g)
-    coeffs = [0] * (g.n + 1)
-    falling, factorial = [1], 1
-    for j, count in enumerate(e):
-        if j:
-            # times (t - (j - 1))
-            falling = [a - (j - 1) * b for a, b in zip([0, *falling], [*falling, 0])]
-            factorial *= j
-        blocks, rest = divmod(count, factorial)
-        if rest:
-            raise InvariantError(f"{count} ordered partitions into {j} blocks is not a multiple of {j}!")
-        for p, c in enumerate(falling):
-            coeffs[p] += blocks * c
-    return IntPolynomial(tuple(coeffs))
+    p: list[int] = []
+    for k, blocks in reversed(list(enumerate(_partition_counts(g)))):
+        p = [a - k * b for a, b in zip([0, *p], [*p, 0])]
+        p[0] += blocks
+    return IntPolynomial(tuple(p))

@@ -32,9 +32,9 @@ sort-key lambda, the slow paths that the kernel's inline mask loops must
 match output for output. `regular_graphs` feeds them 6-regular graphs like
 those of the benchmark's graph-dc workload.
 
-`reference_ordered_partitions` is the coloring oracle's ranked
-inclusion-exclusion on coefficient lists, the slow path that its packed
-integers must match e_j for e_j.
+`reference_ordered_partitions` counts the ordered partitions into
+independent sets by ranked inclusion-exclusion on coefficient lists, the
+reference that the coloring oracle's frontier DP must match: e_k = k! a_k.
 
 `reference_format_arrangement` prints an arrangement with each offset
 as a `Fraction`, the slow path that the command line's integer printer

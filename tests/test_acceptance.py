@@ -63,7 +63,7 @@ def half_dense_graph(n):
 
 
 def test_criterion_01_coloring_oracle(graph_cases):
-    with criterion(1, "deletion-contraction equals the inclusion-exclusion coloring oracle, up to n = 14"):
+    with criterion(1, "deletion-contraction equals the frontier-DP coloring oracle, up to n = 14"):
         start = time.monotonic()
         larger = [Case(f"G({n}, 1/2)", half_dense_graph(n), -5, 5) for n in (10, 12, 14)]
         assert_checks(GRAPH_CHECKS, graph_cases + larger, "coloring-oracle")

@@ -631,9 +631,9 @@ DIM12_ARRANGEMENT = Arrangement(12, tuple(Hyperplane([rng.randint(-3, 3) for _ i
 LOWERED_BUDGETS = [
     pytest.param(arrangements, "SUBSET_GUARD", 2, K4_TEXT, ["nbc", "FILE"],
                  "arrangement has 6 hyperplanes; subset enumeration guard is 2", id="SUBSET_GUARD"),
-    # the named graphs start P1, P2, P3, P4: n^2 2^n first exceeds 100 at n = 4
-    pytest.param(graphs, "COLORING_BUDGET", 100, None, ["verify", "--graphs", "0", "--arrangements", "0"],
-                 "coloring oracle on n=4 vertices needs n^2*2^n = 256 steps, over the cap of 100",
+    # the named graphs start P1, ..., P6, C3, C4, C5; Pk and C3 build k states, C4 5 and C5 7
+    pytest.param(graphs, "COLORING_BUDGET", 6, None, ["verify", "--graphs", "0", "--arrangements", "0"],
+                 "coloring oracle reached 7 frontier states at vertex 5 of 5, over the budget of 6",
                  id="COLORING_BUDGET"),
     # the boolean arrangement in dimension 5 takes 25 + 40 + 30 steps (see `TestIntersectionPoset.test_guard`)
     pytest.param(arrangements, "POSET_STEP_BUDGET", 94, format_arrangement(coordinate_arrangement(5)),
@@ -957,6 +957,12 @@ class TestVerifyCommand:
         table = [check for check in checks.GRAPH_CHECKS if check.name == "graphic-char-poly"]
         assert [ok for _, ok, _ in checks.run_checks(table, checks.Case("K8", complete(8), 0, 1))] == [True]
         assert list(checks.run_checks(table, checks.Case("K9", complete(9), 0, 1))) == []
+
+    @pytest.mark.parametrize("seed", ["30", "44"])
+    def test_graphs_of_twenty_and_more_vertices_pass(self, capsys, seed):
+        # seed 30 draws a graph on 20 vertices and seed 44 one on 21; the coloring oracle checks both
+        assert main(["verify", "--graphs", "3", "--max-n", "22", "--arrangements", "0", "--seed", seed]) == 0
+        assert "0 violations" in capsys.readouterr().out
 
     @pytest.mark.parametrize("oracle, check", [
         ("chromatic_poly_interpolated", "coloring-oracle"),

@@ -1,5 +1,6 @@
 import random
 from functools import reduce
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from chromabounds import (
     InputError,
-    InvariantError,
     IntPolynomial,
     ResourceLimitError,
     SimpleGraph,
@@ -16,6 +16,7 @@ from chromabounds import (
     chromatic_poly_interpolated,
     coeff_sequence,
     complete,
+    complete_bipartite,
     contract_edge,
     cycle,
     delete_edge,
@@ -103,12 +104,12 @@ kernel_graphs = small_graphs(max_n=9) | dense_graphs(max_n=9) | regular_graphs
 
 
 def reference_count_colorings(g, t):
-    """The backtracking over color assignments that the inclusion-exclusion oracle replaced.
+    """The number of proper colorings with t colors, by backtracking over color assignments.
 
     Vertices are colored in order, each avoiding its earlier neighbours'
-    colors. Unlike the replaced code, the colors it must avoid are gathered
-    once per vertex and the last vertex's free colors are counted, not
-    enumerated, which makes it about 6x faster on 7 vertices.
+    colors. The colors it must avoid are gathered once per vertex and the
+    last vertex's free colors are counted, not enumerated, which makes it
+    about 6x faster on 7 vertices.
     """
     earlier = [[] for _ in range(g.n)]
     for u, v in g.edges:
@@ -188,8 +189,11 @@ class TestCountColorings:
         assert chromatic_poly_interpolated(path(2))(2) == 2
 
     def test_cap(self, monkeypatch):
-        monkeypatch.setattr(graphs, "COLORING_BUDGET", 10**6)
-        with pytest.raises(ResourceLimitError):
+        # isolated vertices leave the frontier at once: one state per vertex
+        monkeypatch.setattr(graphs, "COLORING_BUDGET", 30)
+        assert chromatic_poly_interpolated(SimpleGraph(30)) == IntPolynomial((0,) * 30 + (1,))
+        monkeypatch.setattr(graphs, "COLORING_BUDGET", 29)
+        with pytest.raises(ResourceLimitError, match="reached 30 frontier states at vertex 30 of 30, over the budget of 29"):
             chromatic_poly_interpolated(SimpleGraph(30))
 
 
@@ -203,30 +207,81 @@ class TestOracleAgainstBacktracking:
         assert p == chromatic_poly(g)
 
     def test_cap_counts_the_work(self, monkeypatch):
-        # n^2 2^n = 256 for n = 4
-        monkeypatch.setattr(graphs, "COLORING_BUDGET", 256)
-        assert chromatic_poly_interpolated(SimpleGraph(4)) == IntPolynomial((0, 0, 0, 0, 1))
-        monkeypatch.setattr(graphs, "COLORING_BUDGET", 255)
-        with pytest.raises(ResourceLimitError, match="n=4 .* 256"):
-            chromatic_poly_interpolated(SimpleGraph(4))
+        # C4 is walked 0, 1, 2, 3. The frontier classes are {0}; then {0}, {1};
+        # then {0}, {2} or {0, 2}, after 1 leaves; then none: 5 states.
+        monkeypatch.setattr(graphs, "COLORING_BUDGET", 5)
+        assert chromatic_poly_interpolated(cycle(4)) == C4_POLY
+        monkeypatch.setattr(graphs, "COLORING_BUDGET", 4)
+        with pytest.raises(ResourceLimitError, match="reached 5 frontier states at vertex 4 of 4, over the budget of 4"):
+            chromatic_poly_interpolated(cycle(4))
 
 
 class TestPackedOracleAgainstTheListCode:
-    """The oracle's packed polynomials against the list code they replaced, e_j for e_j."""
+    """The frontier DP's a_k against the list code's ordered partitions, e_k = k! a_k.
+
+    The name is kept from the packed oracle that the DP replaced, so that the test ids stay stable.
+    """
+
+    @staticmethod
+    def assert_matches_the_list_code(g):
+        ordered = [factorial(k) * a for k, a in enumerate(graphs._partition_counts(g))]
+        assert ordered == reference_ordered_partitions(g, 10**9)
 
     @settings(max_examples=100, deadline=None)
     @given(small_graphs(max_n=8) | dense_graphs(max_n=8))
     def test_drawn_graphs(self, g):
-        assert graphs._ordered_partitions(g) == reference_ordered_partitions(g, 10**9)
+        self.assert_matches_the_list_code(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs(max_n=8) | dense_graphs(max_n=8), st.integers(0, 2**32))
+    def test_relabelling_keeps_the_polynomial(self, g, seed):
+        # ties in the walk's order go to the lowest label, so a relabelling changes the order it walks
+        label = list(range(g.n))
+        random.Random(seed).shuffle(label)
+        relabelled = SimpleGraph(g.n, frozenset((label[u], label[v]) for u, v in g.edges))
+        assert chromatic_poly_interpolated(relabelled) == chromatic_poly_interpolated(g)
 
     @pytest.mark.parametrize("n", range(13))
     def test_edgeless_complete_and_random_graphs(self, n):
-        # edgeless: the widest coefficients; complete: the fewest distinct r_S; and two seeded G(n, 1/2)
+        # edgeless: no frontier and a_k = S(n, k); complete: the widest frontier and one partition;
+        # and two seeded G(n, 1/2)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         halves = [random.Random(100 * n + seed) for seed in range(2)]
         drawn = [SimpleGraph(n, frozenset(e for e in pairs if rng.random() < 0.5)) for rng in halves]
         for g in (SimpleGraph(n), complete(n), *drawn):
-            assert graphs._ordered_partitions(g) == reference_ordered_partitions(g, 10**9)
+            self.assert_matches_the_list_code(g)
+
+
+def wheel(k):
+    """The cycle C_k on 0..k-1 and a hub k adjacent to all of it."""
+    return SimpleGraph(k + 1, cycle(k).edges | {(i, k) for i in range(k)})
+
+
+def ladder(k):
+    """k rungs (i, k + i) between the paths 0..k-1 and k..2k-1."""
+    rails = {(i, i + 1) for i in range(k - 1)} | {(k + i, k + i + 1) for i in range(k - 1)}
+    return SimpleGraph(2 * k, frozenset(rails | {(i, k + i) for i in range(k)}))
+
+
+# the outer 5-cycle, its spokes, and the inner pentagram
+PETERSEN = SimpleGraph(10, frozenset({(i, (i + 1) % 5) for i in range(5)} | {(i, i + 5) for i in range(5)}
+                                     | {(5 + i, 5 + (i + 2) % 5) for i in range(5)}))
+
+
+@pytest.mark.parametrize("route", [chromatic_poly, chromatic_poly_interpolated])
+@pytest.mark.parametrize("g, formula", [
+    pytest.param(wheel(40), lambda t: t * ((t - 2) ** 40 + (t - 2)), id="wheel-40"),
+    pytest.param(complete_bipartite(2, 40), lambda t: t * (t - 1) ** 40 + t * (t - 1) * (t - 2) ** 40, id="K2,40"),
+    pytest.param(ladder(20), lambda t: t * (t - 1) * (t * t - 3 * t + 3) ** 19, id="ladder-20"),
+    pytest.param(PETERSEN, lambda t: t * (t - 1) * (t - 2) * (
+        t**7 - 12 * t**6 + 67 * t**5 - 230 * t**4 + 529 * t**3 - 814 * t**2 + 775 * t - 352), id="petersen"),
+])
+def test_closed_form(route, g, formula):
+    # n >= 40 but for Petersen; the formulas share no code with either route, and two polynomials
+    # of degree n that agree at 0..n are equal
+    p = route(g)
+    assert p.degree == g.n
+    assert [p(t) for t in range(g.n + 1)] == [formula(t) for t in range(g.n + 1)]
 
 
 class TestInterpolation:
@@ -439,14 +494,6 @@ class TestUniversalVertices:
         shifted = graphs._shift(coeffs, s)
         for t in range(-3, 11):
             assert IntPolynomial(tuple(shifted))(t) == IntPolynomial(tuple(coeffs))(t - s)
-
-
-class TestOracleExpansion:
-    def test_rejects_counts_not_divisible_by_the_block_orders(self, monkeypatch):
-        # 3 ordered partitions into 2 blocks cannot come from unordered ones
-        monkeypatch.setattr(graphs, "_ordered_partitions", lambda g: [0, 1, 3])
-        with pytest.raises(InvariantError, match="multiple of 2!"):
-            chromatic_poly_interpolated(path(2))
 
 
 def test_random_graph_generator_is_deterministic():
