@@ -110,15 +110,12 @@ class Hyperplane(Value):
 
     @classmethod
     def make(cls, normal: Sequence[Fraction | int], offset: Fraction | int = 0) -> "Hyperplane":
-        """The hyperplane normal . x = offset, from ints or any values `Fraction` accepts."""
-        row = [*normal, offset]
-        if not all(type(x) is int for x in row):
-            from fractions import Fraction
+        """The hyperplane normal . x = offset, from any values `Fraction` accepts, scaled to one integer row."""
+        from fractions import Fraction
 
-            values = [Fraction(x) for x in row]
-            scale = lcm(*(v.denominator for v in values))
-            row = [v.numerator * (scale // v.denominator) for v in values]
-        return cls(row)
+        values = [Fraction(x) for x in [*normal, offset]]
+        scale = lcm(*(v.denominator for v in values))
+        return cls([v.numerator * (scale // v.denominator) for v in values])
 
     @property
     def dim(self) -> int:
@@ -257,9 +254,10 @@ def rank(arr: Arrangement) -> int:
 
 
 def is_central(arr: Arrangement) -> bool:
-    """The hyperplanes share a point. A linear arrangement shares the origin, with no elimination."""
-    if all(h.is_linear() for h in arr.hyperplanes):
-        return True
+    """The hyperplanes share a point: no echelon row of (normal | offset) has its pivot in the offset column.
+
+    Such a row has a zero normal and a nonzero offset, so a linear arrangement always passes.
+    """
     return all(lead < arr.dim for lead, _ in echelon(h.row for h in arr.hyperplanes))
 
 

@@ -81,13 +81,13 @@ class Instance:
 
     `is_graph` is the one test of the kind, and loads no module: only a
     graph has edges. A value imports `graphs` or `arrangements` when it is
-    first read, and only the one that the input's kind needs. `memo` is the
-    chromatic memo that its graph polynomials share; None gives a fresh one.
+    first read, and only the one that the input's kind needs. `memo` is a
+    fresh chromatic memo, which its graph polynomials share.
     """
 
-    def __init__(self, obj: SimpleGraph | Arrangement, memo: dict | None = None) -> None:
+    def __init__(self, obj: SimpleGraph | Arrangement) -> None:
         self.obj = obj
-        self.memo = {} if memo is None else memo
+        self.memo: dict = {}
         self.is_graph = hasattr(obj, "edges")
 
     @property
@@ -129,10 +129,6 @@ class BoundsRecord(NamedTuple):
     @property
     def ok(self) -> bool:
         return self.lower <= self.value <= self.upper
-
-    @property
-    def tight(self) -> bool:
-        return self.lower == self.value == self.upper
 
 
 class BoundsRow(NamedTuple):

@@ -36,13 +36,13 @@ class Case(Instance):
     """A graph or arrangement under test: an `Instance` with a label, a q window and the values only the tables read.
 
     `orders(m)` gives the NBC ground orders (None is the identity order); it
-    is called only when the NBC check applies.
+    is called only when the NBC check applies. `deletion-contraction` reuses
+    the instance's own fresh memo, which its polynomial filled.
     """
 
     def __init__(self, label: str, obj: SimpleGraph | Arrangement, q_min: int, q_max: int,
-                 orders: Callable[[int], Sequence[tuple[int, ...] | None]] = lambda m: [None],
-                 memo: dict | None = None) -> None:
-        super().__init__(obj, memo)
+                 orders: Callable[[int], Sequence[tuple[int, ...] | None]] = lambda m: [None]) -> None:
+        super().__init__(obj)
         self.label = label
         self.q_min = q_min
         self.q_max = q_max
@@ -200,16 +200,17 @@ def run_corpus(seed: int, q_min: int, q_max: int, graph_count: int, max_n: int, 
     rng = random.Random(seed)
     outcomes: list[tuple[str, str, bool, str]] = []
 
-    def verify(table: tuple[Check, ...], label: str, obj: SimpleGraph | Arrangement) -> dict:
+    def verify(table: tuple[Check, ...], label: str, obj: SimpleGraph | Arrangement) -> Case:
         case = Case(label, obj, q_min, q_max, orders=lambda m: [None] + [random_order(rng, m) for _ in range(2)])
         case.poly  # before any oracle, so that a budget the instance's own polynomial passes is the one reported
         outcomes.extend((name, label, ok, detail) for name, ok, detail in run_checks(table, case))
-        return case.row
+        return case
 
-    graph_rows = [verify(GRAPH_CHECKS, f"named:{name}", g) for name, g in named_graphs()]
-    graph_rows += [verify(GRAPH_CHECKS, f"graph[{i}]", g) for i, g in enumerate(random_graphs(rng, graph_count, max_n))]
+    graph_rows = [verify(GRAPH_CHECKS, f"named:{name}", g).row for name, g in named_graphs()]
+    graph_rows += [verify(GRAPH_CHECKS, f"graph[{i}]", g).row
+                   for i, g in enumerate(random_graphs(rng, graph_count, max_n))]
     drawn = random_arrangements(rng, arrangement_count, max_dim, max_m)
-    arrangement_rows = [verify(ARRANGEMENT_CHECKS, f"arrangement[{i}]", a) for i, a in enumerate(drawn)]
+    arrangement_rows = [verify(ARRANGEMENT_CHECKS, f"arrangement[{i}]", a).row for i, a in enumerate(drawn)]
     for i, arr in enumerate(linear_central_corpus(rng)):
         verify(LINEAR_CENTRAL_CHECKS, f"linear[{i}]", arr)
     failures = [(name, label, detail) for name, label, ok, detail in outcomes if not ok]

@@ -83,12 +83,12 @@ def random_arrangements(
 
 
 def coordinate_arrangement(dim: int) -> Arrangement:
-    """The boolean arrangement x_i = 0 for every coordinate."""
+    """The boolean arrangement x_i = 0 for every coordinate, each hyperplane from its row (e_i | 0)."""
     hyps = []
     for i in range(dim):
-        normal = [0] * dim
-        normal[i] = 1
-        hyps.append(Hyperplane.make(normal, 0))
+        row = [0] * (dim + 1)
+        row[i] = 1
+        hyps.append(Hyperplane(row))
     return Arrangement(dim, tuple(hyps))
 
 

@@ -23,7 +23,7 @@ new block; each partition comes from exactly one sequence of such
 choices. A vertex leaves the frontier once its last neighbour is placed,
 and states that become equal merge. The order (`_next_vertex`) changes
 how many states are built, never the counts. The two routes share only
-`_bits` and `IntPolynomial`.
+the adjacency bitmasks (`_adjacency`) and `IntPolynomial`.
 
 `chromatic_poly` reduces a graph exactly before it branches: simplicial
 vertices are peeled off with a linear factor each, what is left factors
@@ -190,6 +190,15 @@ Term = tuple[list[int], list[tuple[int, Adjacency]]]
 # resumed `_bits` 214,364 times, and with the relabelling's dicts,
 # generator expressions and sort-key lambda that took 0.19 of 0.51 s.
 # `_branch` runs once per memo miss and keeps `_bits`.
+
+
+def _adjacency(g: SimpleGraph) -> list[int]:
+    """A new list of g's neighbour masks: bit v of entry u is set when uv is an edge."""
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -434,10 +443,7 @@ def chromatic_poly(g: SimpleGraph, memo: dict | None = None) -> IntPolynomial:
     so isomorphic copies often share one entry.
     """
     memo = {} if memo is None else memo
-    adj = [0] * g.n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj = _adjacency(g)
     everyone = (1 << g.n) - 1
     root = _reduce(adj, everyone, everyone)
     # Each component waits on the stack until the components of both of its
@@ -502,10 +508,7 @@ def _partition_counts(g: SimpleGraph) -> list[int]:
     is counted against `COLORING_BUDGET` before it is stored.
     """
     n = g.n
-    adj = [0] * n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj = _adjacency(g)
     states: dict[tuple[int, ...], list[int]] = {(): [1] + [0] * n}
     unplaced = (1 << n) - 1
     frontier = built = 0

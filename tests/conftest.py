@@ -39,8 +39,8 @@ def chromatic_memo():
 
 
 @pytest.fixture(scope="session")
-def graph_cases(graph_corpus, chromatic_memo):
-    return [Case(label, g, Q_MIN, Q_MAX, memo=chromatic_memo) for label, g in graph_corpus]
+def graph_cases(graph_corpus):
+    return [Case(label, g, Q_MIN, Q_MAX) for label, g in graph_corpus]
 
 
 @pytest.fixture(scope="session")

@@ -115,15 +115,18 @@ int_normals = st.lists(st.integers(-12, 12), min_size=1, max_size=5).filter(any)
 nonzero_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
 
 
-class TestMakeFastPath:
+class TestMakeMatchesReference:
     @settings(max_examples=200, deadline=None)
-    @given(int_normals, st.integers(-12, 12), nonzero_rationals)
-    def test_ints_match_fractions_and_rational_multiples(self, normal, offset, scale):
+    @given(int_normals, st.integers(-12, 12), nonzero_rationals, st.integers(0, 5))
+    def test_ints_match_fractions_and_rational_multiples(self, normal, offset, scale, dim):
         h = Hyperplane.make(normal, offset)
         assert h == Hyperplane.make([Fraction(x) for x in normal], Fraction(offset))
         assert h == Hyperplane.make([scale * x for x in normal], scale * offset)
         assert (h.normal, h.offset) == reference_make(normal, offset)
         assert h.dim == len(normal) and h.is_linear() == (offset == 0)
+        # the corpus builds the coordinate hyperplanes from their integer rows, not through `make`
+        axes = [Hyperplane.make([int(i == j) for j in range(dim)]) for i in range(dim)]
+        assert coordinate_arrangement(dim) == Arrangement(dim, tuple(axes))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.fractions(max_denominator=6), min_size=1, max_size=5).filter(any),

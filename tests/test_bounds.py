@@ -229,7 +229,7 @@ class TestVerifyBounds:
                     for lower, upper in [reference_partial_sum_bounds(s.m, s.r, q, k)]]
         assert report.records == tuple(expected)
         assert report.all_ok == all(rec.ok for rec in expected)
-        assert report.all_tight == all(rec.tight for rec in expected)
+        assert report.all_tight == all(rec.lower == rec.value == rec.upper for rec in expected)
         assert list(report.failures()) == [(rec.q, rec.k) for rec in expected if not rec.ok]
 
     @settings(max_examples=60, deadline=None)

@@ -1,4 +1,4 @@
-"""README.md's command-line tables and Layout block against the code they describe, so that they cannot drift apart."""
+"""README.md's command-line tables, script list and Layout block against the code they describe, so that they cannot drift apart."""
 
 import argparse
 import re
@@ -38,6 +38,14 @@ def test_readme_tables_match_the_parser_and_the_check_tables():
     named = [quoted_names(row[0])[0] for row in table("| check | instance kind | evaluated when |")]
     checks = {check.name for check in GRAPH_CHECKS + ARRANGEMENT_CHECKS + LINEAR_CENTRAL_CHECKS}
     assert sorted(named) == sorted(checks)
+
+
+def test_readme_lists_every_experiment_script():
+    lines = README.splitlines()
+    start = lines.index("## Experiment scripts")
+    end = next(i for i in range(start + 1, len(lines)) if lines[i].startswith("## "))
+    listed = re.findall(r"^- `scripts/([^`]+)`", "\n".join(lines[start:end]), re.M)
+    assert sorted(listed) == sorted(path.name for path in (ROOT / "scripts").iterdir() if path.is_file())
 
 
 def test_readme_layout_names_every_package_file():

@@ -23,18 +23,6 @@ def _run(script, *args):
     return proc.stdout
 
 
-@pytest.mark.parametrize("script, args", [
-    ("bound_tightness.py", ["--max-n", "4"]),
-    ("logconcavity_scan.py", ["--graphs", "5", "--arrangements", "5"]),
-])
-def test_script_runs(script, args):
-    out = _run(script, *args)
-    if script == "logconcavity_scan.py":
-        assert "checked 10 sequences: 0 violations" in out
-    else:
-        assert "K4" in out
-
-
 def test_chromatic_growth_writes_one_row_per_graph(tmp_path):
     out = tmp_path / "growth.json"
     _run("chromatic_growth.py", "--sizes", "8", "--seeds", "1", "2", "--regular-sizes", "8",
