@@ -182,11 +182,7 @@ class Flat(NamedTuple):
     mask: int
 
 
-def _subset_walk(
-    arr: Arrangement,
-    expand_dependent: bool = False,
-    nbc: bool = False,
-) -> Iterator[tuple[int, int | None]]:
+def _subset_walk(arr: Arrangement, nbc: bool = False) -> Iterator[tuple[int, int | None]]:
     """Depth-first over nonempty subsets grown by larger indices; yields (size, rank).
 
     The one place that enumerates subsets, so the one place that checks the
@@ -201,19 +197,20 @@ def _subset_walk(
     child with no elimination. A zero residual (pivot past the last column)
     means the child is dependent (central, rank unchanged), a pivot in the
     offset column means an empty intersection, and a pivot in the normal
-    raises the rank by one. The walk descends from independent central
-    subsets, from dependent ones too when `expand_dependent`, and never from
-    those with an empty intersection, nor from a child with no larger index
-    left to add. A dependent child spans what its parent spans, so it shares
-    its parent's table. A child that raises the rank derives its table when
-    it is popped: each later entry that is nonzero at the new pivot takes
-    one `reduce_row` step against the child's residual row, and the others
-    are kept as they are. So the stack holds one table per depth.
+    raises the rank by one. The walk descends from every central subset,
+    dependent or not, and never from those with an empty intersection, nor
+    from a child with no larger index left to add. A dependent child spans
+    what its parent spans, so it shares its parent's table. A child that
+    raises the rank derives its table when it is popped: each later entry
+    that is nonzero at the new pivot takes one `reduce_row` step against
+    the child's residual row, and the others are kept as they are. So the
+    stack holds one table per depth.
 
     With `nbc`, an independent central child S + i whose entry equals a
     later entry of S's table, that of some c > i, is refused: it is
     neither yielded nor descended from. `nbc_counts` proves that this rule
-    refuses exactly the subsets holding a broken circuit.
+    refuses exactly the subsets holding a broken circuit, so this walk
+    meets no dependent child.
     """
     n, m = arr.dim, arr.m
     if m > SUBSET_GUARD:
@@ -244,7 +241,7 @@ def _subset_walk(
                 yield size + 1, None
             else:
                 yield size + 1, r
-                if expand_dependent and i + 1 < m:
+                if i + 1 < m:
                     stack.append((i + 1, size + 1, r, table, first, None))
 
 
@@ -272,9 +269,10 @@ def is_boolean(arr: Arrangement) -> bool:
 def is_general_position(arr: Arrangement) -> bool:
     """Every subset of size <= r is boolean, every larger subset non-central.
 
-    Every superset of a non-central subset is non-central, so the walk
-    stops at size r + 1: only independent subsets are descended from, and
-    none of size r + 1 can be central without failing the test.
+    The walk yields a subset before it descends from it, and the test
+    returns at the first dependent central subset, so only independent
+    ones are descended from. No subset of size r + 1 is independent, so
+    the walk stops at size r + 1.
     """
     r = rank(arr)
     for size, sub_rank in _subset_walk(arr):
@@ -399,7 +397,7 @@ def char_poly_whitney(arr: Arrangement) -> IntPolynomial:
     """
     coeffs = [0] * (arr.dim + 1)
     coeffs[arr.dim] = 1  # empty subset
-    for size, r in _subset_walk(arr, expand_dependent=True):
+    for size, r in _subset_walk(arr):
         if r is not None:
             coeffs[arr.dim - r] += -1 if size % 2 else 1
     return IntPolynomial(tuple(coeffs))
@@ -542,13 +540,13 @@ def decone_rule(chi_deconed: IntPolynomial, expected: IntPolynomial, k0: int) ->
 
 def boolean_char_poly(n: int, m: int) -> IntPolynomial:
     """t^(n-m) (t-1)^m, the characteristic polynomial of any boolean arrangement."""
-    if m > n:
-        raise ValueError("a boolean arrangement cannot have more hyperplanes than dimensions")
     return general_position_char_poly(n, m, m)
 
 
 def general_position_char_poly(n: int, m: int, r: int) -> IntPolynomial:
     """Alternating binomial polynomial characterizing general position."""
+    if r > n:
+        raise ValueError(f"rank {r} exceeds the dimension {n}")
     coeffs = [0] * (n + 1)
     for k, c in enumerate(binomial_row(m, r)):
         coeffs[n - k] = (-1) ** k * c

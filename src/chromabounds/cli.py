@@ -116,6 +116,8 @@ def _parse_dimacs(lines: list[tuple[int, str]], source: str) -> tuple[int, dict[
         if tag == "c":
             continue
         if tag == "p":
+            if n is not None:
+                raise InputError(f"{source}:{lineno}: second problem line {quoted(line)}")
             if len(rest) < 2 or rest[0] != "edge":
                 raise InputError(f"{source}:{lineno}: malformed problem line {quoted(line)}")
             try:

@@ -42,6 +42,9 @@ must match byte for byte on `fractional_arrangements`.
 
 `digit_limit` reads the interpreter's int-string digit limit, which no
 test may leave changed.
+
+`K3_ARR`, `K4_ARR`, `GENERIC_LINES` and `PARALLEL_LINES` are the fixed
+arrangements that several modules pin.
 """
 
 import math
@@ -52,11 +55,16 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from chromabounds import Arrangement, Hyperplane, SimpleGraph, graphic_arrangement
+from chromabounds import Arrangement, Hyperplane, SimpleGraph, complete, graphic_arrangement
 from chromabounds.arrangements import Flat
 from chromabounds.corpus import random_arrangement
 from chromabounds.errors import ResourceLimitError
 from chromabounds.linalg import echelon, residual
+
+K3_ARR = graphic_arrangement(complete(3))
+K4_ARR = graphic_arrangement(complete(4))
+GENERIC_LINES = Arrangement(2, (Hyperplane.make((1, 0), 0), Hyperplane.make((0, 1), 0), Hyperplane.make((1, 1), 1)))
+PARALLEL_LINES = Arrangement(2, (Hyperplane.make((1, 0), 0), Hyperplane.make((1, 0), 1)))
 
 
 def digit_limit():

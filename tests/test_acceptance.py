@@ -5,7 +5,10 @@ conftest fixtures: named graph families plus 200 seeded random graphs
 (n <= 6) and 50 seeded random rational arrangements (dim <= 4, m <= 7);
 criterion 1 adds one seeded G(n, 1/2) for each of n = 10, 12 and 14.
 Criteria 1-9 select, by name, entries of the check tables in
-`chromabounds.checks` that `verify` runs, so each identity is written once.
+`chromabounds.checks` that `verify` runs, so each identity is written once;
+together they name every entry, which `test_checks.py` enforces. That
+module runs each table whole on drawn instances, and no other test
+restates an entry.
 """
 
 import json
@@ -20,6 +23,7 @@ from chromabounds import (
     chromatic_poly,
     coeff_sequence,
     complete,
+    graphic_arrangement,
     h_vector,
     is_boolean,
     is_forest,
@@ -85,14 +89,15 @@ def test_criterion_02_nbc_counts(graph_cases, arrangement_cases):
 
 
 def test_criterion_03_two_sided_bounds(graph_cases, arrangement_cases):
-    with criterion(3, "partial binomial sums stay inside the two-sided bounds, q in [-5, 5]"):
-        assert_checks(GRAPH_CHECKS, graph_cases, "two-sided-bounds")
-        assert_checks(ARRANGEMENT_CHECKS, arrangement_cases, "two-sided-bounds")
+    with criterion(3, "r is the rank; partial binomial sums stay inside the two-sided bounds, q in [-5, 5]"):
+        assert_checks(GRAPH_CHECKS, graph_cases, "rank-vs-degree", "two-sided-bounds")
+        assert_checks(ARRANGEMENT_CHECKS, arrangement_cases, "rank-vs-degree", "two-sided-bounds")
 
 
-def test_criterion_04_sharpness(graph_cases):
-    with criterion(4, "forests are tight everywhere; a non-forest attains the upper bound"):
-        assert_checks(GRAPH_CHECKS, graph_cases, "bounds-tight-iff-forest")
+def test_criterion_04_sharpness(graph_cases, arrangement_cases):
+    with criterion(4, "forests and boolean arrangements are tight everywhere; a non-forest attains the upper bound"):
+        assert_checks(GRAPH_CHECKS, graph_cases, "forest-formula", "bounds-tight-iff-forest")
+        assert_checks(ARRANGEMENT_CHECKS, arrangement_cases, "bounds-tight-iff-boolean")
         assert sum(is_forest(case.obj) for case in graph_cases) >= 5
         triangle = coeff_sequence(chromatic_poly(complete(3)), 3)
         report = verify_bounds(triangle, -1, -1)
@@ -103,8 +108,9 @@ def test_criterion_04_sharpness(graph_cases):
 
 
 def test_criterion_05_structural_formulas(arrangement_cases):
-    with criterion(5, "boolean and general-position polynomials match the closed forms"):
-        assert_checks(ARRANGEMENT_CHECKS, arrangement_cases, "boolean-formula", "general-position-iff-shape")
+    with criterion(5, "boolean and general-position closed forms hold; essentializing keeps m and chi"):
+        assert_checks(ARRANGEMENT_CHECKS, arrangement_cases, "boolean-formula", "general-position-iff-shape",
+                      "central-gp-iff-boolean", "essentialize-count", "essentialize-coefficients")
         booleans = sum(is_boolean(case.obj) for case in arrangement_cases)
         generals = Counter(is_general_position(case.obj) for case in arrangement_cases)
         assert booleans >= 1
@@ -118,12 +124,14 @@ def test_criterion_06_recurrence_identities(graph_cases, arrangement_cases):
         assert_checks(ARRANGEMENT_CHECKS, arrangement_cases, "deletion-restriction")
 
 
-def test_criterion_07_decone_divided_difference():
+def test_criterion_07_decone_divided_difference(graph_cases):
     with criterion(7, "deconing realizes the divided difference; iterates match the closed form"):
         corpus = linear_central_corpus(random.Random(31415))
         assert len(corpus) >= 20
         cases = [Case(f"linear[{i}]", arr, -5, 5) for i, arr in enumerate(corpus)]
         assert_checks(LINEAR_CENTRAL_CHECKS, cases, "decone-divided-difference", "divided-difference-formula")
+        graphic = [Case(case.label, graphic_arrangement(case.obj), -5, 5) for case in graph_cases[:25]]
+        assert_checks(LINEAR_CENTRAL_CHECKS, graphic, "divided-difference-formula")
 
 
 def test_criterion_08_coefficient_lower_bounds(graph_cases, arrangement_cases):
@@ -141,8 +149,7 @@ def test_criterion_08_coefficient_lower_bounds(graph_cases, arrangement_cases):
 def test_criterion_09_two_algorithm_agreement(arrangement_cases, graph_cases):
     with criterion(9, "Moebius-sum and signed-subset characteristic polynomials agree"):
         assert_checks(ARRANGEMENT_CHECKS, arrangement_cases, "whitney-agreement")
-        named = [case for case in graph_cases if case.label.startswith("named:")]
-        assert_checks(GRAPH_CHECKS, named, "graphic-char-poly", "whitney-agreement")
+        assert_checks(GRAPH_CHECKS, graph_cases, "graphic-char-poly", "whitney-agreement")
 
 
 def test_criterion_10_deterministic_verify(capsys):

@@ -87,6 +87,8 @@ REJECTIONS = [
     ("dimacs-tag", ["chromatic", "FILE"], "p edge 3 1\nx 1 2\n", "FILE:2: unrecognized DIMACS line 'x 1 2'"),
     ("dimacs-no-p", ["chromatic", "FILE"], "c a\ne 1 2\n", "FILE: DIMACS file has no 'p edge' line"),
     ("dimacs-arity", ["chromatic", "FILE"], "p edge 3 1\ne 1\n", "FILE:2: expected 'u v', got '1'"),
+    ("dimacs-second-p", ["chromatic", "FILE"], "p edge 2 1\ne 1 2\np edge 5 1\n",
+     "FILE:3: second problem line 'p edge 5 1'"),
     ("dim-arity", ["bounds", "FILE"], "dim\n", "FILE:1: expected header 'dim <count>', got 'dim'"),
     ("dim-count", ["nbc", "FILE"], "dim two\n", "FILE:1: dimension 'two' is not an integer"),
     ("hyperplane-arity", ["bounds", "FILE"], "dim 2\n1 0\n",
