@@ -34,6 +34,11 @@ def arrangement_corpus():
 
 
 @pytest.fixture(scope="session")
+def chromatic_memo():
+    return {}
+
+
+@pytest.fixture(scope="session")
 def graph_cases(graph_corpus):
     return [Case(label, g, Q_MIN, Q_MAX) for label, g in graph_corpus]
 
@@ -41,6 +46,16 @@ def graph_cases(graph_corpus):
 @pytest.fixture(scope="session")
 def arrangement_cases(arrangement_corpus):
     return [Case(label, arr, Q_MIN, Q_MAX) for label, arr in arrangement_corpus]
+
+
+@pytest.fixture(scope="session")
+def graph_sequences(graph_cases):
+    return [(case.label, case.obj, case.poly, case.seq) for case in graph_cases]
+
+
+@pytest.fixture(scope="session")
+def arrangement_sequences(arrangement_cases):
+    return [(case.label, case.obj, case.poly, case.seq) for case in arrangement_cases]
 
 
 DIGIT_LIMIT = digit_limit()  # the interpreter's int-string digit limit when the session starts

@@ -7,8 +7,7 @@ criterion 1 adds one seeded G(n, 1/2) for each of n = 10, 12 and 14.
 Criteria 1-9 select, by name, entries of the check tables in
 `chromabounds.checks` that `verify` runs, so each identity is written once;
 together they name every entry, which `test_checks.py` enforces. That
-module runs each table whole on drawn instances, and no other test
-restates an entry.
+module runs each table whole on drawn instances.
 """
 
 import json

@@ -37,7 +37,7 @@ from chromabounds import (
 )
 from chromabounds import arrangements, linalg
 from chromabounds.arrangements import Flat, IntersectionPoset, _subset_walk
-from chromabounds.corpus import coordinate_arrangement, random_hyperplane
+from chromabounds.corpus import coordinate_arrangement, named_graphs, random_hyperplane
 from chromabounds.linalg import echelon, reduce_row, residual
 from strategies import (
     GENERIC_LINES,
@@ -388,6 +388,34 @@ class TestCharPoly:
     def test_graphic_k3(self):
         assert char_poly(K3_ARR) == IntPolynomial((0, 2, -3, 1))
 
+    def test_matches_chromatic_for_named_graphs(self):
+        for _, g in named_graphs():
+            if g.m <= 12:
+                assert char_poly(graphic_arrangement(g)) == chromatic_poly(g)
+
+    def test_matches_chromatic_across_corpus(self, graph_corpus, chromatic_memo):
+        for label, g in graph_corpus:
+            arr = graphic_arrangement(g)
+            assert char_poly(arr) == chromatic_poly(g, memo=chromatic_memo), label
+
+
+class TestWhitney:
+    def test_matches_mobius_on_fixed_instances(self):
+        for arr in (K3_ARR, GENERIC_LINES, PARALLEL_LINES, coordinate_arrangement(3)):
+            assert char_poly_whitney(arr) == char_poly(arr)
+
+    def test_matches_on_graphic_instances(self, graph_corpus, chromatic_memo):
+        # the graphic char poly equals the chromatic one (checked separately),
+        # so the memoized chromatic side keeps this sweep cheap
+        for label, g in graph_corpus:
+            if g.m <= 10:
+                arr = graphic_arrangement(g)
+                assert char_poly_whitney(arr) == chromatic_poly(g, memo=chromatic_memo), label
+
+    def test_matches_on_random_instances(self, arrangement_corpus):
+        for _, arr in arrangement_corpus:
+            assert char_poly_whitney(arr) == char_poly(arr)
+
 
 def _subset_rank(arr, subset):
     """Rank of the chosen hyperplanes from a fresh elimination; None when they share no point."""
@@ -511,6 +539,11 @@ class TestPredicates:
     def test_boolean_is_general_position(self):
         assert is_general_position(coordinate_arrangement(3))
 
+    def test_central_general_position_iff_boolean(self, arrangement_corpus):
+        for _, arr in arrangement_corpus:
+            if is_central(arr):
+                assert is_general_position(arr) == is_boolean(arr)
+
 
 class TestDeletionRestriction:
     def test_k3_restrict_dedupes(self):
@@ -526,6 +559,12 @@ class TestDeletionRestriction:
         assert char_poly(K3_ARR) == char_poly(delete(K3_ARR, 0)) - char_poly(
             restrict(K3_ARR, 0)
         )
+
+    def test_recurrence_on_corpus(self, arrangement_corpus):
+        for _, arr in arrangement_corpus[:20]:
+            p = char_poly(arr)
+            for h in range(arr.m):
+                assert p == char_poly(delete(arr, h)) - char_poly(restrict(arr, h))
 
 
 class TestGraphicArrangement:
@@ -556,6 +595,13 @@ class TestEssentialize:
         ess = essentialize(Arrangement(3))
         assert ess.dim == 0
         assert char_poly(ess) == IntPolynomial((1,))
+
+    def test_preserves_count_and_coefficients(self, arrangement_corpus):
+        for _, arr in arrangement_corpus:
+            r = rank(arr)
+            ess = essentialize(arr)
+            assert ess.m == arr.m and ess.dim == r
+            assert char_poly(ess).shift(arr.dim - r) == char_poly(arr)
 
 
 class TestDecone:
@@ -684,3 +730,14 @@ class TestRestrictionStep:
     def test_decone_matches_chart(self, arr):
         for k0 in range(arr.m):
             assert decone(arr, k0) == reference_decone(arr, k0)
+
+
+def test_general_position_iff_binomial_shape(arrangement_corpus):
+    both_seen = set()
+    for _, arr in arrangement_corpus:
+        r = rank(arr)
+        gp = is_general_position(arr)
+        shape = char_poly(arr) == general_position_char_poly(arr.dim, arr.m, r)
+        assert gp == shape
+        both_seen.add(gp)
+    assert both_seen == {True, False}

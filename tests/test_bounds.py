@@ -1,3 +1,4 @@
+from typing import NamedTuple
 from unittest.mock import patch
 
 import pytest
@@ -8,12 +9,16 @@ from chromabounds import (
     CoeffSequence,
     CoeffSequenceError,
     IntPolynomial,
+    InvariantError,
+    SimpleGraph,
     chromatic_poly,
     coeff_sequence,
+    complete,
     divided_difference,
     divided_difference_formula,
     divided_difference_iter,
     h_vector,
+    is_forest,
     is_logconcave,
     path,
     verify_bounds,
@@ -21,6 +26,26 @@ from chromabounds import (
 from chromabounds import bounds
 from chromabounds.errors import ResourceLimitError
 from strategies import binom, small_graphs
+
+
+class ForestEquivalence(NamedTuple):
+    binom_m_match: bool  # a_k == binom(m, k) for all k <= r
+    binom_r_match: bool  # a_k == binom(r, k) for all k <= r
+    forest: bool  # m == r
+
+
+def forest_equivalence(g):
+    """Evaluate the three equivalent forest characterizations and insist they agree."""
+    s = coeff_sequence(chromatic_poly(g), g.m)
+    binom_m = all(s.a[k] == binom(s.m, k) for k in range(s.r + 1))
+    binom_r = all(s.a[k] == binom(s.r, k) for k in range(s.r + 1))
+    forest = is_forest(g)
+    if not (binom_m == binom_r == forest):
+        raise InvariantError(
+            f"forest equivalence broken on n={g.n}, edges={sorted(g.edges)}: "
+            f"({binom_m}, {binom_r}, {forest})"
+        )
+    return ForestEquivalence(binom_m_match=binom_m, binom_r_match=binom_r, forest=forest)
 
 
 def reference_partial_binomial_sum(s, q, k):
@@ -330,6 +355,16 @@ class TestDividedDifference:
         assert divided_difference_iter(p, 1) == IntPolynomial((6, -5, 1))
         assert divided_difference_iter(p, 2) == IntPolynomial((-4, 1))
 
+    def test_formula_matches_iteration(self, graph_sequences):
+        from chromabounds import char_poly, essentialize, graphic_arrangement
+
+        for _, g, _, _ in graph_sequences[:25]:
+            ess = essentialize(graphic_arrangement(g))
+            p = char_poly(ess)
+            s = coeff_sequence(p, g.m)
+            for j in range(s.r + 1):
+                assert divided_difference_iter(p, j) == divided_difference_formula(s, j)
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(1, 10**6), max_size=8), st.data())
     def test_formula_is_the_signed_grid_row_at_q_minus_j(self, tail, data):
@@ -354,3 +389,26 @@ class TestLogconcave:
     def test_detects_violation(self):
         fake = CoeffSequence(n=3, m=1, r=2, a=(1, 1, 5))
         assert not is_logconcave(fake)
+
+
+class TestForestEquivalence:
+    def test_path(self):
+        report = forest_equivalence(path(4))
+        assert (report.binom_m_match, report.binom_r_match, report.forest) == (True, True, True)
+
+    def test_k3(self):
+        report = forest_equivalence(complete(3))
+        assert (report.binom_m_match, report.binom_r_match, report.forest) == (False, False, False)
+
+    def test_two_disjoint_edges(self):
+        g = SimpleGraph(4, frozenset({(0, 1), (2, 3)}))
+        report = forest_equivalence(g)
+        assert report.forest and report.binom_m_match and report.binom_r_match
+
+
+def test_alternating_partial_sums_stay_positive(graph_sequences):
+    # shifted lower bound binom(r-1, k) >= 1 while k <= r-1
+    for _, _, _, s in graph_sequences:
+        for k in range(s.r):
+            value = (-1) ** k * sum((-1) ** i * s.a[i] for i in range(k + 1))
+            assert value >= binom(s.r - 1, k) >= 1

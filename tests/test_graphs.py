@@ -11,8 +11,10 @@ from chromabounds import (
     IntPolynomial,
     ResourceLimitError,
     SimpleGraph,
+    boolean_char_poly,
     chromatic_poly,
     chromatic_poly_interpolated,
+    coeff_sequence,
     complete,
     complete_bipartite,
     contract_edge,
@@ -314,6 +316,36 @@ class TestContraction:
         assert all(0 <= u < 4 and 0 <= v < 4 for u, v in g.edges)
 
 
+class TestProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(small_graphs())
+    def test_deletion_contraction_matches_oracle(self, g):
+        assert chromatic_poly(g) == chromatic_poly_interpolated(g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_graphs())
+    def test_sign_alternation_and_low_coefficients(self, g):
+        s = coeff_sequence(chromatic_poly(g), g.m)  # raises if the pattern breaks
+        assert s.a[0] == 1
+        if s.r >= 1:
+            assert s.a[1] == g.m
+        assert all(x > 0 for x in s.a)
+        assert s.r == rank_info(g).rank
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_graphs())
+    def test_forest_iff_product_form(self, g):
+        product = boolean_char_poly(g.n, g.m) if g.m <= g.n else None
+        assert is_forest(g) == (product is not None and chromatic_poly(g) == product)
+
+    @settings(max_examples=25, deadline=None)
+    @given(small_graphs())
+    def test_deletion_contraction_identity_each_edge(self, g):
+        p = chromatic_poly(g)
+        for e in g.sorted_edges():
+            assert p == chromatic_poly(delete_edge(g, e)) - chromatic_poly(contract_edge(g, e))
+
+
 class TestKernelAgainstSlowPaths:
     @settings(max_examples=80, deadline=None)
     @given(small_graphs(max_n=9))
@@ -468,3 +500,15 @@ def test_random_graph_generator_is_deterministic():
     a = random_graph(random.Random(5), 6)
     b = random_graph(random.Random(5), 6)
     assert a == b
+
+
+def test_oracle_agreement_on_seven_vertices():
+    # the two routes must agree up through n = 7
+    rng = random.Random(77)
+    for _ in range(8):
+        p = rng.uniform(0.3, 0.9)
+        edges = frozenset(
+            (i, j) for i in range(7) for j in range(i + 1, 7) if rng.random() < p
+        )
+        g = SimpleGraph(7, edges)
+        assert chromatic_poly(g) == chromatic_poly_interpolated(g)

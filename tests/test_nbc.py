@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 from chromabounds import arrangements, checks, linalg
 from chromabounds import (
     Arrangement,
+    char_poly,
+    chromatic_poly,
+    coeff_sequence,
     complete,
     graphic_arrangement,
     is_central,
@@ -161,13 +164,24 @@ class TestNbcCoefficient:
         for k in range(5):
             assert nbc_counts(arr, None)[k] == binom(4, k)
 
-    def test_above_rank_is_zero(self, arrangement_corpus):
-        # `nbc_rule` compares the counts up to the rank only
+    def test_above_rank_is_zero(self):
+        assert nbc_counts(K3_ARR, None)[3] == 0
+
+    def test_matches_coefficients_under_random_orders(self, arrangement_sequences):
         rng = random.Random(99)
-        for arr in [K3_ARR] + [arr for _, arr in arrangement_corpus[:15]]:
-            r = rank(arr)
-            for order in [None] + [random_order(rng, arr.m) for _ in range(3)]:
-                assert not any(nbc_counts(arr, order)[r + 1:])
+        for _, arr, _, s in arrangement_sequences[:15]:
+            for order in (random_order(rng, arr.m) for _ in range(3)):
+                counts = nbc_counts(arr, order)
+                for k in range(arr.m + 1):
+                    expected = s.a[k] if k <= s.r else 0
+                    assert counts[k] == expected
+
+    def test_matches_chromatic_coefficients(self):
+        for g in (complete(4), path(4), complete(3)):
+            arr = graphic_arrangement(g)
+            s = coeff_sequence(chromatic_poly(g), g.m)
+            for k in range(s.r + 1):
+                assert nbc_counts(arr, None)[k] == s.a[k]
 
     @settings(max_examples=150, deadline=None)
     @given(st.data(), st.one_of(walk_arrangements, linear_arrangements(), dense_graphs().map(graphic_arrangement)))
@@ -236,3 +250,21 @@ class TestStructure:
                 for size in range(len(s)):
                     for sub in combinations(s, size):
                         assert frozenset(sub) in independent
+
+    def test_counts_at_least_rank_binomials(self, arrangement_sequences):
+        for _, arr, _, s in arrangement_sequences[:15]:
+            r = rank(arr)
+            counts = nbc_counts(arr, None)
+            for k in range(r + 1):
+                assert counts[k] >= binom(r, k)
+
+    def test_counts_equal_char_poly_of_subarrangement_free_instances(self):
+        # order choice never changes the counts
+        rng = random.Random(3)
+        p = char_poly(K4_ARR)
+        s = coeff_sequence(p, K4_ARR.m)
+        for _ in range(3):
+            order = random_order(rng, K4_ARR.m)
+            counts = nbc_counts(K4_ARR, order)
+            for k in range(s.r + 1):
+                assert counts[k] == s.a[k]
