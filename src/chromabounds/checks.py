@@ -24,7 +24,7 @@ from .bounds import (
     h_vector, is_logconcave, verify_bounds,
 )
 from .corpus import linear_central_corpus, named_graphs, random_arrangements, random_graphs, random_order
-from .errors import ResourceLimitError
+from .errors import InvariantError, ResourceLimitError
 from .exactmath import IntPolynomial
 from .graphs import (
     SimpleGraph, chromatic_poly, chromatic_poly_interpolated, contract_edge, delete_edge, is_forest,
@@ -59,7 +59,11 @@ class Case(Instance):
     @cached_property
     def row(self) -> dict:
         size = {"n": self.obj.n} if self.is_graph else {"dim": self.obj.dim}
-        return {"instance": self.label, **size, "m": self.m, "rank": self.rank, "logconcave": is_logconcave(self.seq)}
+        try:
+            logconcave = is_logconcave(self.seq)
+        except InvariantError:  # the coefficient sequence cannot be built
+            logconcave = None
+        return {"instance": self.label, **size, "m": self.m, "rank": self.rank, "logconcave": logconcave}
 
     @cached_property
     def graphic_poly(self) -> IntPolynomial | None:
@@ -100,11 +104,15 @@ def _equal(name: str, sides: Callable[[Case], tuple], applies: Callable[[Case], 
 
 
 def run_checks(table: Iterable[Check], case: Case) -> Iterator[tuple[str, bool, str]]:
-    """Yield (name, ok, detail) for every entry of `table` that applies, in table order."""
+    """Yield (name, ok, detail) for every entry of `table` that applies, in table order; a broken invariant that
+    an entry meets is that entry's failed outcome, with the error as its detail."""
     for check in table:
-        if check.applies is None or check.applies(case):
-            for ok, detail in check.evaluate(case):
-                yield check.name, ok, detail
+        try:
+            if check.applies is None or check.applies(case):
+                for ok, detail in check.evaluate(case):
+                    yield check.name, ok, detail
+        except InvariantError as exc:
+            yield check.name, False, str(exc)
 
 
 def _deletion_contraction(c: Case) -> Iterator[tuple[bool, str]]:
@@ -195,24 +203,32 @@ def run_corpus(seed: int, q_min: int, q_max: int, graph_count: int, max_n: int, 
     The named graphs, `graph_count` random graphs and `arrangement_count`
     random arrangements each give a result row; the linear central corpus
     gives none. Each instance's NBC orders are drawn only when that check
-    applies to it.
+    applies to it. An instance whose own polynomial passes a budget gives no
+    row and no outcome; `results` counts such instances as "skipped", if any.
     """
     rng = random.Random(seed)
     outcomes: list[tuple[str, str, bool, str]] = []
+    graph_rows, arrangement_rows, skipped = [], [], []  # the rows, and the labels of skipped instances
 
-    def verify(table: tuple[Check, ...], label: str, obj: SimpleGraph | Arrangement) -> Case:
+    def verify(table: tuple[Check, ...], label: str, obj: SimpleGraph | Arrangement, rows: list[dict] | None) -> None:
         case = Case(label, obj, q_min, q_max, orders=lambda m: [None] + [random_order(rng, m) for _ in range(2)])
-        case.poly  # before any oracle, so that a budget the instance's own polynomial passes is the one reported
+        try:
+            case.poly  # before any oracle, so that only a budget the instance's own polynomial passes skips it
+        except ResourceLimitError:
+            skipped.append(label)
+            return
         outcomes.extend((name, label, ok, detail) for name, ok, detail in run_checks(table, case))
-        return case
+        if rows is not None:
+            rows.append(case.row)
 
-    graph_rows = [verify(GRAPH_CHECKS, f"named:{name}", g).row for name, g in named_graphs()]
-    graph_rows += [verify(GRAPH_CHECKS, f"graph[{i}]", g).row
-                   for i, g in enumerate(random_graphs(rng, graph_count, max_n))]
-    drawn = random_arrangements(rng, arrangement_count, max_dim, max_m)
-    arrangement_rows = [verify(ARRANGEMENT_CHECKS, f"arrangement[{i}]", a).row for i, a in enumerate(drawn)]
+    for name, g in named_graphs():
+        verify(GRAPH_CHECKS, f"named:{name}", g, graph_rows)
+    for i, g in enumerate(random_graphs(rng, graph_count, max_n)):
+        verify(GRAPH_CHECKS, f"graph[{i}]", g, graph_rows)
+    for i, arr in enumerate(random_arrangements(rng, arrangement_count, max_dim, max_m)):
+        verify(ARRANGEMENT_CHECKS, f"arrangement[{i}]", arr, arrangement_rows)
     for i, arr in enumerate(linear_central_corpus(rng)):
-        verify(LINEAR_CENTRAL_CHECKS, f"linear[{i}]", arr)
+        verify(LINEAR_CENTRAL_CHECKS, f"linear[{i}]", arr, None)
     failures = [(name, label, detail) for name, label, ok, detail in outcomes if not ok]
     results = {
         "graphs": graph_rows,
@@ -220,5 +236,6 @@ def run_corpus(seed: int, q_min: int, q_max: int, graph_count: int, max_n: int, 
         "instances": len(graph_rows) + len(arrangement_rows),
         "checks": len(outcomes),
         "violation_count": len(failures),
+        **({"skipped": len(skipped)} if skipped else {}),
     }
     return results, failures

@@ -410,6 +410,8 @@ def _print_text_decone(results: dict) -> None:
 
 def _print_text_verify(results: dict) -> None:
     print(f"instances: {results['instances']}")
+    if "skipped" in results:
+        print(f"skipped: {results['skipped']}")
     print(f"checks run: {results['checks']}")
     print(f"{results['violation_count']} violations")
 

@@ -393,24 +393,11 @@ class TestCharPoly:
             if g.m <= 12:
                 assert char_poly(graphic_arrangement(g)) == chromatic_poly(g)
 
-    def test_matches_chromatic_across_corpus(self, graph_corpus, chromatic_memo):
-        for label, g in graph_corpus:
-            arr = graphic_arrangement(g)
-            assert char_poly(arr) == chromatic_poly(g, memo=chromatic_memo), label
-
 
 class TestWhitney:
     def test_matches_mobius_on_fixed_instances(self):
         for arr in (K3_ARR, GENERIC_LINES, PARALLEL_LINES, coordinate_arrangement(3)):
             assert char_poly_whitney(arr) == char_poly(arr)
-
-    def test_matches_on_graphic_instances(self, graph_corpus, chromatic_memo):
-        # the graphic char poly equals the chromatic one (checked separately),
-        # so the memoized chromatic side keeps this sweep cheap
-        for label, g in graph_corpus:
-            if g.m <= 10:
-                arr = graphic_arrangement(g)
-                assert char_poly_whitney(arr) == chromatic_poly(g, memo=chromatic_memo), label
 
     def test_matches_on_random_instances(self, arrangement_corpus):
         for _, arr in arrangement_corpus:

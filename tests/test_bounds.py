@@ -355,16 +355,6 @@ class TestDividedDifference:
         assert divided_difference_iter(p, 1) == IntPolynomial((6, -5, 1))
         assert divided_difference_iter(p, 2) == IntPolynomial((-4, 1))
 
-    def test_formula_matches_iteration(self, graph_sequences):
-        from chromabounds import char_poly, essentialize, graphic_arrangement
-
-        for _, g, _, _ in graph_sequences[:25]:
-            ess = essentialize(graphic_arrangement(g))
-            p = char_poly(ess)
-            s = coeff_sequence(p, g.m)
-            for j in range(s.r + 1):
-                assert divided_difference_iter(p, j) == divided_difference_formula(s, j)
-
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(1, 10**6), max_size=8), st.data())
     def test_formula_is_the_signed_grid_row_at_q_minus_j(self, tail, data):
@@ -404,11 +394,3 @@ class TestForestEquivalence:
         g = SimpleGraph(4, frozenset({(0, 1), (2, 3)}))
         report = forest_equivalence(g)
         assert report.forest and report.binom_m_match and report.binom_r_match
-
-
-def test_alternating_partial_sums_stay_positive(graph_sequences):
-    # shifted lower bound binom(r-1, k) >= 1 while k <= r-1
-    for _, _, _, s in graph_sequences:
-        for k in range(s.r):
-            value = (-1) ** k * sum((-1) ** i * s.a[i] for i in range(k + 1))
-            assert value >= binom(s.r - 1, k) >= 1

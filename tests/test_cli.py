@@ -886,17 +886,22 @@ def test_main_keeps_the_exit_code_contract(file, data):
 
 
 class TestBrokenInvariant:
-    @pytest.mark.parametrize("argv, module", [
-        (["bounds", "FILE"], graphs),
-        (["verify", "--graphs", "1", "--arrangements", "0"], graphs),
+    @pytest.mark.parametrize("argv, violation", [
+        (["bounds", "FILE"], None),
+        (["verify", "--graphs", "1", "--arrangements", "0"], "  VIOLATION rank-vs-degree on named:P1: "),
     ], ids=["bounds", "verify"])
-    def test_malformed_polynomial_exits_1(self, write, monkeypatch, capsys, argv, module):
-        # t^4 + t^3 - 3t^2 + 2t breaks the sign alternation at t^3: a bug, reported without a traceback
-        monkeypatch.setattr(module, "chromatic_poly", lambda *args, **kwargs: IntPolynomial((0, 2, -3, 1, 1)))
+    def test_malformed_polynomial_exits_1(self, write, monkeypatch, capsys, argv, violation):
+        # t^4 + t^3 - 3t^2 + 2t breaks the sign alternation at t^3: a bug, reported without a traceback.
+        # A file command stops at it; `verify` reports it as a violation of each entry that meets it.
+        monkeypatch.setattr(graphs, "chromatic_poly", lambda *args, **kwargs: IntPolynomial((0, 2, -3, 1, 1)))
         argv = [write("k3.txt", K3_TEXT) if arg == "FILE" else arg for arg in argv]
         assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err == "invariant violated (bug): coefficient of t^3 breaks the strict sign alternation\n"
+        out, err = capsys.readouterr()
+        message = "coefficient of t^3 breaks the strict sign alternation"
+        if violation is None:
+            assert (out, err) == ("", f"invariant violated (bug): {message}\n")
+        else:
+            assert err == "" and f"{violation}{message}\n" in out
 
 
 VERIFY_ARGS = ["verify", "--seed", "11", "--graphs", "8", "--max-n", "5",
@@ -981,6 +986,27 @@ class TestVerifyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["results"]["violation_count"] == len(payload["violations"]) > 0
         assert {v["check"] for v in payload["violations"]} == {check}
+
+    def test_reports_a_broken_invariant(self, monkeypatch, capsys):
+        # a characteristic polynomial of 7 has no coefficient sequence: each entry that reads it fails, and the
+        # report still comes out whole, with no log-concavity for those instances
+        char_poly = arrangements.char_poly
+        monkeypatch.setattr(arrangements, "char_poly",
+                            lambda arr: IntPolynomial((7,)) if arr.m >= 5 else char_poly(arr))
+        assert main(["verify", "--seed", "42", "--format", "json"]) == 1
+        out, err = capsys.readouterr()
+        payload = json.loads(out)
+        assert err == "" and payload["results"]["instances"] == 270
+        assert {"check": "rank-vs-degree", "instance": "arrangement[0]",
+                "detail": "leading coefficient must be 1, got 7"} in payload["violations"]
+        assert payload["results"]["arrangements"][0]["logconcave"] is None
+
+    def test_instance_past_its_poset_budget_is_skipped(self, capsys):
+        # two of these arrangements have posets past the step budget: the run counts them as skipped and goes on
+        argv = ["verify", "--graphs", "0", "--arrangements", "3", "--max-dim", "8", "--max-m", "30", "--seed", "1"]
+        assert main([*argv, "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and json.loads(out)["results"]["skipped"] == 2
 
     def test_byte_identical_across_runs(self, capsys):
         assert main(VERIFY_ARGS) == 0
